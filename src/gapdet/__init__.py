@@ -13,9 +13,8 @@ from .contour import (
     QuadratureGrid,
     build_airy_system,
     build_pearcey_system,
-    integrate,
 )
-from .fredholm import DetResult, DiscreteOperator, assemble, det, det2
+from .fredholm import DetResult, DiscreteOperator, det, det2
 from .gap import (
     airy_gap_probability,
     equivalence_report,
@@ -29,10 +28,8 @@ __all__ = [
     "QuadratureGrid",
     "build_airy_system",
     "build_pearcey_system",
-    "integrate",
     "DetResult",
     "DiscreteOperator",
-    "assemble",
     "det",
     "det2",
     "airy_gap_probability",

@@ -19,23 +19,32 @@ import numpy as np
 from .contour import (
     ContourComponent,
     ContourError,
+    Endpoints,
     QuadratureGrid,
     build_grid,
-    gauss_legendre_panels,
+    build_slots,
     solve_radius,
     validate_times,
 )
-from .fredholm import DiscreteOperator
+from .fredholm import (
+    DEFAULT_TAIL_CUT,
+    cauchy_operator,
+    interval_grid,
+    interval_operator,
+)
 
 TWO_PI_I = 2j * np.pi
-
-DEFAULT_TAIL_CUT = 12.0
 
 
 def theta(x, mu):
     """Cubic Airy phase mu^3/3 - x*mu (broadcasts over arrays)."""
     mu = np.asarray(mu, dtype=complex) if not np.isscalar(mu) else mu
     return mu ** 3 / 3.0 - x * mu
+
+
+def phase(i, x, mu, times):
+    """Cubic phase of time i, theta(x, mu - tau_i)."""
+    return theta(x, mu - validate_times(times)[i])
 
 
 def gaussian_bridge(i, j, x, y, times):
@@ -50,70 +59,17 @@ def gaussian_bridge(i, j, x, y, times):
     return val / np.sqrt(4.0 * np.pi * dt)
 
 
-class AiryEndpoints:
-    """Per-time sorted interval endpoints for the Airy process.
+class AiryEndpoints(Endpoints):
+    """Per-time strictly increasing interval endpoints, any count.
 
     An odd endpoint count at a time means the trailing interval is
-    semi-infinite, [a_k, inf).  Row 0 of the integrable-kernel vectors
-    is reserved for the right contour; block i occupies the next k_i
-    rows.
+    semi-infinite, [a_k, inf).
     """
 
-    def __init__(self, per_time):
-        pt = []
-        for ends in per_time:
-            e = tuple(float(a) for a in ends)
-            if len(e) > 1 and not all(b > a for a, b in zip(e, e[1:])):
-                raise ValueError(f"endpoints must be strictly increasing: {e}")
-            pt.append(e)
-        if not pt:
-            raise ValueError("need at least one time entry")
-        self.per_time = tuple(pt)
-
-    @property
-    def n(self):
-        return len(self.per_time)
-
-    @property
-    def counts(self):
-        return tuple(len(e) for e in self.per_time)
-
-    @property
-    def p(self):
-        return 1 + sum(self.counts)
-
-    @property
-    def offsets(self):
-        offs, pos = [], 1
-        for k in self.counts:
-            offs.append(pos)
-            pos += k
-        return tuple(offs)
-
-    def signs(self, i):
-        """Alternating sign vector (+1, -1, ...) for time i."""
-        return np.array([(-1.0) ** ell for ell in range(self.counts[i])])
-
-    def semi_infinite(self, i):
-        return self.counts[i] % 2 == 1
-
-    def row_index(self, i, ell):
-        """0-based row of endpoint ell (0-based) of time i in the p-space."""
-        return self.offsets[i] + ell
-
-    def max_abs_endpoint(self):
-        vals = [abs(a) for e in self.per_time for a in e]
-        return max(vals) if vals else 0.0
-
-    def min_endpoint(self):
-        vals = [a for e in self.per_time for a in e]
-        return min(vals) if vals else 0.0
-
-    def shifted(self, i, ell, h):
-        """New endpoint set with endpoint (i, ell) moved by h."""
-        pt = [list(e) for e in self.per_time]
-        pt[i][ell] += h
-        return AiryEndpoints(pt)
+    def _check(self, ends):
+        if not all(b > a for a, b in zip(ends, ends[1:])):
+            raise ValueError(
+                f"endpoints must be strictly increasing: {ends}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,96 +183,37 @@ def block_entry(block, i, j, z_out, z_in, endpoints, times):
     raise ValueError(f"unknown block {block!r}")
 
 
-def _system_slots(endpoints, system):
-    """Slot arrays (nodes, weights, comp ids, vector ids) for assembly.
+def iiks_slots(endpoints, times, system, gauge=True):
+    """Slots with bare f/g data; line j carries only vector component j."""
+    def active(label):
+        if label == "gamma_R":
+            return range(endpoints.n)
+        return (int(label.split("_")[1]) - 1,)
 
-    gamma_R carries all n vector components; line j carries only
-    component j.
-    """
-    nodes, weights, comp_ids, vec_ids = [], [], [], []
-    for cid, grid in enumerate(system.grids):
-        label = grid.component.label
-        comps = range(endpoints.n) if label == "gamma_R" else \
-            (int(label.split("_")[1]) - 1,)
-        for b in comps:
-            nodes.append(grid.nodes)
-            weights.append(grid.weights)
-            comp_ids.append(np.full(len(grid), cid))
-            vec_ids.append(np.full(len(grid), b))
-    return (np.concatenate(nodes), np.concatenate(weights),
-            np.concatenate(comp_ids), np.concatenate(vec_ids))
+    return build_slots(system, active, f_columns, g_columns,
+                       endpoints, times, gauge)
 
 
-def _slot_fg(endpoints, times, system, gauge):
-    """Bare f/g values per slot: two (p, N_slots) arrays plus slot data."""
-    nodes, weights, comp_ids, vec_ids = _system_slots(endpoints, system)
-    p, nsl = endpoints.p, len(nodes)
-    fbig = np.zeros((p, nsl), dtype=complex)
-    gbig = np.zeros((p, nsl), dtype=complex)
-    for cid, grid in enumerate(system.grids):
-        label = grid.component.label
-        for b in set(vec_ids[comp_ids == cid]):
-            sel = (comp_ids == cid) & (vec_ids == b)
-            fbig[:, sel] = f_columns(nodes[sel], label, int(b),
-                                     endpoints, times, gauge)
-            gbig[:, sel] = g_columns(nodes[sel], label, int(b),
-                                     endpoints, times, gauge)
-    return fbig, gbig, nodes, weights, comp_ids, vec_ids
-
-
-def iiks_operator(endpoints, times, system, gauge=True, symmetrized=True):
+def iiks_operator(endpoints, times, system, gauge=True):
     """Discretized integrable-kernel operator on the contour system."""
-    fbig, gbig, nodes, weights, comp_ids, vec_ids = _slot_fg(
-        endpoints, times, system, gauge)
-    num = fbig.T @ gbig
-    den = nodes[:, None] - nodes[None, :]
-    same = comp_ids[:, None] == comp_ids[None, :]
-    den[same] = 1.0  # kernel vanishes identically there
-    kmat = num / den / TWO_PI_I
-    kmat[same] = 0.0
+    s = iiks_slots(endpoints, times, system, gauge)
     meta = dict(system.meta)
     meta.update({"process": "airy", "gauge": gauge, "p": endpoints.p})
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, vec_ids,
-        symmetrized=symmetrized, meta=meta)
+    return cauchy_operator([(s.f, s.g)], s, s.comp_ids, meta=meta)
 
 
-def iiks_tangent_operator(endpoints, times, system, i, ell,
-                          gauge=True, symmetrized=True):
+def iiks_tangent_operator(endpoints, times, system, i, ell, gauge=True):
     """Endpoint derivative d K / d a_i^(ell) sampled like ``iiks_operator``.
 
     The gauge factors are held fixed; the similarity commutator they
     generate is traceless and drops out of Jacobi's formula.
     """
     t = validate_times(times)
-    fbig, gbig, nodes, weights, comp_ids, vec_ids = _slot_fg(
-        endpoints, times, system, gauge)
-    a_row = endpoints.row_index(i, ell)
-    dfbig = np.zeros_like(fbig)
-    dgbig = np.zeros_like(gbig)
-    for cid, grid in enumerate(system.grids):
-        label = grid.component.label
-        sel_all = comp_ids == cid
-        if label == "gamma_R":
-            sel = sel_all & (vec_ids == i)
-            dgbig[a_row, sel] = -(nodes[sel] - t[i]) * gbig[a_row, sel]
-        else:
-            c = int(label.split("_")[1]) - 1
-            if c == i:
-                sel = sel_all & (vec_ids == i)
-                dfbig[a_row, sel] = (nodes[sel] - t[i]) * fbig[a_row, sel]
-            elif c > i:
-                sel = sel_all & (vec_ids == c)
-                dgbig[a_row, sel] = -(nodes[sel] - t[i]) * gbig[a_row, sel]
-    num = dfbig.T @ gbig + fbig.T @ dgbig
-    den = nodes[:, None] - nodes[None, :]
-    same = comp_ids[:, None] == comp_ids[None, :]
-    den[same] = 1.0
-    kmat = num / den / TWO_PI_I
-    kmat[same] = 0.0
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, vec_ids,
-        symmetrized=symmetrized, meta={"tangent": ("a", i, ell)})
+    s = iiks_slots(endpoints, times, system, gauge)
+    right = s.comp_ids == system.labels.index("gamma_R")
+    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, right, t[i])
+    return cauchy_operator(terms, s, s.comp_ids,
+                           meta={"tangent": ("a", i, ell)})
 
 
 # ---------------------------------------------------------------------------
@@ -385,65 +282,18 @@ def physical_entry(i, j, x, y, phys, times):
     return complex(physical_block(i, j, [x], [y], phys, times)[0, 0])
 
 
-def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT, density=7.0, n_min=16,
-                  max_panel=3.0):
-    """Real quadrature nodes/weights on a union of intervals.
-
-    ``ends`` are the sorted endpoints of one time; an odd count makes
-    the last interval semi-infinite, truncated at ``t_cut``.
-    """
-    ends = list(ends)
-    if not ends:
-        return np.empty(0), np.empty(0)
-    segments = []
-    pairs = ends[:]
-    if len(pairs) % 2 == 1:
-        pairs = pairs + [pairs[-1] + t_cut]
-    for a, b in zip(pairs[0::2], pairs[1::2]):
-        segments.append((a, b))
-    xs, ws = [], []
-    for a, b in segments:
-        length = b - a
-        n_panels = max(1, int(np.ceil(length / max_panel)))
-        breaks = np.linspace(a, b, n_panels + 1)
-        n_nodes = max(n_min, int(np.ceil(density * length)))
-        x, w = gauss_legendre_panels(breaks, n_nodes)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
-                      C=None, density=7.0, radius=None,
-                      symmetrized=True):
+                      C=None, radius=None):
     """Nystrom discretization of the physical operator chi A chi."""
     t = validate_times(times)
-    grids = [interval_grid(e, t_cut=t_cut, density=density)
-             for e in endpoints.per_time]
-    all_x = np.concatenate([x for x, _ in grids]) if any(
-        len(x) for x, _ in grids) else np.empty(0)
+    grids = [interval_grid(e, t_cut=t_cut) for e in endpoints.per_time]
+    all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
     phys = physical_contours(times, C=C, m=m, radius=radius, x_min=x_min)
-    nodes = np.concatenate([x for x, _ in grids]).astype(complex)
-    weights = np.concatenate([w for _, w in grids]).astype(complex)
-    comp_ids = np.concatenate(
-        [np.full(len(x), i) for i, (x, _) in enumerate(grids)])
-    sizes = [len(x) for x, _ in grids]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    n_tot = int(starts[-1])
-    kmat = np.zeros((n_tot, n_tot), dtype=complex)
-    for i in range(endpoints.n):
-        if sizes[i] == 0:
-            continue
-        for j in range(endpoints.n):
-            if sizes[j] == 0:
-                continue
-            kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \
-                physical_block(i, j, grids[i][0], grids[j][0], phys, t)
     meta = {"process": "airy", "representation": "physical", "m": m,
             "t_cut": t_cut, "C": phys.C,
             "radii": {"right": phys.mu_grids[0].component.truncation_radius,
                       "left": phys.lam_grid.component.truncation_radius}}
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, comp_ids.copy(),
-        symmetrized=symmetrized, meta=meta)
+    return interval_operator(
+        grids, lambda i, j, xs, ys: physical_block(i, j, xs, ys, phys, t),
+        meta)

@@ -89,6 +89,12 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _real(value, name):
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{name}: expected a real number, got {value!r}")
+    return value
+
+
 def validate_config(cfg):
     """Field-level validation; returns a normalized copy."""
     cfg = copy.deepcopy(cfg)
@@ -96,13 +102,17 @@ def validate_config(cfg):
     task = cfg.get("task", "det")
     _require(task in _TASKS, f"task: expected one of {_TASKS}, got {task!r}")
     cfg["task"] = task
-    if task != "tw-oracle":
+    if task == "tw-oracle":
+        _real(cfg.get("s"), "s")
+    else:
         process = cfg.get("process")
         _require(process in ("airy", "pearcey"),
                  f"process: expected 'airy' or 'pearcey', got {process!r}")
         times = cfg.get("times")
         _require(isinstance(times, list) and times,
                  "times: need a non-empty list of reals")
+        for tau in times:
+            _real(tau, "times")
         _require(all(b > a for a, b in zip(times, times[1:])),
                  "times: must be strictly increasing")
         intervals = cfg.get("intervals")
@@ -114,16 +124,18 @@ def validate_config(cfg):
                 AiryEndpoints(intervals)
             else:
                 PearceyEndpoints(intervals)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"intervals: {exc}") from exc
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
-    for key in ("m",):
-        if key in quad:
-            _require(int(quad[key]) >= 4, f"quadrature.{key}: must be >= 4")
+    unknown = sorted(set(quad) - {"m", "truncation_radius", "delta", "t_cut"})
+    _require(not unknown, f"quadrature: unknown keys {unknown}")
+    if "m" in quad:
+        _require(_real(quad["m"], "quadrature.m") >= 4,
+                 "quadrature.m: must be >= 4")
     for key in ("truncation_radius", "delta", "t_cut"):
         if key in quad:
-            _require(float(quad[key]) > 0,
+            _require(_real(quad[key], f"quadrature.{key}") > 0,
                      f"quadrature.{key}: must be positive")
     cfg.setdefault("tolerances", {})
     return cfg
@@ -134,11 +146,8 @@ def _quad_kwargs(cfg, process):
     kw = {"m": int(quad.get("m", 80))}
     if "truncation_radius" in quad:
         kw["radius"] = float(quad["truncation_radius"])
-    if process == "airy":
-        if "deform" in quad:
-            kw["deform"] = bool(quad["deform"])
-        if "t_cut" in quad:
-            kw["t_cut"] = float(quad["t_cut"])
+    if process == "airy" and "t_cut" in quad:
+        kw["t_cut"] = float(quad["t_cut"])
     if process == "pearcey" and "delta" in quad:
         kw["delta"] = float(quad["delta"])
     return kw
@@ -308,9 +317,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--m", type=int, help="nodes per contour component")
     common.add_argument("--radius", type=float, help="truncation radius")
-    common.add_argument("--deform", dest="deform", action="store_true",
-                        default=None, help="deform Airy vertical lines")
-    common.add_argument("--no-deform", dest="deform", action="store_false")
     common.add_argument("--workers", type=int, default=1,
                         help="worker processes for sweeps")
     common.add_argument("--out", help="output JSON path (default stdout)")
@@ -343,8 +349,6 @@ def _apply_flag_overrides(cfg, args):
         quad["m"] = args.m
     if args.radius is not None:
         quad["truncation_radius"] = args.radius
-    if args.deform is not None:
-        quad["deform"] = args.deform
     return cfg
 
 

@@ -4,7 +4,9 @@ All integration contours used by the Airy and Pearcey pipelines are built
 from two primitives: a pair of rays sharing an apex, and a (truncated)
 vertical line.  Each component carries a composite Gauss-Legendre grid
 whose complex weights include the local unit direction, so that a plain
-weighted sum realizes the oriented line integral.
+weighted sum realizes the oriented line integral.  Both processes also
+share the interval endpoints and the slot layout that pairs contour
+nodes with the vector components of the integrable kernel.
 """
 
 from __future__ import annotations
@@ -73,13 +75,6 @@ class ContourComponent:
             raise ContourError(f"unknown component kind {self.kind!r}")
         if not self.truncation_radius > 0:
             raise ContourError("truncation radius must be positive")
-
-    @property
-    def conjugation_symmetric(self):
-        """True when the node set is closed under complex conjugation."""
-        return abs(self.apex.imag) < 1e-14 and abs(
-            abs(self.angles[0]) - abs(self.angles[1])
-        ) < 1e-14
 
 
 @dataclass(frozen=True)
@@ -180,16 +175,120 @@ def validate_times(times):
     return t
 
 
-def build_airy_system(times, C=None, deform=True, radius=None, m=80,
+class Endpoints:
+    """Per-time sorted interval endpoints and their row layout.
+
+    Row 0 of the integrable-kernel vectors belongs to the right
+    contour; the endpoints of time i occupy the next ``counts[i]`` rows.
+    A subclass states in ``_check`` which endpoint lists are valid.
+    """
+
+    def __init__(self, per_time):
+        self.per_time = tuple(tuple(float(a) for a in e) for e in per_time)
+        if not self.per_time:
+            raise ValueError("need at least one time entry")
+        for e in self.per_time:
+            self._check(e)
+
+    def _check(self, ends):
+        """Raise ValueError when the endpoints of one time are invalid."""
+
+    @property
+    def n(self):
+        return len(self.per_time)
+
+    @property
+    def counts(self):
+        return tuple(len(e) for e in self.per_time)
+
+    @property
+    def p(self):
+        return 1 + sum(self.counts)
+
+    @property
+    def offsets(self):
+        offs, pos = [], 1
+        for k in self.counts:
+            offs.append(pos)
+            pos += k
+        return tuple(offs)
+
+    def row_index(self, i, ell):
+        """0-based row of endpoint ell (0-based) of time i in the p-space."""
+        return self.offsets[i] + ell
+
+    def max_abs_endpoint(self):
+        vals = [abs(a) for e in self.per_time for a in e]
+        return max(vals) if vals else 0.0
+
+    def shifted(self, i, ell, h):
+        """New endpoint set with endpoint (i, ell) moved by h."""
+        pt = [list(e) for e in self.per_time]
+        pt[i][ell] += h
+        return type(self)(pt)
+
+
+@dataclass(frozen=True)
+class Slots:
+    """Assembly slots, one per (quadrature node, carried vector component).
+
+    ``f`` and ``g`` hold the bare integrable-kernel vectors, one column
+    per slot.  The grids of a system never share a node, so two slots
+    sit at the same point exactly when their nodes are equal.
+    """
+
+    f: np.ndarray
+    g: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    comp_ids: np.ndarray
+    vec_ids: np.ndarray
+
+    def endpoint_terms(self, row, i, right, shift):
+        """(f, g) terms of dK/da for the endpoint a at ``row``, of time i.
+
+        In both processes a enters f as e^{a lam_i} on the left contours
+        of time i, and g as e^{-a mu_i} on the right contour of time i
+        and on the left contours of later times, where lam_i = lam -
+        shift.  ``right`` flags the slots on the right contour.
+        """
+        d = self.nodes - shift
+        df, dg = np.zeros_like(self.f), np.zeros_like(self.g)
+        sel = ~right & (self.vec_ids == i)
+        df[row, sel] = d[sel] * self.f[row, sel]
+        sel = (right & (self.vec_ids == i)) | (~right & (self.vec_ids > i))
+        dg[row, sel] = -d[sel] * self.g[row, sel]
+        return [(df, self.g), (self.f, dg)]
+
+
+def build_slots(system, active, f_columns, g_columns, *args):
+    """Slots of ``system``: component by component, then vector component.
+
+    ``active(label)`` lists the vector components a contour component
+    carries; ``f_columns(nodes, label, b, *args)`` and ``g_columns``
+    return the bare columns of vector component b there.
+    """
+    parts = []
+    for cid, grid in enumerate(system.grids):
+        label, k = grid.component.label, len(grid)
+        for b in active(label):
+            parts.append((f_columns(grid.nodes, label, b, *args),
+                          g_columns(grid.nodes, label, b, *args), grid.nodes,
+                          grid.weights, np.full(k, cid), np.full(k, b)))
+    return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
+
+
+def build_airy_system(times, C=None, radius=None, m=80,
                       eps=DEFAULT_TAIL_EPS, endpoint_scale=0.0):
     """Contour system for the Airy integrable kernel.
 
     One right component gamma_R (rays from apex C at angles +-pi/3,
-    traversed downward) plus one component per time: the vertical line
-    through tau_j (``deform=False``) or a left ray pair at apex tau_j
-    with angles +-2pi/3 (``deform=True``).  ``endpoint_scale`` feeds the
-    slowest linear growth (from interval endpoints) into the truncation
-    rule; ``radius`` overrides the rule for every component.
+    traversed downward) plus one component per time: a left ray pair at
+    apex tau_j with angles +-2pi/3, the vertical line through tau_j
+    deformed so that every kernel factor decays cubically.
+    ``endpoint_scale`` feeds the slowest linear growth (from interval
+    endpoints) into the truncation rule; ``radius`` overrides the rule
+    for every component.
     """
     t = validate_times(times)
     if C is None:
@@ -201,39 +300,28 @@ def build_airy_system(times, C=None, deform=True, radius=None, m=80,
     dt_min = np.diff(t).min() if len(t) > 1 else None
 
     r_right = radius or solve_radius(lambda r: r ** 3 / 6 - a * r / 2, L)
+    # cubic decay of the slowest row-1 factor, Gaussian from the
+    # cross-time blocks when n >= 2
+    r_left = solve_radius(lambda r: r ** 3 / 3 - a * r, L)
+    if dt_min is not None:
+        r_left = max(r_left, solve_radius(
+            lambda r: dt_min * r ** 2 / 2 - a * r, L))
     grids = [build_grid(
         ContourComponent("ray-pair", complex(C), (np.pi / 3, -np.pi / 3),
                          r_right, "gamma_R"), m)]
     for j, tau in enumerate(t):
-        if deform:
-            # cubic decay of the slowest row-1 factor, Gaussian from the
-            # cross-time blocks when n >= 2
-            r_cub = solve_radius(lambda r: r ** 3 / 3 - a * r, L)
-            r_j = r_cub
-            if dt_min is not None:
-                r_j = max(r_j, solve_radius(
-                    lambda r: dt_min * r ** 2 / 2 - a * r, L))
-            comp = ContourComponent("ray-pair", complex(tau),
-                                    (-2 * np.pi / 3, 2 * np.pi / 3),
-                                    radius or r_j, f"line_{j + 1}")
-        else:
-            if dt_min is not None:
-                r_j = solve_radius(lambda r: dt_min * r ** 2 / 2 - a * r, L)
-            else:
-                r_j = 12.0  # no decaying weight on a single undeformed line
-            comp = ContourComponent("vertical-line", complex(tau),
-                                    (-np.pi / 2, np.pi / 2),
-                                    radius or r_j, f"line_{j + 1}")
-        grids.append(build_grid(comp, m))
-    meta = {"C": C, "deform": deform, "m": m, "eps": eps,
+        grids.append(build_grid(
+            ContourComponent("ray-pair", complex(tau),
+                             (-2 * np.pi / 3, 2 * np.pi / 3),
+                             radius or r_left, f"line_{j + 1}"), m))
+    meta = {"C": C, "m": m, "eps": eps,
             "radii": {g.component.label: g.component.truncation_radius
                       for g in grids}}
     return _check_disjoint(ContourSystem(grids=tuple(grids), meta=meta))
 
 
 def build_pearcey_system(times, delta=0.5, radius=None, m=80,
-                         eps=DEFAULT_TAIL_EPS, endpoint_scale=0.0,
-                         tau_scale=None):
+                         eps=DEFAULT_TAIL_EPS, endpoint_scale=0.0):
     """Contour system for the Pearcey kernel.
 
     gamma_R: rays at apex +delta, angles +-pi/4, traversed downward
@@ -250,7 +338,7 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
         raise ContourError("need delta > 0")
     L = np.log(1.0 / eps)
     a = abs(endpoint_scale)
-    tmax = abs(t).max() if tau_scale is None else abs(tau_scale)
+    tmax = abs(t).max()
     dt_min = np.diff(t).min() if len(t) > 1 else None
 
     r_x = radius or solve_radius(
@@ -274,18 +362,3 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
             "radii": {c.label: c.truncation_radius for c in comps}}
     return _check_disjoint(
         ContourSystem(grids=tuple(build_grid(c, m) for c in comps), meta=meta))
-
-
-def integrate(grid, fn):
-    """Oriented line integral sum(w * fn(nodes)) over one grid.
-
-    The caller divides by 2*pi*i when the measure requires it.  ``fn``
-    may be vectorized over a complex array or accept scalars.
-    """
-    try:
-        vals = np.asarray(fn(grid.nodes), dtype=complex)
-        if vals.shape != grid.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([fn(z) for z in grid.nodes], dtype=complex)
-    return complex(np.sum(grid.weights * vals))

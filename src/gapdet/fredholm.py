@@ -1,10 +1,12 @@
 """Nystrom discretization and the Fredholm determinant engine.
 
 A kernel sampled at quadrature nodes becomes a dense complex matrix M
-with the weights folded in, so that det(I - M) approximates the
-Fredholm determinant.  Both the weighted form M[r,c] = K(r,c) w_c and
-the symmetrized form sqrt(w_r) K sqrt(w_c) are supported; they are
-related by a diagonal similarity and share the same determinant.
+with the weights folded in symmetrically, M[r,c] = sqrt(w_r) K(r,c)
+sqrt(w_c), so that det(I - M) approximates the Fredholm determinant.
+Both representations of a gap probability are assembled here: the
+physical kernel on real interval grids (``interval_operator``) and the
+integrable kernel f^T(lam) g(mu) / (lam - mu) on contour slots
+(``cauchy_operator``).
 """
 
 from __future__ import annotations
@@ -14,16 +16,29 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .contour import gauss_legendre_panels
+
 __all__ = [
     "DiscreteOperator",
     "DetResult",
     "NearSingularOperatorError",
-    "assemble",
+    "cauchy_operator",
+    "interval_grid",
+    "interval_operator",
     "det",
     "det2",
     "solve_resolvent",
     "logdet_derivative",
 ]
+
+#: truncation length of a semi-infinite interval [a, inf)
+DEFAULT_TAIL_CUT = 12.0
+
+# interval quadrature: nodes per unit length, nodes per interval at
+# least, longest Gauss-Legendre panel
+_NODES_PER_UNIT = 7.0
+_MIN_NODES = 16
+_MAX_PANEL = 3.0
 
 
 class NearSingularOperatorError(RuntimeError):
@@ -36,7 +51,7 @@ class DiscreteOperator:
 
     Row/column r corresponds to one slot: a quadrature node together
     with one active vector component.  ``matrix`` already contains the
-    quadrature weights according to ``symmetrized``.
+    quadrature weights, folded in symmetrically.
     """
 
     matrix: np.ndarray
@@ -44,26 +59,22 @@ class DiscreteOperator:
     weights: np.ndarray
     comp_ids: np.ndarray
     block_ids: np.ndarray
-    symmetrized: bool = True
     meta: dict = field(default_factory=dict)
 
     @classmethod
     def from_kernel_matrix(cls, kmat, nodes, weights, comp_ids, block_ids,
-                           symmetrized=True, meta=None):
+                           meta=None):
         """Fold quadrature weights into a raw kernel sample matrix."""
         kmat = np.asarray(kmat, dtype=complex)
         if not np.all(np.isfinite(kmat)):
             raise ValueError("kernel sample contains non-finite entries")
-        if symmetrized:
-            s = np.sqrt(np.asarray(weights, dtype=complex))
-            m = s[:, None] * kmat * s[None, :]
-        else:
-            m = kmat * np.asarray(weights, dtype=complex)[None, :]
+        s = np.sqrt(np.asarray(weights, dtype=complex))
+        m = s[:, None] * kmat * s[None, :]
         return cls(matrix=m, nodes=np.asarray(nodes, dtype=complex),
                    weights=np.asarray(weights, dtype=complex),
                    comp_ids=np.asarray(comp_ids, dtype=int),
                    block_ids=np.asarray(block_ids, dtype=int),
-                   symmetrized=symmetrized, meta=dict(meta or {}))
+                   meta=dict(meta or {}))
 
     @property
     def n(self):
@@ -71,14 +82,10 @@ class DiscreteOperator:
 
     def scale_to_values(self, x):
         """Map solution slots of the symmetrized system back to values."""
-        if not self.symmetrized:
-            return x
         s = np.sqrt(np.asarray(self.weights, dtype=complex))
         return x / (s if x.ndim == 1 else s[:, None])
 
     def scale_from_values(self, x):
-        if not self.symmetrized:
-            return x
         s = np.sqrt(np.asarray(self.weights, dtype=complex))
         return x * (s if x.ndim == 1 else s[:, None])
 
@@ -95,41 +102,78 @@ class DetResult:
     log_value: complex
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def real(self):
-        return self.value.real
 
+def cauchy_operator(terms, slots, orth, diag=None, meta=None):
+    """Discretize K(lam, mu) = sum f^T(lam) g(mu) / (2 pi i (lam - mu)).
 
-def assemble(sampler, system, active=None, symmetrized=True, meta=None):
-    """Discretize a pointwise matrix-kernel sampler on a contour system.
-
-    ``sampler(lam, mu, i, j)`` returns the (i, j) kernel entry at
-    (lam, mu); ``active`` maps component labels to the tuple of vector
-    components living there (default: the single component 0).  Meant
-    for small generic kernels; the Airy/Pearcey assemblies use
-    vectorized builders.
+    ``terms`` lists the (f, g) pairs of the sum, (p, N) arrays with one
+    column per slot.  K vanishes between slots with equal non-negative
+    ``orth`` ids (one contour where f^T g = 0); at other coincident
+    slots ``diag(i, j, lam)`` gives its removable value times 2 pi i.
     """
-    nodes, weights, comp_ids, block_ids = [], [], [], []
-    for cid, grid in enumerate(system.grids):
-        comps = (active or {}).get(grid.component.label, (0,))
-        for b in comps:
-            nodes.append(grid.nodes)
-            weights.append(grid.weights)
-            comp_ids.append(np.full(len(grid), cid))
-            block_ids.append(np.full(len(grid), b))
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    comp_ids = np.concatenate(comp_ids)
-    block_ids = np.concatenate(block_ids)
-    n = len(nodes)
-    kmat = np.empty((n, n), dtype=complex)
-    for r in range(n):
-        for c in range(n):
-            kmat[r, c] = sampler(nodes[r], nodes[c],
-                                 int(block_ids[r]), int(block_ids[c]))
+    f, g = terms[0]
+    kmat = f.T @ g
+    for f, g in terms[1:]:
+        kmat += f.T @ g
+    den = slots.nodes[:, None] - slots.nodes[None, :]
+    coincident = den == 0
+    den[coincident] = 1.0
+    np.divide(kmat, den, out=kmat)
+    del den
+    kmat /= 2j * np.pi
+    zero = (orth[:, None] == orth[None, :]) & (orth >= 0)[:, None]
+    kmat[zero] = 0.0
+    if diag is not None:
+        rows, cols = np.nonzero(coincident & ~zero)
+        kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
+                                slots.nodes[rows]) / (2j * np.pi)
     return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, block_ids,
-        symmetrized=symmetrized, meta=meta)
+        kmat, slots.nodes, slots.weights, slots.comp_ids, slots.vec_ids,
+        meta=meta)
+
+
+def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
+    """Real quadrature nodes/weights on a union of intervals.
+
+    ``ends`` are the sorted endpoints of one time; an odd count makes
+    the last interval semi-infinite, truncated at ``t_cut``.
+    """
+    ends = list(ends)
+    if not ends:
+        return np.empty(0), np.empty(0)
+    if len(ends) % 2 == 1:
+        ends.append(ends[-1] + t_cut)
+    xs, ws = [], []
+    for a, b in zip(ends[0::2], ends[1::2]):
+        length = b - a
+        n_panels = max(1, int(np.ceil(length / _MAX_PANEL)))
+        n_nodes = max(_MIN_NODES, int(np.ceil(_NODES_PER_UNIT * length)))
+        x, w = gauss_legendre_panels(np.linspace(a, b, n_panels + 1),
+                                     n_nodes)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def interval_operator(grids, block, meta):
+    """Nystrom discretization of chi K chi on per-time interval grids.
+
+    ``grids`` holds one (nodes, weights) pair per time, and
+    ``block(i, j, xs, ys)`` returns the kernel block K_ij on xs x ys.
+    """
+    sizes = [len(x) for x, _ in grids]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    kmat = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    for i, (xi, _) in enumerate(grids):
+        for j, (xj, _) in enumerate(grids):
+            if len(xi) and len(xj):
+                kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \
+                    block(i, j, xi, xj)
+    comp_ids = np.repeat(np.arange(len(grids)), sizes)
+    return DiscreteOperator.from_kernel_matrix(
+        kmat, np.concatenate([x for x, _ in grids]).astype(complex),
+        np.concatenate([w for _, w in grids]).astype(complex),
+        comp_ids, comp_ids.copy(), meta=meta)
 
 
 def _lu_logdet(a):
@@ -179,7 +223,7 @@ def solve_resolvent(op, rhs, rcond_min=1e-13):
     """Solve (I - M) F = f for node values F.
 
     ``rhs`` holds plain kernel-side values at the slots (one column per
-    right-hand side); scaling for the symmetrized form is internal.
+    right-hand side); the weight scaling is internal.
     """
     rhs = np.asarray(rhs, dtype=complex)
     a = np.eye(op.n, dtype=complex) - op.matrix
@@ -200,10 +244,9 @@ def solve_resolvent(op, rhs, rcond_min=1e-13):
 def logdet_derivative(op, dop, rcond_min=1e-13):
     """Jacobi's formula: d log det(I - M) = -tr((I - M)^{-1} dM).
 
-    ``dop`` must be assembled with the same slots, weights and
-    symmetrization as ``op``.
+    ``dop`` must be assembled with the same slots and weights as ``op``.
     """
-    if dop.n != op.n or dop.symmetrized != op.symmetrized:
+    if dop.n != op.n:
         raise ValueError("operator and derivative sampler are incompatible")
     a = np.eye(op.n, dtype=complex) - op.matrix
     lu, piv, _, rcond = _lu_logdet(a)

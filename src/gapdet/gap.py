@@ -15,9 +15,8 @@ from .fredholm import det
 
 
 def airy_gap_probability(times, intervals, representation="iiks", m=80,
-                         deform=True, gauge=True, C=None, radius=None,
-                         t_cut=airy.DEFAULT_TAIL_CUT, density=7.0,
-                         symmetrized=True):
+                         gauge=True, C=None, radius=None,
+                         t_cut=airy.DEFAULT_TAIL_CUT):
     """Gap probability of the multi-time Airy process.
 
     ``intervals`` lists the sorted endpoints per time; an odd count
@@ -29,22 +28,19 @@ def airy_gap_probability(times, intervals, representation="iiks", m=80,
         else airy.AiryEndpoints(intervals)
     if representation == "iiks":
         system = build_airy_system(
-            t, C=C, deform=deform, radius=radius, m=m,
+            t, C=C, radius=radius, m=m,
             endpoint_scale=ep.max_abs_endpoint())
-        op = airy.iiks_operator(ep, t, system, gauge=gauge,
-                                symmetrized=symmetrized)
+        op = airy.iiks_operator(ep, t, system, gauge=gauge)
     elif representation == "physical":
         op = airy.physical_operator(ep, t, m=m, t_cut=t_cut, C=C,
-                                    density=density, radius=radius,
-                                    symmetrized=symmetrized)
+                                    radius=radius)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)
 
 
 def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
-                            delta=0.5, radius=None, density=7.0,
-                            symmetrized=True):
+                            delta=0.5, radius=None):
     """Gap probability of the multi-time Pearcey process.
 
     Every time needs an even endpoint count (finite intervals only).
@@ -56,11 +52,10 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
         t, delta=delta, m=m, radius=radius,
         endpoint_scale=ep.max_abs_endpoint())
     if representation == "iiks":
-        op = pearcey.iiks_operator(ep, t, system, symmetrized=symmetrized)
+        op = pearcey.iiks_operator(ep, t, system)
     elif representation == "physical":
         op = pearcey.physical_operator(ep, t, system=system, m=m,
-                                       delta=delta, density=density,
-                                       symmetrized=symmetrized)
+                                       delta=delta)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)

@@ -20,18 +20,14 @@ from .gap import airy_gap_probability, pearcey_gap_probability
 TWO_PI_I = 2j * np.pi
 
 
-def _fg_point(process, lam, comp_label, endpoints, times):
-    mod = airy if process == "airy" else pearcey
-    return mod.fg_matrices(lam, comp_label, endpoints, times)
-
-
 def jump_matrix(process, lam, comp_label, endpoints, times):
     """Bare outer product f(lam) g^T(lam) on one contour component.
 
     The Riemann-Hilbert jump is I minus this matrix (the 1/(2 pi i)
     normalization of f cancels the 2 pi i of the jump formula).
     """
-    f, g = _fg_point(process, lam, comp_label, endpoints, times)
+    mod = airy if process == "airy" else pearcey
+    f, g = mod.fg_matrices(lam, comp_label, endpoints, times)
     return f @ g.T
 
 
@@ -41,16 +37,9 @@ def exponent_diagonal(process, lam, endpoints, times):
     Row 0 holds the mean of all phase values; block row (i, ell) holds
     the mean minus its own phase, so the trace vanishes identically.
     """
-    t = validate_times(times)
-    phases = []
-    if process == "airy":
-        for i, ends in enumerate(endpoints.per_time):
-            for a in ends:
-                phases.append(airy.theta(a, lam - t[i]))
-    else:
-        for i, ends in enumerate(endpoints.per_time):
-            for a in ends:
-                phases.append(pearcey.phase(i, a, lam, times))
+    mod = airy if process == "airy" else pearcey
+    phases = [mod.phase(i, a, lam, times)
+              for i, ends in enumerate(endpoints.per_time) for a in ends]
     mean = sum(phases) / endpoints.p if phases else 0.0
     diag = np.empty(endpoints.p, dtype=complex)
     diag[0] = mean
@@ -73,14 +62,6 @@ def conjugated_jump(process, lam, comp_label, endpoints, times):
     return np.where(g0 == 0, 0.0, out)
 
 
-def _slot_data(process, endpoints, times, system, gauge):
-    if process == "airy":
-        return airy._slot_fg(endpoints, times, system, gauge)[:6]
-    fbig, gbig, nodes, weights, comp_ids, vec_ids, _ = pearcey._slot_fg(
-        endpoints, times, system)
-    return fbig, gbig, nodes, weights, comp_ids, vec_ids
-
-
 def gamma_moments(process, endpoints, times, system=None, m=80,
                   gauge=True, delta=0.5):
     """First two expansion moments of the RH solution.
@@ -89,26 +70,24 @@ def gamma_moments(process, endpoints, times, system=None, m=80,
     image of f; the diagonal gauge drops out of the product F g^T.
     """
     t = validate_times(times)
-    if system is None:
-        if process == "airy":
+    if process == "airy":
+        if system is None:
             system = build_airy_system(
                 t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-        else:
+        op = airy.iiks_operator(endpoints, t, system, gauge=gauge)
+        s = airy.iiks_slots(endpoints, t, system, gauge)
+    else:
+        if system is None:
             system = build_pearcey_system(
                 t, delta=delta, m=m,
                 endpoint_scale=endpoints.max_abs_endpoint())
-    if process == "airy":
-        op = airy.iiks_operator(endpoints, t, system, gauge=gauge)
-    else:
         op = pearcey.iiks_operator(endpoints, t, system)
-    fbig, gbig, nodes, weights = _slot_data(
-        process, endpoints, t, system, gauge)[:4]
-    rhs = fbig.T / TWO_PI_I
-    sol = solve_resolvent(op, rhs)
+        s = pearcey.iiks_slots(endpoints, t, system)
+    sol = solve_resolvent(op, s.f.T / TWO_PI_I)
     out = []
     for k in (1, 2):
-        wxi = weights * nodes ** (k - 1)
-        out.append(np.einsum("s,sp,qs->pq", wxi, sol, gbig))
+        wxi = s.weights * s.nodes ** (k - 1)
+        out.append(np.einsum("s,sp,qs->pq", wxi, sol, s.g))
     return tuple(out)
 
 
@@ -141,6 +120,33 @@ def _mismatch(fd, formula):
     return abs(fd - formula) / scale
 
 
+def _derivative_report(process, endpoints, t, g1, tau_formula, m, step,
+                       tau_step, gauge):
+    """Central differences of log det against the moment formulas.
+
+    Endpoint derivatives are compared with -(Gamma_1)_qq, the time
+    derivative of time i with ``tau_formula(i, qs)`` over its rows qs.
+    """
+    report = {"a": {}, "tau": {}}
+    for i, ends in enumerate(endpoints.per_time):
+        for ell in range(len(ends)):
+            q = endpoints.row_index(i, ell)
+            fd = _fd_endpoint(process, endpoints, t, i, ell, step, m, gauge)
+            formula = -g1[q, q].real
+            report["a"][(i, ell)] = {
+                "fd": fd, "formula": formula,
+                "rel_mismatch": _mismatch(fd, formula)}
+        qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
+        fd = _fd_time(process, endpoints, t, i, tau_step, m, gauge)
+        formula = tau_formula(i, qs)
+        report["tau"][i] = {"fd": fd, "formula": formula,
+                            "rel_mismatch": _mismatch(fd, formula)}
+    report["max_rel_mismatch"] = max(
+        [v["rel_mismatch"] for v in report["a"].values()]
+        + [v["rel_mismatch"] for v in report["tau"].values()])
+    return report
+
+
 def airy_derivative_report(endpoints, times, m=80, step=1e-3,
                            tau_step=1e-3, gauge=True):
     """Finite differences of log det against the moment formulas.
@@ -151,25 +157,11 @@ def airy_derivative_report(endpoints, times, m=80, step=1e-3,
     t = validate_times(times)
     g1, g2 = gamma_moments("airy", endpoints, t, m=m, gauge=gauge)
     g1sq = g1 @ g1
-    report = {"a": {}, "tau": {}}
-    for i, ends in enumerate(endpoints.per_time):
-        for ell in range(len(ends)):
-            q = endpoints.row_index(i, ell)
-            fd = _fd_endpoint("airy", endpoints, t, i, ell, step, m, gauge)
-            formula = -g1[q, q].real
-            report["a"][(i, ell)] = {
-                "fd": fd, "formula": formula,
-                "rel_mismatch": _mismatch(fd, formula)}
-        qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
-        fd = _fd_time("airy", endpoints, t, i, tau_step, m, gauge)
-        formula = sum((2.0 * t[i] * g1 + g1sq - 2.0 * g2)[q, q].real
-                      for q in qs)
-        report["tau"][i] = {"fd": fd, "formula": formula,
-                            "rel_mismatch": _mismatch(fd, formula)}
-    report["max_rel_mismatch"] = max(
-        [v["rel_mismatch"] for v in report["a"].values()]
-        + [v["rel_mismatch"] for v in report["tau"].values()])
-    return report
+    return _derivative_report(
+        "airy", endpoints, t, g1,
+        lambda i, qs: sum((2.0 * t[i] * g1 + g1sq - 2.0 * g2)[q, q].real
+                          for q in qs),
+        m, step, tau_step, gauge)
 
 
 def pearcey_derivative_report(endpoints, times, m=80, step=1e-3,
@@ -182,21 +174,7 @@ def pearcey_derivative_report(endpoints, times, m=80, step=1e-3,
     t = validate_times(times)
     g1, g2 = gamma_moments("pearcey", endpoints, t, m=m, delta=delta)
     g1sq = g1 @ g1
-    report = {"a": {}, "tau": {}}
-    for i, ends in enumerate(endpoints.per_time):
-        for ell in range(len(ends)):
-            q = endpoints.row_index(i, ell)
-            fd = _fd_endpoint("pearcey", endpoints, t, i, ell, step, m, True)
-            formula = -g1[q, q].real
-            report["a"][(i, ell)] = {
-                "fd": fd, "formula": formula,
-                "rel_mismatch": _mismatch(fd, formula)}
-        qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
-        fd = _fd_time("pearcey", endpoints, t, i, tau_step, m, True)
-        formula = 0.5 * sum((g1sq - 2.0 * g2)[q, q].real for q in qs)
-        report["tau"][i] = {"fd": fd, "formula": formula,
-                            "rel_mismatch": _mismatch(fd, formula)}
-    report["max_rel_mismatch"] = max(
-        [v["rel_mismatch"] for v in report["a"].values()]
-        + [v["rel_mismatch"] for v in report["tau"].values()])
-    return report
+    return _derivative_report(
+        "pearcey", endpoints, t, g1,
+        lambda i, qs: 0.5 * sum((g1sq - 2.0 * g2)[q, q].real for q in qs),
+        m, step, tau_step, True)

@@ -30,10 +30,6 @@ class LogDetGrid:
     values: np.ndarray  # shape (2r+1, 2r+1, 2r+1), axes (tau, E, W)
     diagnostics: dict = field(default_factory=dict)
 
-    def axis(self, k):
-        c = self.center[k]
-        return c + self.step * np.arange(-self.radius, self.radius + 1)
-
 
 def two_time_logdet(tau, e, w, m=120, **kw):
     """log det for intervals [E+W, inf), [E-W, inf) at times (0, tau)."""

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contour import build_pearcey_system, validate_times
-from .fredholm import DiscreteOperator
+from .contour import (
+    Endpoints,
+    build_pearcey_system,
+    build_slots,
+    validate_times,
+)
+from .fredholm import cauchy_operator, interval_grid, interval_operator
 
 TWO_PI_I = 2j * np.pi
 
@@ -48,57 +53,18 @@ def heat_kernel_contour(dt, x, y, grid):
     return complex(np.sum(grid.weights * vals)) / TWO_PI_I
 
 
-class PearceyEndpoints:
-    """Per-time sorted interval endpoints, an even count at every time."""
+class PearceyEndpoints(Endpoints):
+    """Per-time sorted interval endpoints, an even count at every time.
 
-    def __init__(self, per_time):
-        pt = []
-        for ends in per_time:
-            e = tuple(float(a) for a in ends)
-            if len(e) % 2:
-                raise ValueError(
-                    "Pearcey intervals are finite: even endpoint count required")
-            if len(e) > 1 and not all(b >= a for a, b in zip(e, e[1:])):
-                raise ValueError(f"endpoints must be sorted: {e}")
-            pt.append(e)
-        if not pt:
-            raise ValueError("need at least one time entry")
-        self.per_time = tuple(pt)
+    Zero-width intervals [a, a] are allowed.
+    """
 
-    @property
-    def n(self):
-        return len(self.per_time)
-
-    @property
-    def counts(self):
-        return tuple(len(e) for e in self.per_time)
-
-    @property
-    def p(self):
-        return 1 + sum(self.counts)
-
-    @property
-    def offsets(self):
-        offs, pos = [], 1
-        for k in self.counts:
-            offs.append(pos)
-            pos += k
-        return tuple(offs)
-
-    def signs(self, i):
-        return np.array([(-1.0) ** ell for ell in range(self.counts[i])])
-
-    def row_index(self, i, ell):
-        return self.offsets[i] + ell
-
-    def max_abs_endpoint(self):
-        vals = [abs(a) for e in self.per_time for a in e]
-        return max(vals) if vals else 0.0
-
-    def shifted(self, i, ell, h):
-        pt = [list(e) for e in self.per_time]
-        pt[i][ell] += h
-        return PearceyEndpoints(pt)
+    def _check(self, ends):
+        if len(ends) % 2:
+            raise ValueError(
+                "Pearcey intervals are finite: even endpoint count required")
+        if not all(b >= a for a, b in zip(ends, ends[1:])):
+            raise ValueError(f"endpoints must be sorted: {ends}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +113,27 @@ def fg_matrices(lam, comp_label, endpoints, times):
     return f, g
 
 
-def _diag_limit(i, j, lam, endpoints, times):
+def _alternating_sums(endpoints):
+    """sum_ell (-1)^ell a_i^(ell) for every time i."""
+    return np.array([sum((-1.0) ** ell * a for ell, a in enumerate(ends))
+                     for ends in endpoints.per_time])
+
+
+def _diag_limit(i, j, lam, times, coef):
     """Analytic value of the shared-line kernel at coincident arguments.
 
     The alternating numerator vanishes at xi = lam; L'Hopital gives
-    e^{dt lam^2/2} * sum_ell (-1)^ell a_i^(ell) with the sign pattern
-    of the outer product (+ for the first endpoint).
+    e^{dt lam^2/2} * coef[i] for tau_i < tau_j and zero otherwise, with
+    coef from ``_alternating_sums`` (the sign pattern of the outer
+    product, + for the first endpoint).  Broadcasts over arrays.
     """
     t = validate_times(times)
-    if t[i] >= t[j]:
-        return 0.0
+    i, j, lam = np.broadcast_arrays(i, j, lam)
     dt = t[j] - t[i]
-    acc = sum((-1.0) ** ell * a
-              for ell, a in enumerate(endpoints.per_time[i]))
-    return np.exp(dt * lam ** 2 / 2.0) * acc
+    up = dt > 0
+    out = np.zeros(lam.shape, dtype=complex)
+    out[up] = np.exp(dt[up] * lam[up] ** 2 / 2.0) * coef[i[up]]
+    return out
 
 
 def iiks_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
@@ -169,11 +142,9 @@ def iiks_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
     if comp_lam in _X_LABELS and comp_mu in _X_LABELS:
         return np.zeros((n, n), dtype=complex)
     if comp_lam == comp_mu == "iR" and lam == mu:
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = _diag_limit(i, j, lam, endpoints, times)
-        return out / TWO_PI_I
+        i, j = np.indices((n, n))
+        return _diag_limit(i, j, lam, times,
+                           _alternating_sums(endpoints)) / TWO_PI_I
     f, _ = fg_matrices(lam, comp_lam, endpoints, times)
     _, g = fg_matrices(mu, comp_mu, endpoints, times)
     return (f.T @ g) / (lam - mu) / TWO_PI_I
@@ -202,7 +173,8 @@ def block_entry(block, i, j, z_out, z_in, endpoints, times):
         if t[i] >= t[j]:
             return 0.0
         if z_out == z_in:
-            return complex(_diag_limit(i, j, z_in, endpoints, times))
+            return complex(_diag_limit(i, j, z_in, times,
+                                       _alternating_sums(endpoints)))
         dt = t[j] - t[i]
         acc = 0.0
         for ell, a in enumerate(endpoints.per_time[i]):
@@ -212,109 +184,45 @@ def block_entry(block, i, j, z_out, z_in, endpoints, times):
     raise ValueError(f"unknown block {block!r}")
 
 
-def _system_slots(endpoints, system):
-    """Every component carries all n vector components."""
-    nodes, weights, comp_ids, vec_ids, node_ids = [], [], [], [], []
-    for cid, grid in enumerate(system.grids):
-        for b in range(endpoints.n):
-            nodes.append(grid.nodes)
-            weights.append(grid.weights)
-            comp_ids.append(np.full(len(grid), cid))
-            vec_ids.append(np.full(len(grid), b))
-            node_ids.append(cid * 10 ** 6 + np.arange(len(grid)))
-    return (np.concatenate(nodes), np.concatenate(weights),
-            np.concatenate(comp_ids), np.concatenate(vec_ids),
-            np.concatenate(node_ids))
+def iiks_slots(endpoints, times, system):
+    """Slots with bare f/g data; every component carries all n."""
+    return build_slots(system, lambda label: range(endpoints.n),
+                       f_columns, g_columns, endpoints, times)
 
 
-def _slot_fg(endpoints, times, system):
-    nodes, weights, comp_ids, vec_ids, node_ids = _system_slots(
-        endpoints, system)
-    p, nsl = endpoints.p, len(nodes)
-    fbig = np.zeros((p, nsl), dtype=complex)
-    gbig = np.zeros((p, nsl), dtype=complex)
-    for cid, grid in enumerate(system.grids):
-        label = grid.component.label
-        for b in range(endpoints.n):
-            sel = (comp_ids == cid) & (vec_ids == b)
-            fbig[:, sel] = f_columns(nodes[sel], label, b, endpoints, times)
-            gbig[:, sel] = g_columns(nodes[sel], label, b, endpoints, times)
-    return fbig, gbig, nodes, weights, comp_ids, vec_ids, node_ids
+def _x_orth(system, s):
+    """Per slot: 0 on the X contour, where K vanishes, and -1 on iR."""
+    x = [0 if label in _X_LABELS else -1 for label in system.labels]
+    return np.array(x)[s.comp_ids]
 
 
-def _x_mask(system, comp_ids):
-    """Boolean per slot: does the slot live on the X contour."""
-    on_x = np.array([g.component.label in _X_LABELS for g in system.grids])
-    return on_x[comp_ids]
-
-
-def iiks_operator(endpoints, times, system=None, m=80, delta=0.5,
-                  symmetrized=True):
+def iiks_operator(endpoints, times, system=None, m=80, delta=0.5):
     """Discretized integrable Pearcey operator."""
     t = validate_times(times)
     if system is None:
         system = build_pearcey_system(
             t, delta=delta, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-    fbig, gbig, nodes, weights, comp_ids, vec_ids, node_ids = _slot_fg(
-        endpoints, times, system)
-    num = fbig.T @ gbig
-    den = nodes[:, None] - nodes[None, :]
-    coincident = node_ids[:, None] == node_ids[None, :]
-    den[coincident] = 1.0
-    kmat = num / den / TWO_PI_I
-    xx = _x_mask(system, comp_ids)
-    kmat[np.ix_(xx, xx)] = 0.0  # the (X, X) block vanishes identically
-    # removable diagonal on the shared vertical line
-    rr, cc = np.nonzero(coincident)
-    for r, c in zip(rr, cc):
-        i, j = int(vec_ids[r]), int(vec_ids[c])
-        if xx[r] or i >= j:
-            kmat[r, c] = 0.0
-        else:
-            kmat[r, c] = _diag_limit(i, j, nodes[r], endpoints, times) \
-                / TWO_PI_I
+    s = iiks_slots(endpoints, times, system)
+    coef = _alternating_sums(endpoints)
     meta = dict(system.meta)
     meta.update({"process": "pearcey", "p": endpoints.p})
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, vec_ids,
-        symmetrized=symmetrized, meta=meta)
+    return cauchy_operator(
+        [(s.f, s.g)], s, _x_orth(system, s),
+        diag=lambda i, j, lam: _diag_limit(i, j, lam, times, coef), meta=meta)
 
 
-def iiks_tangent_operator(endpoints, times, system, i, ell,
-                          symmetrized=True):
+def iiks_tangent_operator(endpoints, times, system, i, ell):
     """Endpoint derivative d K / d a_i^(ell) on the same slots."""
-    t = validate_times(times)
-    fbig, gbig, nodes, weights, comp_ids, vec_ids, node_ids = _slot_fg(
-        endpoints, times, system)
-    a_row = endpoints.row_index(i, ell)
-    dfbig = np.zeros_like(fbig)
-    dgbig = np.zeros_like(gbig)
-    xx = _x_mask(system, comp_ids)
-    sel_f = (~xx) & (vec_ids == i)
-    dfbig[a_row, sel_f] = nodes[sel_f] * fbig[a_row, sel_f]
-    sel_gx = xx & (vec_ids == i)
-    dgbig[a_row, sel_gx] = -nodes[sel_gx] * gbig[a_row, sel_gx]
-    sel_gl = (~xx) & (vec_ids > i)
-    dgbig[a_row, sel_gl] = -nodes[sel_gl] * gbig[a_row, sel_gl]
-    num = dfbig.T @ gbig + fbig.T @ dgbig
-    den = nodes[:, None] - nodes[None, :]
-    coincident = node_ids[:, None] == node_ids[None, :]
-    den[coincident] = 1.0
-    kmat = num / den / TWO_PI_I
-    kmat[np.ix_(xx, xx)] = 0.0
-    sign = (-1.0) ** ell
-    rr, cc = np.nonzero(coincident)
-    for r, c in zip(rr, cc):
-        vi, vj = int(vec_ids[r]), int(vec_ids[c])
-        if xx[r] or vi >= vj or vi != i:
-            kmat[r, c] = 0.0
-        else:
-            # d/da of the L'Hopital limit e^{dt lam^2/2} sum (-1)^l a_l
-            dt = t[vj] - t[vi]
-            kmat[r, c] = sign * np.exp(dt * nodes[r] ** 2 / 2.0) / TWO_PI_I
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, vec_ids,
-        symmetrized=symmetrized, meta={"tangent": ("a", i, ell)})
+    s = iiks_slots(endpoints, times, system)
+    orth = _x_orth(system, s)
+    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, orth == 0, 0.0)
+    # d/da of the L'Hopital limit e^{dt lam^2/2} sum (-1)^l a_l
+    coef = np.zeros(endpoints.n)
+    coef[i] = (-1.0) ** ell
+    return cauchy_operator(
+        terms, s, orth,
+        diag=lambda vi, vj, lam: _diag_limit(vi, vj, lam, times, coef),
+        meta={"tangent": ("a", i, ell)})
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +256,17 @@ def physical_entry(i, j, x, y, system, times):
     return complex(physical_block(i, j, [x], [y], system, times)[0, 0])
 
 
-def physical_operator(endpoints, times, system=None, m=80, delta=0.5,
-                      density=7.0, symmetrized=True):
+def physical_operator(endpoints, times, system=None, m=80, delta=0.5):
     """Nystrom discretization of the physical operator chi P chi."""
-    from .airy import interval_grid  # same real-interval quadrature
-
     t = validate_times(times)
-    grids = [interval_grid(e, density=density) for e in endpoints.per_time]
+    grids = [interval_grid(e) for e in endpoints.per_time]
     all_x = np.concatenate([x for x, _ in grids])
     x_scale = float(np.abs(all_x).max()) if len(all_x) else 0.0
     if system is None:
         system = build_pearcey_system(t, delta=delta, m=m,
                                       endpoint_scale=x_scale)
-    nodes = np.concatenate([x for x, _ in grids]).astype(complex)
-    weights = np.concatenate([w for _, w in grids]).astype(complex)
-    comp_ids = np.concatenate(
-        [np.full(len(x), i) for i, (x, _) in enumerate(grids)])
-    sizes = [len(x) for x, _ in grids]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    n_tot = int(starts[-1])
-    kmat = np.zeros((n_tot, n_tot), dtype=complex)
-    for i in range(endpoints.n):
-        if sizes[i] == 0:
-            continue
-        for j in range(endpoints.n):
-            if sizes[j] == 0:
-                continue
-            kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \
-                physical_block(i, j, grids[i][0], grids[j][0], system, t)
     meta = {"process": "pearcey", "representation": "physical", "m": m,
             "delta": system.meta.get("delta")}
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, nodes, weights, comp_ids, comp_ids.copy(),
-        symmetrized=symmetrized, meta=meta)
+    return interval_operator(
+        grids, lambda i, j, xs, ys: physical_block(i, j, xs, ys, system, t),
+        meta)

@@ -205,7 +205,7 @@ def test_criterion_7_carleman_identities():
                               + 1j * rng.standard_normal((n, n))) / n
         mk = lambda g: fredholm.DiscreteOperator.from_kernel_matrix(
             g, np.zeros(n, complex), np.ones(n), np.zeros(n, int),
-            np.zeros(n, int), symmetrized=False)
+            np.zeros(n, int))
         m1, m2 = draw(), draw()
         # det2 = det * e^{tr}, cross-checked through the matrix exponential
         d2 = fredholm.det2(mk(m1)).value

@@ -30,8 +30,6 @@ def test_endpoints_validation_and_layout():
     assert ep.counts == (3, 1)
     assert ep.p == 5
     assert ep.offsets == (1, 4)
-    assert ep.semi_infinite(0) and ep.semi_infinite(1)
-    assert list(ep.signs(0)) == [1.0, -1.0, 1.0]
     assert ep.row_index(1, 0) == 4
     with pytest.raises(ValueError):
         airy.AiryEndpoints([[1.0, 0.0]])

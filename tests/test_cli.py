@@ -48,6 +48,16 @@ def test_config_validation_errors(tmp_path):
         {"process": "nope", "times": [0.0], "intervals": [[0.0]]},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "wat"},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"m": "abc"}},
+        {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
+         "quadrature": {"delta": "x"}},
+        {"process": "airy", "times": [0.0, "a"], "intervals": [[0.0], [0.0]]},
+        {"task": "tw-oracle"},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"deform": False}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"nodes": 80}},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"

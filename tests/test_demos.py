@@ -1,0 +1,24 @@
+"""Smoke test: the narrative demos run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 05_avm_pde.py repeats the PDE grids of acceptance criterion 8
+DEMOS = ["01_tracy_widom.py", "02_two_time_airy.py", "03_pearcey_gap.py",
+         "04_derivative_identities.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

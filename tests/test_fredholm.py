@@ -4,26 +4,35 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gapdet import contour, fredholm
+from gapdet import airy, contour, fredholm, pearcey
 
 RNG = np.random.default_rng(20240817)
+
+
+def _sampled(kernel, system):
+    """Operator of ``kernel(lam, mu)`` on every node of ``system``."""
+    nodes = np.concatenate([g.nodes for g in system.grids])
+    weights = np.concatenate([g.weights for g in system.grids])
+    n = len(nodes)
+    return fredholm.DiscreteOperator.from_kernel_matrix(
+        kernel(nodes[:, None], nodes[None, :]) * np.ones((n, n)), nodes,
+        weights, np.zeros(n, int), np.zeros(n, int))
 
 
 def _toy_system(m=24):
     return contour.build_airy_system([0.0], C=1.0, m=m)
 
 
-def _random_operator(n=40, scale=0.3, seed=0, symmetrized=False):
+def _random_operator(n=40, scale=0.3, seed=0):
     rng = np.random.default_rng(seed)
     k = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
     nodes = rng.standard_normal(n) + 0j
     return fredholm.DiscreteOperator.from_kernel_matrix(
-        k, nodes, np.ones(n), np.zeros(n, int), np.zeros(n, int),
-        symmetrized=symmetrized)
+        k, nodes, np.ones(n), np.zeros(n, int), np.zeros(n, int))
 
 
 def test_assemble_zero_kernel_gives_identity_det():
-    op = fredholm.assemble(lambda lam, mu, i, j: 0.0, _toy_system())
+    op = _sampled(lambda lam, mu: 0.0, _toy_system())
     assert fredholm.det(op).value == pytest.approx(1.0)
 
 
@@ -31,8 +40,7 @@ def test_assemble_rank_one_kernel():
     phi = lambda z: np.exp(-z ** 2 / 10.0)
     psi = lambda z: 1.0 / (1.0 + z ** 2 / 5.0)
     sys_ = _toy_system()
-    op = fredholm.assemble(lambda lam, mu, i, j: phi(lam) * psi(mu), sys_,
-                           symmetrized=False)
+    op = _sampled(lambda lam, mu: phi(lam) * psi(mu), sys_)
     s = np.linalg.svd(op.matrix, compute_uv=False)
     assert s[1] < 1e-12 * s[0]
     inner = sum(np.sum(g.weights * phi(g.nodes) * psi(g.nodes))
@@ -42,21 +50,65 @@ def test_assemble_rank_one_kernel():
 
 def test_assemble_gauge_similarity_leaves_det_unchanged():
     sys_ = _toy_system()
-    base = lambda lam, mu, i, j: \
+    base = lambda lam, mu: \
         np.exp(-(abs(lam) ** 2 + abs(mu) ** 2) / 4.0) / (3.0 + lam + mu)
     d = lambda z: np.exp(0.3 * z / (1.0 + abs(z)))
-    gauged = lambda lam, mu, i, j: d(lam) * base(lam, mu, i, j) / d(mu)
-    d1 = fredholm.det(fredholm.assemble(base, sys_)).value
-    d2 = fredholm.det(fredholm.assemble(gauged, sys_)).value
+    gauged = lambda lam, mu: d(lam) * base(lam, mu) / d(mu)
+    d1 = fredholm.det(_sampled(base, sys_)).value
+    d2 = fredholm.det(_sampled(gauged, sys_)).value
     assert abs(d1 - d2) < 1e-8
 
 
-def test_symmetrized_and_unsymmetrized_determinants_agree():
-    sys_ = _toy_system()
-    k = lambda lam, mu, i, j: np.exp(-(lam ** 2 + mu ** 2) / 6.0)
-    da = fredholm.det(fredholm.assemble(k, sys_, symmetrized=True)).value
-    db = fredholm.det(fredholm.assemble(k, sys_, symmetrized=False)).value
-    assert abs(da - db) < 1e-12
+def _unfolded(op):
+    """Kernel samples K(r, c) with the quadrature weights divided out."""
+    s = np.sqrt(op.weights)
+    return op.matrix / s[:, None] / s[None, :]
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_assembled_operators_match_pointwise_entries(process):
+    times = [0.0, 1.0]
+    if process == "airy":
+        mod, ep = airy, airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
+        sys_ = contour.build_airy_system(times, m=8)
+        op = airy.iiks_operator(ep, times, sys_, gauge=False)
+        vanishes = lambda a, b: a == b  # same-component blocks
+    else:
+        mod, ep = pearcey, pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
+        sys_ = contour.build_pearcey_system(times, m=8)
+        op = pearcey.iiks_operator(ep, times, sys_)
+        vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
+    labels = [sys_.labels[c] for c in op.comp_ids]
+    kmat = _unfolded(op)
+    coincident = 0
+    for r in range(op.n):
+        for c in range(op.n):
+            ref = mod.iiks_kernel_entry(op.nodes[r], op.nodes[c], labels[r],
+                                        labels[c], ep, times)
+            ref = ref[op.block_ids[r], op.block_ids[c]]
+            if vanishes(labels[r], labels[c]):
+                assert op.matrix[r, c] == 0 and ref == 0
+            coincident += labels[r] == labels[c] == "iR" and \
+                op.nodes[r] == op.nodes[c] and ref != 0
+            assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
+    # the L'Hopital limit fills the coincident (tau_1, tau_2) iR slots
+    assert coincident == (len(sys_.grid("iR")) if process == "pearcey" else 0)
+
+    # physical operator against single entries, on sampled slot pairs
+    if process == "airy":
+        phys_op = airy.physical_operator(ep, times, m=60)
+        sys_ = airy.physical_contours(times, m=60,
+                                      x_min=float(phys_op.nodes.real.min()))
+    else:
+        sys_ = contour.build_pearcey_system(times, m=60, endpoint_scale=1.0)
+        phys_op = pearcey.physical_operator(ep, times, system=sys_)
+    kmat = _unfolded(phys_op)
+    rng = np.random.default_rng(29)
+    for r, c in rng.integers(phys_op.n, size=(40, 2)):
+        ref = mod.physical_entry(phys_op.comp_ids[r], phys_op.comp_ids[c],
+                                 phys_op.nodes[r].real, phys_op.nodes[c].real,
+                                 sys_, times)
+        assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_det_log_value_consistency():
@@ -73,8 +125,7 @@ def test_det2_equals_det_for_diagonal_free_matrix():
     m = op.matrix.copy()
     np.fill_diagonal(m, 0.0)
     op0 = fredholm.DiscreteOperator.from_kernel_matrix(
-        m, op.nodes, np.ones(op.n), op.comp_ids, op.block_ids,
-        symmetrized=False)
+        m, op.nodes, np.ones(op.n), op.comp_ids, op.block_ids)
     assert fredholm.det2(op0).value == pytest.approx(
         fredholm.det(op0).value, rel=1e-12)
 
@@ -98,7 +149,7 @@ def test_det2_product_formula_for_two_factors():
         g2 = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
         mk = lambda g: fredholm.DiscreteOperator.from_kernel_matrix(
             g, np.zeros(n, complex), np.ones(n), np.zeros(n, int),
-            np.zeros(n, int), symmetrized=False)
+            np.zeros(n, int))
         lhs = fredholm.det2(mk(g1)).value * fredholm.det2(mk(g2)).value
         rhs = fredholm.det2(mk(g1 + g2 - g1 @ g2)).value * \
             np.exp(np.trace(g1 @ g2))
@@ -121,7 +172,7 @@ def test_solve_resolvent_rank_one_neumann_series():
     w = np.full(n, 1.0 / n)
     op = fredholm.DiscreteOperator.from_kernel_matrix(
         np.outer(phi, psi), np.zeros(n, complex), w,
-        np.zeros(n, int), np.zeros(n, int), symmetrized=False)
+        np.zeros(n, int), np.zeros(n, int))
     f = rng.standard_normal(n) + 0j
     sol = fredholm.solve_resolvent(op, f)
     inner = np.sum(w * psi * phi)
@@ -135,7 +186,7 @@ def test_solve_resolvent_raises_on_singular():
     k = np.eye(n)  # I - M = 0
     op = fredholm.DiscreteOperator.from_kernel_matrix(
         k, np.zeros(n, complex), np.ones(n), np.zeros(n, int),
-        np.zeros(n, int), symmetrized=False)
+        np.zeros(n, int))
     with pytest.raises(fredholm.NearSingularOperatorError):
         fredholm.solve_resolvent(op, np.ones(n))
 
@@ -144,7 +195,7 @@ def test_logdet_derivative_zero_sampler():
     op = _random_operator(seed=11)
     zero = fredholm.DiscreteOperator.from_kernel_matrix(
         np.zeros_like(op.matrix), op.nodes, np.ones(op.n), op.comp_ids,
-        op.block_ids, symmetrized=False)
+        op.block_ids)
     assert fredholm.logdet_derivative(op, zero) == 0
 
 
@@ -157,11 +208,11 @@ def test_logdet_derivative_matches_parameter_fd():
     def op_at(eps):
         return fredholm.DiscreteOperator.from_kernel_matrix(
             base + eps * direction, np.zeros(n, complex), np.ones(n),
-            np.zeros(n, int), np.zeros(n, int), symmetrized=False)
+            np.zeros(n, int), np.zeros(n, int))
 
     dop = fredholm.DiscreteOperator.from_kernel_matrix(
         direction, np.zeros(n, complex), np.ones(n), np.zeros(n, int),
-        np.zeros(n, int), symmetrized=False)
+        np.zeros(n, int))
     val = fredholm.logdet_derivative(op_at(0.0), dop)
     h = 1e-6
     fd = (fredholm.det(op_at(h)).log_value.real

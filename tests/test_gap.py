@@ -47,13 +47,6 @@ def test_rerun_is_bit_stable():
     assert c == d
 
 
-def test_symmetrization_choice_matches():
-    kw = dict(times=[0.0], intervals=[[0.0]], m=80)
-    a = airy_gap_probability(symmetrized=True, **kw).value
-    b = airy_gap_probability(symmetrized=False, **kw).value
-    assert abs(a - b) < 1e-12
-
-
 def test_airy_semi_infinite_tail_cut_insensitive():
     a = airy_gap_probability([0.0], [[0.0]], m=100,
                              representation="physical", t_cut=12.0).value

@@ -111,18 +111,22 @@ def test_airy_derivative_identities_two_times():
 
 
 def test_airy_logdet_derivative_via_kernel_tangent():
-    # Jacobi's formula with the analytic dK/da sampler
-    ep = airy.AiryEndpoints([[0.0]])
-    t = [0.0]
-    sys_ = contour.build_airy_system(t, m=120)
-    op = airy.iiks_operator(ep, t, sys_)
-    dop = airy.iiks_tangent_operator(ep, t, sys_, 0, 0)
-    val = fredholm.logdet_derivative(op, dop)
-    h = 1e-4
-    fd = (airy_gap_probability([0.0], [[h]], m=120).log_value.real
-          - airy_gap_probability([0.0], [[-h]], m=120).log_value.real) / (2 * h)
-    assert val.real == pytest.approx(fd, rel=1e-5)
-    assert abs(val.imag) < 1e-10
+    # Jacobi's formula with the analytic dK/da sampler; in the two-time
+    # case the moved endpoint also enters g on the later time's line
+    for t, ends in (([0.0], [[0.0]]), ([0.0, 1.0], [[0.0], [0.5]])):
+        ep = airy.AiryEndpoints(ends)
+        sys_ = contour.build_airy_system(
+            t, m=120, endpoint_scale=ep.max_abs_endpoint())
+        op = airy.iiks_operator(ep, t, sys_)
+        dop = airy.iiks_tangent_operator(ep, t, sys_, 0, 0)
+        val = fredholm.logdet_derivative(op, dop)
+        h = 1e-4
+        fd = (airy_gap_probability(t, ep.shifted(0, 0, h),
+                                   m=120).log_value.real
+              - airy_gap_probability(t, ep.shifted(0, 0, -h),
+                                     m=120).log_value.real) / (2 * h)
+        assert val.real == pytest.approx(fd, rel=1e-5)
+        assert abs(val.imag) < 1e-10
 
 
 def test_pearcey_logdet_derivative_via_kernel_tangent():

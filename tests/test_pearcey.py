@@ -22,8 +22,7 @@ def test_heat_kernel_values_and_contour_form():
     assert pearcey.heat_kernel(0, 0, 0.2, 0.4, times) == 0
     assert pearcey.heat_kernel(0, 1, 0.3, 0.3, times) == pytest.approx(
         1.0 / np.sqrt(2.0 * np.pi))
-    sys_ = contour.build_airy_system([0.0], deform=False, m=100, radius=9.0)
-    grid = sys_.grid("line_1")
+    grid = contour.build_pearcey_system([0.0], m=100, radius=9.0).grid("iR")
     closed = pearcey.heat_kernel(0, 1, 0.7, 0.0, times)
     quad = pearcey.heat_kernel_contour(1.0, 0.7, 0.0, grid)
     assert quad.real == pytest.approx(closed, abs=1e-10)
@@ -36,7 +35,6 @@ def test_endpoints_require_even_counts():
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-2.0, -1.0, 1.0, 2.0]])
     assert ep.p == 7
     assert ep.offsets == (1, 3)
-    assert list(ep.signs(1)) == [1.0, -1.0, 1.0, -1.0]
 
 
 def test_physical_entry_deformation_invariance():
