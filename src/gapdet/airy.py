@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (
+    TAIL_LOG,
     ContourComponent,
     ContourError,
     Endpoints,
@@ -229,8 +230,7 @@ class AiryPhysicalContours:
     C: float
 
 
-def physical_contours(times, C=None, m=80, radius=None, eps=1e-16,
-                      x_min=0.0):
+def physical_contours(times, C=None, m=80, radius=None, x_min=0.0):
     """Contours for the physical Airy kernel entries.
 
     mu runs over gamma_R - tau_i (apex C - tau_i, angles +-pi/3), lam
@@ -244,18 +244,17 @@ def physical_contours(times, C=None, m=80, radius=None, eps=1e-16,
     if not C > t.max():
         raise ContourError(f"need C > max(times); got C={C}")
     lin = max(0.0, -x_min) / 2.0
-    L = np.log(1e16)
-    r_mu = radius or solve_radius(lambda r: r ** 3 / 3 - lin * r, L) + 1.0
-    r_lam = radius or solve_radius(lambda r: r ** 3 / 3 - lin * r, L) + 1.0
+    r = radius or solve_radius(
+        lambda r: r ** 3 / 3 - lin * r, TAIL_LOG) + 1.0
     c_left = min(0.0, float(t.min())) - 0.5
     mu_grids = tuple(
         build_grid(ContourComponent("ray-pair", complex(C - tau),
-                                    (np.pi / 3, -np.pi / 3), r_mu,
+                                    (np.pi / 3, -np.pi / 3), r,
                                     f"gamma_R_minus_tau{i + 1}"), m)
         for i, tau in enumerate(t))
     lam_grid = build_grid(
         ContourComponent("ray-pair", complex(c_left),
-                         (-2 * np.pi / 3, 2 * np.pi / 3), r_lam,
+                         (-2 * np.pi / 3, 2 * np.pi / 3), r,
                          "left_line"), m)
     return AiryPhysicalContours(mu_grids=mu_grids, lam_grid=lam_grid, C=C)
 

@@ -137,32 +137,36 @@ def validate_config(cfg):
         if key in quad:
             _require(_real(quad[key], f"quadrature.{key}") > 0,
                      f"quadrature.{key}: must be positive")
+    ignored = sorted(set(quad) - _read_keys(cfg))
+    _require(not ignored, f"quadrature: this job ignores keys {ignored}")
     cfg.setdefault("tolerances", {})
     return cfg
 
 
-def _quad_kwargs(cfg, process):
+def _read_keys(cfg):
+    """The quadrature keys the job's computation reads."""
+    task = cfg["task"]
+    if task == "sweep" and isinstance(cfg.get("sweep"), dict):
+        task = cfg["sweep"].get("task", "det")
+    if task in ("derivatives", "pde", "tw-oracle"):
+        return {"m"}
+    return {"m", "truncation_radius",
+            "t_cut" if cfg["process"] == "airy" else "delta"}
+
+
+def _quad_kwargs(cfg):
     quad = cfg.get("quadrature", {})
     kw = {"m": int(quad.get("m", 80))}
     if "truncation_radius" in quad:
         kw["radius"] = float(quad["truncation_radius"])
-    if process == "airy" and "t_cut" in quad:
-        kw["t_cut"] = float(quad["t_cut"])
-    if process == "pearcey" and "delta" in quad:
-        kw["delta"] = float(quad["delta"])
+    for key in ("t_cut", "delta"):
+        if key in quad:
+            kw[key] = float(quad[key])
     return kw
 
 
 def _complex_fields(z):
     return {"re": z.real, "im": z.imag}
-
-
-def _gap(cfg, representation="iiks"):
-    process = cfg["process"]
-    kw = _quad_kwargs(cfg, process)
-    fn = airy_gap_probability if process == "airy" else pearcey_gap_probability
-    return fn(cfg["times"], cfg["intervals"],
-              representation=representation, **kw)
 
 
 def _sanitize(obj):
@@ -188,15 +192,16 @@ def run_task(cfg):
     record = {"config": copy.deepcopy(cfg), "task": task}
     passed = True
     if task == "det":
-        res = _gap(cfg)
+        fn = airy_gap_probability if cfg["process"] == "airy" \
+            else pearcey_gap_probability
+        res = fn(cfg["times"], cfg["intervals"], **_quad_kwargs(cfg))
         record["det"] = _complex_fields(res.value)
         record["log_det"] = _complex_fields(res.log_value)
         record["diagnostics"] = _sanitize(res.diagnostics)
         passed = abs(res.value.imag) < tol["imag"]
     elif task == "equivalence":
-        process = cfg["process"]
-        rep = equivalence_report(process, cfg["times"], cfg["intervals"],
-                                 **_quad_kwargs(cfg, process))
+        rep = equivalence_report(cfg["process"], cfg["times"],
+                                 cfg["intervals"], **_quad_kwargs(cfg))
         record["det_physical"] = _complex_fields(rep["det_physical"])
         record["det_iiks"] = _complex_fields(rep["det_iiks"])
         record["abs_difference"] = rep["abs_difference"]
@@ -344,11 +349,13 @@ def build_parser():
 
 
 def _apply_flag_overrides(cfg, args):
-    quad = cfg.setdefault("quadrature", {})
-    if args.m is not None:
-        quad["m"] = args.m
-    if args.radius is not None:
-        quad["truncation_radius"] = args.radius
+    """``--m`` and ``--radius`` written into the job's quadrature object."""
+    flags = {"m": args.m, "truncation_radius": args.radius}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    if flags and isinstance(cfg, dict):
+        quad = cfg.setdefault("quadrature", {})
+        if isinstance(quad, dict):
+            quad.update(flags)
     return cfg
 
 
@@ -359,17 +366,17 @@ def main(argv=None):
     try:
         if args.command == "run":
             with open(args.config) as fh:
-                cfg = validate_config(json.load(fh))
+                cfg = json.load(fh)
         elif args.command == "check":
             presets = _PRESETS[args.what]
             if args.preset not in presets:
                 raise ConfigError(
                     f"unknown preset {args.preset!r}; "
                     f"available: {sorted(presets)}")
-            cfg = validate_config(copy.deepcopy(presets[args.preset]))
+            cfg = copy.deepcopy(presets[args.preset])
         else:
-            cfg = {"task": "tw-oracle", "s": args.s, "quadrature": {}}
-        cfg = _apply_flag_overrides(cfg, args)
+            cfg = {"task": "tw-oracle", "s": args.s}
+        cfg = validate_config(_apply_flag_overrides(cfg, args))
         if cfg["task"] == "sweep":
             records = run_sweep(cfg, workers=args.workers)
             payload = {"records": records,
@@ -381,8 +388,7 @@ def main(argv=None):
                 _write_csv(records, csv_path)
             ok = payload["passed"]
         else:
-            record = run_task(validate_config(cfg) if args.command != "run"
-                              else cfg)
+            record = run_task(cfg)
             _write_output(record, cfg.get("output") or args.out)
             ok = record["passed"]
     except ConfigError as exc:

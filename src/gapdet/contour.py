@@ -17,6 +17,8 @@ import numpy as np
 
 #: decay weights smaller than this at the truncation point are neglected
 DEFAULT_TAIL_EPS = 1e-16
+#: the decay exponent at which a contour is truncated
+TAIL_LOG = np.log(1.0 / DEFAULT_TAIL_EPS)
 
 _RAY_PANELS = 5
 _PANEL_RATIO = 2.0
@@ -46,13 +48,6 @@ def gauss_legendre_panels(breaks, n_nodes):
         xs.append(0.5 * (b - a) * x + 0.5 * (b + a))
         ws.append(0.5 * (b - a) * w)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def geometric_breaks(radius, n_panels=_RAY_PANELS, ratio=_PANEL_RATIO):
-    """Panel boundaries on [0, radius], graded toward 0 with the given ratio."""
-    edges = radius / ratio ** np.arange(n_panels, -1, -1, dtype=float)
-    edges[0] = 0.0
-    return edges
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class QuadratureGrid:
         return len(self.nodes)
 
 
-def build_grid(component, m, n_panels=_RAY_PANELS, ratio=_PANEL_RATIO):
+def build_grid(component, m):
     """Quadrature grid with exactly ``m`` nodes on ``component``.
 
     Each of the two legs receives m/2 nodes on geometrically graded
@@ -100,9 +95,10 @@ def build_grid(component, m, n_panels=_RAY_PANELS, ratio=_PANEL_RATIO):
     if m % 2:
         m += 1
     half = m // 2
-    r, w = gauss_legendre_panels(
-        geometric_breaks(component.truncation_radius, n_panels, ratio), half
-    )
+    breaks = component.truncation_radius / _PANEL_RATIO ** np.arange(
+        _RAY_PANELS, -1, -1, dtype=float)
+    breaks[0] = 0.0
+    r, w = gauss_legendre_panels(breaks, half)
     phi_in, phi_out = component.angles
     d_in, d_out = np.exp(1j * phi_in), np.exp(1j * phi_out)
     # incoming leg traversed from far to apex, outgoing from apex to far
@@ -278,8 +274,7 @@ def build_slots(system, active, f_columns, g_columns, *args):
     return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
 
 
-def build_airy_system(times, C=None, radius=None, m=80,
-                      eps=DEFAULT_TAIL_EPS, endpoint_scale=0.0):
+def build_airy_system(times, C=None, radius=None, m=80, endpoint_scale=0.0):
     """Contour system for the Airy integrable kernel.
 
     One right component gamma_R (rays from apex C at angles +-pi/3,
@@ -295,17 +290,17 @@ def build_airy_system(times, C=None, radius=None, m=80,
         C = float(t.max()) + 1.0
     if not C > t.max():
         raise ContourError(f"need C > max(times); got C={C}, max={t.max()}")
-    L = np.log(1.0 / eps)
     a = abs(endpoint_scale)
     dt_min = np.diff(t).min() if len(t) > 1 else None
 
-    r_right = radius or solve_radius(lambda r: r ** 3 / 6 - a * r / 2, L)
+    r_right = radius or solve_radius(
+        lambda r: r ** 3 / 6 - a * r / 2, TAIL_LOG)
     # cubic decay of the slowest row-1 factor, Gaussian from the
     # cross-time blocks when n >= 2
-    r_left = solve_radius(lambda r: r ** 3 / 3 - a * r, L)
+    r_left = solve_radius(lambda r: r ** 3 / 3 - a * r, TAIL_LOG)
     if dt_min is not None:
         r_left = max(r_left, solve_radius(
-            lambda r: dt_min * r ** 2 / 2 - a * r, L))
+            lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
     grids = [build_grid(
         ContourComponent("ray-pair", complex(C), (np.pi / 3, -np.pi / 3),
                          r_right, "gamma_R"), m)]
@@ -314,14 +309,14 @@ def build_airy_system(times, C=None, radius=None, m=80,
             ContourComponent("ray-pair", complex(tau),
                              (-2 * np.pi / 3, 2 * np.pi / 3),
                              radius or r_left, f"line_{j + 1}"), m))
-    meta = {"C": C, "m": m, "eps": eps,
+    meta = {"C": C, "m": m, "eps": DEFAULT_TAIL_EPS,
             "radii": {g.component.label: g.component.truncation_radius
                       for g in grids}}
     return _check_disjoint(ContourSystem(grids=tuple(grids), meta=meta))
 
 
 def build_pearcey_system(times, delta=0.5, radius=None, m=80,
-                         eps=DEFAULT_TAIL_EPS, endpoint_scale=0.0):
+                         endpoint_scale=0.0):
     """Contour system for the Pearcey kernel.
 
     gamma_R: rays at apex +delta, angles +-pi/4, traversed downward
@@ -336,19 +331,18 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
     t = validate_times(times)
     if not delta > 0:
         raise ContourError("need delta > 0")
-    L = np.log(1.0 / eps)
     a = abs(endpoint_scale)
     tmax = abs(t).max()
     dt_min = np.diff(t).min() if len(t) > 1 else None
 
     r_x = radius or solve_radius(
-        lambda r: r ** 4 / 8 - tmax * r ** 2 / 2 - a * r, L)
+        lambda r: r ** 4 / 8 - tmax * r ** 2 / 2 - a * r, TAIL_LOG)
     # quartic phase on iR, Gaussian heat factors across time pairs
     r_line = radius or solve_radius(
-        lambda r: r ** 4 / 4 - tmax * r ** 2 / 2 - a * r, L)
+        lambda r: r ** 4 / 4 - tmax * r ** 2 / 2 - a * r, TAIL_LOG)
     if radius is None and dt_min is not None:
         r_line = max(r_line, solve_radius(
-            lambda r: dt_min * r ** 2 / 2 - a * r, L))
+            lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
 
     comps = [
         ContourComponent("ray-pair", complex(delta),
@@ -358,7 +352,7 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
         ContourComponent("vertical-line", 0j,
                          (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
-    meta = {"delta": delta, "m": m, "eps": eps,
+    meta = {"delta": delta, "m": m, "eps": DEFAULT_TAIL_EPS,
             "radii": {c.label: c.truncation_radius for c in comps}}
     return _check_disjoint(
         ContourSystem(grids=tuple(build_grid(c, m) for c in comps), meta=meta))

@@ -40,6 +40,9 @@ _NODES_PER_UNIT = 7.0
 _MIN_NODES = 16
 _MAX_PANEL = 3.0
 
+# solves refuse I - M with a smaller reciprocal condition number
+_RCOND_MIN = 1e-13
+
 
 class NearSingularOperatorError(RuntimeError):
     """The discretized operator I - M is numerically singular."""
@@ -51,43 +54,27 @@ class DiscreteOperator:
 
     Row/column r corresponds to one slot: a quadrature node together
     with one active vector component.  ``matrix`` already contains the
-    quadrature weights, folded in symmetrically.
+    quadrature ``weights`` of the slots, folded in symmetrically.
     """
 
     matrix: np.ndarray
-    nodes: np.ndarray
     weights: np.ndarray
-    comp_ids: np.ndarray
-    block_ids: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_kernel_matrix(cls, kmat, nodes, weights, comp_ids, block_ids,
-                           meta=None):
+    def from_kernel_matrix(cls, kmat, weights, meta=None):
         """Fold quadrature weights into a raw kernel sample matrix."""
         kmat = np.asarray(kmat, dtype=complex)
         if not np.all(np.isfinite(kmat)):
             raise ValueError("kernel sample contains non-finite entries")
-        s = np.sqrt(np.asarray(weights, dtype=complex))
+        weights = np.asarray(weights, dtype=complex)
+        s = np.sqrt(weights)
         m = s[:, None] * kmat * s[None, :]
-        return cls(matrix=m, nodes=np.asarray(nodes, dtype=complex),
-                   weights=np.asarray(weights, dtype=complex),
-                   comp_ids=np.asarray(comp_ids, dtype=int),
-                   block_ids=np.asarray(block_ids, dtype=int),
-                   meta=dict(meta or {}))
+        return cls(matrix=m, weights=weights, meta=dict(meta or {}))
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def scale_to_values(self, x):
-        """Map solution slots of the symmetrized system back to values."""
-        s = np.sqrt(np.asarray(self.weights, dtype=complex))
-        return x / (s if x.ndim == 1 else s[:, None])
-
-    def scale_from_values(self, x):
-        s = np.sqrt(np.asarray(self.weights, dtype=complex))
-        return x * (s if x.ndim == 1 else s[:, None])
 
 
 @dataclass(frozen=True)
@@ -127,9 +114,7 @@ def cauchy_operator(terms, slots, orth, diag=None, meta=None):
         rows, cols = np.nonzero(coincident & ~zero)
         kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
                                 slots.nodes[rows]) / (2j * np.pi)
-    return DiscreteOperator.from_kernel_matrix(
-        kmat, slots.nodes, slots.weights, slots.comp_ids, slots.vec_ids,
-        meta=meta)
+    return DiscreteOperator.from_kernel_matrix(kmat, slots.weights, meta=meta)
 
 
 def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
@@ -169,34 +154,52 @@ def interval_operator(grids, block, meta):
             if len(xi) and len(xj):
                 kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \
                     block(i, j, xi, xj)
-    comp_ids = np.repeat(np.arange(len(grids)), sizes)
     return DiscreteOperator.from_kernel_matrix(
-        kmat, np.concatenate([x for x, _ in grids]).astype(complex),
-        np.concatenate([w for _, w in grids]).astype(complex),
-        comp_ids, comp_ids.copy(), meta=meta)
+        kmat, np.concatenate([w for _, w in grids]), meta=meta)
 
 
-def _lu_logdet(a):
-    """(lu, piv, log det, rcond) of a dense complex matrix."""
-    anorm = np.abs(a).sum(axis=0).max() if a.size else 0.0
-    lu, piv = sla.lu_factor(a, check_finite=False)
+def _factor(m):
+    """(lu, piv, log det, rcond) of I - M; ``m`` is left untouched.
+
+    I - M is formed Fortran-ordered in one fresh array that LAPACK then
+    factors in place, so at most two N x N arrays are held at once.
+    """
+    n = m.shape[0]
+    ii = np.diag_indices(n)
+    # the 1-norm of I - M for gecon, taken before I - M exists
+    absa = np.abs(m)
+    absa[ii] = np.abs(1.0 - m.diagonal())
+    anorm = absa.sum(axis=0).max() if n else 0.0
+    del absa
+    a = np.empty((n, n), dtype=complex, order="F")
+    np.subtract(0.0, m, out=a)
+    a[ii] = 1.0 - m.diagonal()
+    lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     d = np.diag(lu)
     if np.any(d == 0):
         return lu, piv, complex(-np.inf, 0.0), 0.0
     swaps = int(np.sum(piv != np.arange(len(piv)))) % 2
     log_value = complex(np.sum(np.log(np.abs(d))),
                         np.sum(np.angle(d)) + np.pi * swaps)
-    gecon = sla.get_lapack_funcs(("gecon",), (a,))[0]
+    gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, _ = gecon(lu, anorm)
     return lu, piv, log_value, float(rcond)
+
+
+def _solver(op):
+    """LU factors of I - M for solves; raises when I - M is near singular."""
+    lu, piv, _, rcond = _factor(op.matrix)
+    if rcond < _RCOND_MIN:
+        raise NearSingularOperatorError(
+            f"operator nearly singular (rcond={rcond:.2e})")
+    return lu, piv
 
 
 def det(op):
     """Fredholm determinant det(I - M) via pivoted LU."""
     if op.n == 0:
         return DetResult(1.0 + 0j, 0.0 + 0j, {"rcond": 1.0, "n": 0})
-    a = np.eye(op.n, dtype=complex) - op.matrix
-    _, _, log_value, rcond = _lu_logdet(a)
+    _, _, log_value, rcond = _factor(op.matrix)
     value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
     diag = {"rcond": rcond, "n": op.n,
             "max_abs_imag": abs(value.imag) if np.isfinite(value.real) else np.nan}
@@ -219,39 +222,34 @@ def det2(op):
     return DetResult(complex(value), log_value, diag)
 
 
-def solve_resolvent(op, rhs, rcond_min=1e-13):
+def solve_resolvent(op, rhs):
     """Solve (I - M) F = f for node values F.
 
     ``rhs`` holds plain kernel-side values at the slots (one column per
     right-hand side); the weight scaling is internal.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    a = np.eye(op.n, dtype=complex) - op.matrix
-    lu, piv, _, rcond = _lu_logdet(a)
-    if rcond < rcond_min:
-        raise NearSingularOperatorError(
-            f"operator nearly singular (rcond={rcond:.2e})")
-    b = op.scale_from_values(rhs)
+    lu, piv = _solver(op)
+    s = np.sqrt(op.weights)
+    if rhs.ndim == 2:
+        s = s[:, None]
+    b = rhs * s
+    m = op.matrix
     x = sla.lu_solve((lu, piv), b, check_finite=False)
-    x += sla.lu_solve((lu, piv), b - a @ x, check_finite=False)
-    resid = np.linalg.norm(a @ x - b) / max(np.linalg.norm(b), 1e-300)
+    x += sla.lu_solve((lu, piv), b - x + m @ x, check_finite=False)
+    resid = np.linalg.norm(b - x + m @ x) / max(np.linalg.norm(b), 1e-300)
     if resid > 1e-10:
         raise NearSingularOperatorError(
             f"resolvent residual {resid:.2e} exceeds 1e-10")
-    return op.scale_to_values(x)
+    return x / s
 
 
-def logdet_derivative(op, dop, rcond_min=1e-13):
+def logdet_derivative(op, dop):
     """Jacobi's formula: d log det(I - M) = -tr((I - M)^{-1} dM).
 
     ``dop`` must be assembled with the same slots and weights as ``op``.
     """
     if dop.n != op.n:
         raise ValueError("operator and derivative sampler are incompatible")
-    a = np.eye(op.n, dtype=complex) - op.matrix
-    lu, piv, _, rcond = _lu_logdet(a)
-    if rcond < rcond_min:
-        raise NearSingularOperatorError(
-            f"operator nearly singular (rcond={rcond:.2e})")
-    x = sla.lu_solve((lu, piv), dop.matrix, check_finite=False)
+    x = sla.lu_solve(_solver(op), dop.matrix, check_finite=False)
     return -complex(np.trace(x))

@@ -31,32 +31,28 @@ class LogDetGrid:
     diagnostics: dict = field(default_factory=dict)
 
 
-def two_time_logdet(tau, e, w, m=120, **kw):
+def two_time_logdet(tau, e, w, m=120):
     """log det for intervals [E+W, inf), [E-W, inf) at times (0, tau)."""
     if tau <= 0:
         raise ValueError("need tau > 0")
-    res = airy_gap_probability([0.0, tau], [[e + w], [e - w]], m=m, **kw)
+    res = airy_gap_probability([0.0, tau], [[e + w], [e - w]], m=m)
     val = res.value
     if not val.real > 0 or abs(val.imag) > 1e-6 * max(val.real, 1e-12):
         raise RuntimeError(f"determinant not a positive real: {val}")
     return res.log_value.real
 
 
-def build_grid(center, step=0.05, radius=2, m=120, **kw):
+def build_grid(center, step=0.05, radius=2, m=120):
     """Fill a (tau, E, W) grid of log determinants around ``center``."""
     tau0, e0, w0 = center
     r = int(radius)
-    if r == 0:
-        vals = np.array([[[two_time_logdet(tau0, e0, w0, m=m, **kw)]]])
-        return LogDetGrid(center=tuple(center), step=float(step), radius=0,
-                          values=vals, diagnostics={"m": m})
     offs = step * np.arange(-r, r + 1)
     vals = np.empty((2 * r + 1,) * 3)
     for it, dt in enumerate(offs):
         for ie, de in enumerate(offs):
             for iw, dw in enumerate(offs):
                 vals[it, ie, iw] = two_time_logdet(
-                    tau0 + dt, e0 + de, w0 + dw, m=m, **kw)
+                    tau0 + dt, e0 + de, w0 + dw, m=m)
     if np.any(vals > 1e-12):
         raise RuntimeError("grid holds log probabilities; found positive values")
     return LogDetGrid(center=tuple(center), step=float(step), radius=r,

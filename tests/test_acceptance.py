@@ -204,8 +204,7 @@ def test_criterion_7_carleman_identities():
         draw = lambda: 0.3 * (rng.standard_normal((n, n))
                               + 1j * rng.standard_normal((n, n))) / n
         mk = lambda g: fredholm.DiscreteOperator.from_kernel_matrix(
-            g, np.zeros(n, complex), np.ones(n), np.zeros(n, int),
-            np.zeros(n, int))
+            g, np.ones(n))
         m1, m2 = draw(), draw()
         # det2 = det * e^{tr}, cross-checked through the matrix exponential
         d2 = fredholm.det2(mk(m1)).value

@@ -58,12 +58,39 @@ def test_config_validation_errors(tmp_path):
          "quadrature": {"deform": False}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "quadrature": {"nodes": 80}},
+        # keys the job would silently ignore
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "det", "quadrature": {"delta": 0.3}},
+        {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
+         "quadrature": {"t_cut": 10.0}},
+        {"process": "airy", "times": [0.0, 1.0], "intervals": [[0.0], [0.0]],
+         "task": "derivatives", "quadrature": {"truncation_radius": 9.0}},
+        {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
+         "task": "derivatives", "quadrature": {"delta": 0.3}},
+        {"process": "airy", "times": [0.0, 1.0], "intervals": [[0.3], [0.1]],
+         "task": "pde", "quadrature": {"t_cut": 10.0}},
+        {"task": "tw-oracle", "s": 0.0,
+         "quadrature": {"truncation_radius": 9.0}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "quadrature": {"delta": 0.3},
+         "sweep": {"axis": "endpoint:0:0", "values": [0.0]}},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         code, _ = _run(tmp_path, ["run", str(path)])
         assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--m", "2"], ["--radius", "-1"]])
+def test_run_validates_flag_overrides(tmp_path, flags):
+    cfg = {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+           "task": "det", "quadrature": {"m": 24}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    code, rec = _run(tmp_path, ["run", str(path)] + flags)
+    assert code == 2
+    assert rec is None
 
 
 def test_tw_oracle_command(tmp_path):
