@@ -102,6 +102,9 @@ def validate_config(cfg):
     task = cfg.get("task", "det")
     _require(task in _TASKS, f"task: expected one of {_TASKS}, got {task!r}")
     cfg["task"] = task
+    job = _validate_sweep(cfg.get("sweep")) if task == "sweep" else task
+    if job == "pde":
+        _validate_pde(cfg.get("pde", {}))
     if task == "tw-oracle":
         _real(cfg.get("s"), "s")
     else:
@@ -137,21 +140,53 @@ def validate_config(cfg):
         if key in quad:
             _require(_real(quad[key], f"quadrature.{key}") > 0,
                      f"quadrature.{key}: must be positive")
-    ignored = sorted(set(quad) - _read_keys(cfg))
+    ignored = sorted(set(quad) - _read_keys(job, cfg.get("process")))
     _require(not ignored, f"quadrature: this job ignores keys {ignored}")
     cfg.setdefault("tolerances", {})
     return cfg
 
 
-def _read_keys(cfg):
-    """The quadrature keys the job's computation reads."""
-    task = cfg["task"]
-    if task == "sweep" and isinstance(cfg.get("sweep"), dict):
-        task = cfg["sweep"].get("task", "det")
+def _validate_sweep(sweep):
+    """Check a ``sweep`` block; returns the task run at each point."""
+    _require(isinstance(sweep, dict), "sweep: missing sweep description")
+    _require(isinstance(sweep.get("axis"), str), "sweep.axis: must be a string")
+    values = sweep.get("values")
+    _require(isinstance(values, list) and values,
+             "sweep.values: need a non-empty list")
+    tasks = tuple(t for t in _TASKS if t != "sweep")
+    job = sweep.get("task", "det")
+    _require(job in tasks, f"sweep.task: expected one of {tasks}, got {job!r}")
+    return job
+
+
+def _validate_pde(pde):
+    """Check a ``pde`` block against what ``pdecheck`` accepts."""
+    _require(isinstance(pde, dict), "pde: must be an object")
+    if "radius" in pde:
+        radius = pde["radius"]
+        _require(isinstance(radius, int) and not isinstance(radius, bool)
+                 and radius >= 2,
+                 f"pde.radius: need an integer >= 2, got {radius!r}")
+    if "steps" in pde:
+        steps = pde["steps"]
+        _require(isinstance(steps, list) and steps,
+                 "pde.steps: need a non-empty list of positive reals")
+        for h in steps:
+            _require(_real(h, "pde.steps") > 0, "pde.steps: must be positive")
+    if "center" in pde:
+        center = pde["center"]
+        _require(isinstance(center, list) and len(center) == 3,
+                 "pde.center: need three reals (tau, E, W)")
+        for value in center:
+            _real(value, "pde.center")
+
+
+def _read_keys(task, process):
+    """The quadrature keys a job of ``task`` reads."""
     if task in ("derivatives", "pde", "tw-oracle"):
         return {"m"}
     return {"m", "truncation_radius",
-            "t_cut" if cfg["process"] == "airy" else "delta"}
+            "t_cut" if process == "airy" else "delta"}
 
 
 def _quad_kwargs(cfg):
@@ -278,14 +313,9 @@ def _sweep_point(args):
 
 
 def run_sweep(cfg, workers=1):
-    sweep = cfg.get("sweep")
-    _require(isinstance(sweep, dict), "sweep: missing sweep description")
-    axis = sweep.get("axis")
-    values = sweep.get("values")
-    _require(isinstance(axis, str), "sweep.axis: must be a string")
-    _require(isinstance(values, list) and values,
-             "sweep.values: need a non-empty list")
-    jobs = [(cfg, axis, v) for v in values]
+    """One record per value of a validated job's sweep axis."""
+    sweep = cfg["sweep"]
+    jobs = [(cfg, sweep["axis"], v) for v in sweep["values"]]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             records = list(pool.map(_sweep_point, jobs))
@@ -359,14 +389,24 @@ def _apply_flag_overrides(cfg, args):
     return cfg
 
 
+def _load_job(path):
+    """The JSON document at ``path``; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read job file: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not a JSON document: {exc}") from exc
+
+
 def main(argv=None):
     logging.basicConfig(
         level=os.environ.get("GAPDET_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            with open(args.config) as fh:
-                cfg = json.load(fh)
+            cfg = _load_job(args.config)
         elif args.command == "check":
             presets = _PRESETS[args.what]
             if args.preset not in presets:

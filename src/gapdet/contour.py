@@ -40,11 +40,13 @@ def gauss_legendre_panels(breaks, n_nodes):
         raise ContourError("need at least one panel")
     counts = np.full(n_panels, n_nodes // n_panels, dtype=int)
     counts[: n_nodes - counts.sum()] += 1
+    rules = {cnt: np.polynomial.legendre.leggauss(cnt)
+             for cnt in set(counts.tolist()) - {0}}
     xs, ws = [], []
     for (a, b), cnt in zip(zip(breaks[:-1], breaks[1:]), counts):
         if cnt == 0:
             continue
-        x, w = np.polynomial.legendre.leggauss(cnt)
+        x, w = rules[cnt]
         xs.append(0.5 * (b - a) * x + 0.5 * (b + a))
         ws.append(0.5 * (b - a) * w)
     return np.concatenate(xs), np.concatenate(ws)

@@ -41,6 +41,11 @@ def test_run_det_empty_intervals(tmp_path):
     assert rec["det"]["re"] == pytest.approx(1.0, abs=1e-12)
 
 
+_PDE_JOB = {"process": "airy", "times": [0.0, 1.0],
+            "intervals": [[0.3], [0.1]], "task": "pde",
+            "quadrature": {"m": 24}}
+
+
 def test_config_validation_errors(tmp_path):
     bad = [
         {"process": "airy", "times": [1.0, 0.0], "intervals": [[0.0], [0.0]]},
@@ -74,12 +79,44 @@ def test_config_validation_errors(tmp_path):
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "sweep", "quadrature": {"delta": 0.3},
          "sweep": {"axis": "endpoint:0:0", "values": [0.0]}},
+        # sweep blocks
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep",
+         "sweep": {"axis": "endpoint:0:0", "task": "bogus", "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep",
+         "sweep": {"axis": "endpoint:0:0", "task": "sweep", "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "endpoint:0:0", "values": []}},
+        # pde blocks
+        {**_PDE_JOB, "pde": {"radius": 1}},
+        {**_PDE_JOB, "pde": {"radius": 2.5}},
+        {**_PDE_JOB, "pde": {"radius": True}},
+        {**_PDE_JOB, "pde": {"steps": []}},
+        {**_PDE_JOB, "pde": {"steps": [0.04, -0.02]}},
+        {**_PDE_JOB, "pde": {"steps": 0.04}},
+        {**_PDE_JOB, "pde": {"center": [1.0, 0.2]}},
+        {**_PDE_JOB, "pde": {"center": [1.0, "E", 0.1]}},
+        {**_PDE_JOB, "pde": [1.0, 0.2, 0.1]},
+        {**_PDE_JOB, "task": "sweep", "pde": {"radius": 1},
+         "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         code, _ = _run(tmp_path, ["run", str(path)])
         assert code == 2
+
+
+@pytest.mark.parametrize("text", [None, "{bad"])
+def test_run_rejects_unreadable_job_file(tmp_path, capsys, text):
+    path = tmp_path / "job.json"
+    if text is not None:
+        path.write_text(text)
+    code, rec = _run(tmp_path, ["run", str(path)])
+    assert code == 2
+    assert rec is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flags", [["--m", "2"], ["--radius", "-1"]])

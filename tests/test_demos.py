@@ -9,9 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 05_avm_pde.py repeats the PDE grids of acceptance criterion 8
 DEMOS = ["01_tracy_widom.py", "02_two_time_airy.py", "03_pearcey_gap.py",
-         "04_derivative_identities.py"]
+         "04_derivative_identities.py", "05_avm_pde.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)
