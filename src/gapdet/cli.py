@@ -80,6 +80,11 @@ _PRESETS = {
 }
 
 
+# a pde job's grid when its ``pde`` object leaves them out
+_PDE_CENTER = (1.0, 0.2, 0.1)
+_PDE_STEPS = (0.04, 0.02)
+
+
 class ConfigError(ValueError):
     """Invalid job configuration."""
 
@@ -179,6 +184,10 @@ def _validate_pde(pde):
                  "pde.center: need three reals (tau, E, W)")
         for value in center:
             _real(value, "pde.center")
+    tau = pde.get("center", _PDE_CENTER)[0]
+    lowest = tau - pdecheck.TAU_REACH * max(pde.get("steps", _PDE_STEPS))
+    _require(lowest > 0,
+             f"pde: the stencils read tau = {lowest:g}; need every tau > 0")
 
 
 def _read_keys(task, process):
@@ -256,8 +265,8 @@ def run_task(cfg):
         passed = rep["max_rel_mismatch"] < tol["derivatives"]
     elif task == "pde":
         pde = cfg.get("pde", {})
-        center = tuple(pde.get("center", (1.0, 0.2, 0.1)))
-        steps = list(pde.get("steps", [0.04, 0.02]))
+        center = tuple(pde.get("center", _PDE_CENTER))
+        steps = list(pde.get("steps", _PDE_STEPS))
         m = int(cfg.get("quadrature", {}).get("m", 120))
         results = []
         for h in steps:
@@ -329,8 +338,12 @@ def _write_output(payload, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left (``| head``); keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write_csv(records, path):

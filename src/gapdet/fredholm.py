@@ -11,7 +11,7 @@ integrable kernel f^T(lam) g(mu) / (lam - mu) on contour slots
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,12 +54,16 @@ class DiscreteOperator:
 
     Row/column r corresponds to one slot: a quadrature node together
     with one active vector component.  ``matrix`` already contains the
-    quadrature ``weights`` of the slots, folded in symmetrically.
+    quadrature ``weights`` of the slots, folded in symmetrically.  Its
+    leading ``lead`` x ``lead`` block is exactly zero (the kernel
+    vanishes between those slots), so the factorization eliminates them
+    exactly and factors only an order ``n - lead`` Schur complement.
     """
 
     matrix: np.ndarray
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
+    lead: int = 0
 
     @classmethod
     def from_kernel_matrix(cls, kmat, weights, meta=None):
@@ -97,6 +101,8 @@ def cauchy_operator(terms, slots, orth, diag=None, meta=None):
     column per slot.  K vanishes between slots with equal non-negative
     ``orth`` ids (one contour where f^T g = 0); at other coincident
     slots ``diag(i, j, lam)`` gives its removable value times 2 pi i.
+    The leading run of slots with one non-negative id is the operator's
+    vanishing ``lead`` block.
     """
     f, g = terms[0]
     kmat = f.T @ g
@@ -114,7 +120,11 @@ def cauchy_operator(terms, slots, orth, diag=None, meta=None):
         rows, cols = np.nonzero(coincident & ~zero)
         kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
                                 slots.nodes[rows]) / (2j * np.pi)
-    return DiscreteOperator.from_kernel_matrix(kmat, slots.weights, meta=meta)
+    op = DiscreteOperator.from_kernel_matrix(kmat, slots.weights, meta=meta)
+    lead = 0
+    if len(orth) and orth[0] >= 0:
+        lead = int(np.argmin(np.append(orth, -1) == orth[0]))
+    return replace(op, lead=lead)
 
 
 def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
@@ -158,22 +168,23 @@ def interval_operator(grids, block, meta):
         kmat, np.concatenate([w for _, w in grids]), meta=meta)
 
 
-def _factor(m):
-    """(lu, piv, log det, rcond) of I - M; ``m`` is left untouched.
+def _factor(op):
+    """(lu, piv, log det, rcond) of the Schur complement S of I - M.
 
-    I - M is formed Fortran-ordered in one fresh array that LAPACK then
-    factors in place, so at most two N x N arrays are held at once.
+    In slot order M = [[0, B], [C, D]] with the zero block on the
+    ``op.lead`` leading slots, so I - M starts with an exact identity
+    block and det(I - M) = det(S), S = I - D - C B of order
+    ``n - lead``.  S is formed Fortran-ordered in one fresh array that
+    LAPACK factors in place; rcond is that of S in its own 1-norm.
+    ``op.matrix`` is left untouched.  With lead 0, S is I - M.
     """
-    n = m.shape[0]
-    ii = np.diag_indices(n)
-    # the 1-norm of I - M for gecon, taken before I - M exists
-    absa = np.abs(m)
-    absa[ii] = np.abs(1.0 - m.diagonal())
-    anorm = absa.sum(axis=0).max() if n else 0.0
-    del absa
-    a = np.empty((n, n), dtype=complex, order="F")
-    np.subtract(0.0, m, out=a)
-    a[ii] = 1.0 - m.diagonal()
+    m, k = op.matrix, op.lead
+    a = (m[:k, k:].T @ m[k:, :k].T).T  # C B = (B^T C^T)^T, Fortran-ordered
+    a += m[k:, k:]
+    # 0 - x, not -x: with lead 0 this keeps S bit-identical to I - M
+    np.subtract(0.0, a, out=a)
+    a[np.diag_indices(op.n - k)] += 1.0
+    anorm = np.abs(a).sum(axis=0).max(initial=0.0)
     lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     d = np.diag(lu)
     if np.any(d == 0):
@@ -182,26 +193,36 @@ def _factor(m):
     log_value = complex(np.sum(np.log(np.abs(d))),
                         np.sum(np.angle(d)) + np.pi * swaps)
     gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, _ = gecon(lu, anorm)
+    rcond = gecon(lu, anorm)[0] if len(d) else 1.0
     return lu, piv, log_value, float(rcond)
 
 
 def _solver(op):
-    """LU factors of I - M for solves; raises when I - M is near singular."""
-    lu, piv, _, rcond = _factor(op.matrix)
+    """LU factors of S for solves; raises when S is near singular."""
+    lu, piv, _, rcond = _factor(op)
     if rcond < _RCOND_MIN:
         raise NearSingularOperatorError(
             f"operator nearly singular (rcond={rcond:.2e})")
     return lu, piv
 
 
+def _solve(op, factors, b):
+    """(I - M)^{-1} b by block elimination: S x_L = b_L + C b_X, then
+    x_X = b_X + B x_L."""
+    m, k = op.matrix, op.lead
+    x = np.empty_like(b)
+    x[k:] = sla.lu_solve(factors, b[k:] + m[k:, :k] @ b[:k],
+                         check_finite=False)
+    x[:k] = b[:k] + m[:k, k:] @ x[k:]
+    return x
+
+
 def det(op):
-    """Fredholm determinant det(I - M) via pivoted LU."""
-    if op.n == 0:
-        return DetResult(1.0 + 0j, 0.0 + 0j, {"rcond": 1.0, "n": 0})
-    _, _, log_value, rcond = _factor(op.matrix)
+    """Fredholm determinant det(I - M) via pivoted LU of the Schur
+    complement (see ``_factor``)."""
+    _, _, log_value, rcond = _factor(op)
     value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
-    diag = {"rcond": rcond, "n": op.n,
+    diag = {"rcond": rcond, "n": op.n, "n_factored": op.n - op.lead,
             "max_abs_imag": abs(value.imag) if np.isfinite(value.real) else np.nan}
     diag.update(op.meta)
     return DetResult(complex(value), log_value, diag)
@@ -229,14 +250,14 @@ def solve_resolvent(op, rhs):
     right-hand side); the weight scaling is internal.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    lu, piv = _solver(op)
+    factors = _solver(op)
     s = np.sqrt(op.weights)
     if rhs.ndim == 2:
         s = s[:, None]
     b = rhs * s
     m = op.matrix
-    x = sla.lu_solve((lu, piv), b, check_finite=False)
-    x += sla.lu_solve((lu, piv), b - x + m @ x, check_finite=False)
+    x = _solve(op, factors, b)
+    x += _solve(op, factors, b - x + m @ x)
     resid = np.linalg.norm(b - x + m @ x) / max(np.linalg.norm(b), 1e-300)
     if resid > 1e-10:
         raise NearSingularOperatorError(
@@ -247,9 +268,17 @@ def solve_resolvent(op, rhs):
 def logdet_derivative(op, dop):
     """Jacobi's formula: d log det(I - M) = -tr((I - M)^{-1} dM).
 
-    ``dop`` must be assembled with the same slots and weights as ``op``.
+    Through S: tr((I - M)^{-1} dM) = tr(dM_XX)
+    + tr(S^{-1} [(C dM_XX + dM_LX) B + C dM_XL + dM_LL]), with X the
+    ``op.lead`` leading slots and L the rest; C dM_XX is skipped when
+    ``dop`` has the same vanishing block.  ``dop`` must be assembled
+    with the same slots and weights as ``op``.
     """
     if dop.n != op.n:
         raise ValueError("operator and derivative sampler are incompatible")
-    x = sla.lu_solve(_solver(op), dop.matrix, check_finite=False)
-    return -complex(np.trace(x))
+    m, dm, k = op.matrix, dop.matrix, op.lead
+    b, c = m[:k, k:], m[k:, :k]
+    lx = dm[k:, :k] if dop.lead >= k else c @ dm[:k, :k] + dm[k:, :k]
+    rhs = lx @ b + c @ dm[:k, k:] + dm[k:, k:]
+    x = sla.lu_solve(_solver(op), rhs, check_finite=False)
+    return -complex(np.trace(dm[:k, :k]) + np.trace(x))

@@ -55,6 +55,12 @@ def _support(orders):
     return st[:, None, None] & se[None, :, None] & sw[None, None, :]
 
 
+_SUPPORT = np.logical_or.reduce([_support(o) for o in PDE_ORDERS])
+
+#: the most grid steps below the center tau that ``build_grid`` reads
+TAU_REACH = 2 - int(np.nonzero(_SUPPORT)[0].min())
+
+
 def two_time_logdet(tau, e, w, m=120):
     """log det for intervals [E+W, inf), [E-W, inf) at times (0, tau)."""
     if tau <= 0:
@@ -75,9 +81,8 @@ def build_grid(center, step=0.05, radius=2, m=120):
     r = int(radius)
     if r < 2:
         raise ValueError("need a radius >= 2 grid for the stencils")
-    support = np.logical_or.reduce([_support(o) for o in PDE_ORDERS])
     vals = np.full((2 * r + 1,) * 3, np.nan)
-    for idx in zip(*np.nonzero(support)):
+    for idx in zip(*np.nonzero(_SUPPORT)):
         dt, de, dw = (step * (i - 2) for i in idx)
         vals[tuple(i + r - 2 for i in idx)] = two_time_logdet(
             center[0] + dt, center[1] + de, center[2] + dw, m=m)

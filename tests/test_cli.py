@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gapdet import cli
+from gapdet import cli, pdecheck
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(tmp_path, argv):
@@ -100,12 +106,45 @@ def test_config_validation_errors(tmp_path):
         {**_PDE_JOB, "pde": [1.0, 0.2, 0.1]},
         {**_PDE_JOB, "task": "sweep", "pde": {"radius": 1},
          "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
+        # pde stencils that would read tau <= 0
+        {**_PDE_JOB, "pde": {"center": [0.03, 0.2, 0.1], "steps": [0.04]}},
+        {**_PDE_JOB, "pde": {"center": [0.03, 0.2, 0.1]}},
+        {**_PDE_JOB, "pde": {"center": [0.04, 0.2, 0.1],
+                             "steps": [0.02, 0.04]}},
+        {**_PDE_JOB, "task": "sweep",
+         "pde": {"center": [0.03, 0.2, 0.1], "steps": [0.04]},
+         "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         code, _ = _run(tmp_path, ["run", str(path)])
         assert code == 2
+
+
+def test_pde_stencil_reach_follows_the_stencils():
+    # the lowest tau read is center - TAU_REACH * step, with TAU_REACH
+    # taken from the stencils' support (one step today)
+    assert pdecheck.TAU_REACH == 1
+    ok = {**_PDE_JOB, "pde": {"center": [0.05, 0.2, 0.1], "steps": [0.04]}}
+    assert cli.validate_config(ok)["pde"] == ok["pde"]
+    with pytest.raises(cli.ConfigError, match="tau"):
+        cli.validate_config(
+            {**_PDE_JOB, "pde": {"center": [0.04, 0.2, 0.1], "steps": [0.04]}})
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes its end before any output, like ``| head -3``
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gapdet.cli", "tw-oracle", "--s", "0.0"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    err = err.decode()
+    assert proc.returncode == 0
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 @pytest.mark.parametrize("text", [None, "{bad"])

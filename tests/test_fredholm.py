@@ -241,3 +241,75 @@ def test_logdet_derivative_raises_on_singular():
     op = fredholm.DiscreteOperator.from_kernel_matrix(np.eye(n), np.ones(n))
     with pytest.raises(fredholm.NearSingularOperatorError):
         fredholm.logdet_derivative(op, op)
+
+
+def _schur_case(case):
+    """(operator, tangent sampler or None, expected lead) for one case."""
+    if case == "physical":
+        ep = airy.AiryEndpoints([[0.0], [0.5]])
+        return airy.physical_operator(ep, [0.0, 1.0], m=40), None, 0
+    process, n = case.split("-")
+    n = int(n)
+    times = [0.0, 0.5, 1.0][:n]
+    if process == "airy":
+        # n = 2 at m = 120 is the pde-grid operator: order 480
+        m = 120 if n == 2 else 24
+        ep = airy.AiryEndpoints([[0.3], [0.1], [0.0]][:n])
+        sys_ = contour.build_airy_system(times, m=m,
+                                         endpoint_scale=ep.max_abs_endpoint())
+        op = airy.iiks_operator(ep, times, sys_)
+        dop = airy.iiks_tangent_operator(ep, times, sys_, 0, 0)
+        return op, dop, n * m  # gamma_R carries all n vector components
+    m = 24
+    ep = pearcey.PearceyEndpoints([[-1.0, 1.0]] * n)
+    sys_ = contour.build_pearcey_system(times, m=m,
+                                        endpoint_scale=ep.max_abs_endpoint())
+    op = pearcey.iiks_operator(ep, times, sys_)
+    dop = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
+    return op, dop, 2 * n * m  # gamma_R and gamma_L
+
+
+@pytest.mark.parametrize("case", ["airy-1", "airy-2", "airy-3", "pearcey-1",
+                                  "pearcey-2", "pearcey-3", "physical"])
+def test_schur_path_matches_dense_linear_algebra(case, monkeypatch):
+    op, tangent, lead = _schur_case(case)
+    assert op.lead == lead
+    assert not np.any(op.matrix[:lead, :lead])
+    a = np.eye(op.n) - op.matrix
+    rng = np.random.default_rng(31)
+
+    orders = []
+    lu_factor = sla.lu_factor
+
+    def counting(*args, **kwargs):
+        orders.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", counting)
+
+    res = fredholm.det(op)
+    assert abs(res.log_value.real - np.linalg.slogdet(a)[1]) <= 1e-12
+    assert res.diagnostics["n"] == op.n
+    assert res.diagnostics["n_factored"] == op.n - lead
+
+    rhs = rng.standard_normal((op.n, 3)) + 1j * rng.standard_normal((op.n, 3))
+    s = np.sqrt(op.weights)[:, None]
+    ref = np.linalg.solve(a, rhs * s) / s
+    x = fredholm.solve_resolvent(op, rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the block solve alone, before the refinement step (which would
+    # repair a wrong B or C coupling exactly)
+    x = fredholm._solve(op, fredholm._solver(op), rhs * s) / s
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    # a sampler with a non-zero X x X block takes the C dM_XX B path
+    dense = fredholm.DiscreteOperator.from_kernel_matrix(
+        rng.standard_normal((op.n, op.n)) / op.n, np.ones(op.n))
+    dops = [dense] + ([tangent] if tangent is not None else [])
+    for dop in dops:
+        ref = -np.trace(np.linalg.solve(a, dop.matrix))
+        val = fredholm.logdet_derivative(op, dop)
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+    assert orders == [(op.n - lead, op.n - lead)] * (3 + len(dops))
+    if case == "airy-2":
+        assert orders[0] == (240, 240)
