@@ -1,9 +1,11 @@
 """The third-order PDE of the two-time Airy log gap probability.
 
 G(tau, E, W) = log det for intervals [E+W, inf), [E-W, inf) at times
-(0, tau) satisfies a nonlinear third-order PDE.  Both sides are
-evaluated by central differences; halving the step should shrink the
-residual by about 4 (second-order stencils).
+(0, tau) satisfies a nonlinear third-order PDE.  The gradient of G
+comes from one resolvent solve per point (the moment formulas), on a
+3 x 3 (E, W) grid at the center tau; both sides of the PDE are central
+differences of that gradient, so halving the step should shrink the
+residual by about 4 (second-order differences).
 """
 
 from gapdet import pdecheck

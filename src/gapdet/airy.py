@@ -197,7 +197,12 @@ def iiks_slots(endpoints, times, system, gauge=True):
 
 def iiks_operator(endpoints, times, system, gauge=True):
     """Discretized integrable-kernel operator on the contour system."""
-    s = iiks_slots(endpoints, times, system, gauge)
+    return iiks_from_slots(iiks_slots(endpoints, times, system, gauge),
+                           endpoints, system, gauge)
+
+
+def iiks_from_slots(s, endpoints, system, gauge=True):
+    """``iiks_operator`` assembled from slots built by ``iiks_slots``."""
     meta = dict(system.meta)
     meta.update({"process": "airy", "gauge": gauge, "p": endpoints.p})
     return cauchy_operator([(s.f, s.g)], s, s.comp_ids, meta=meta)

@@ -85,8 +85,9 @@ class DiscreteOperator:
 class DetResult:
     """Determinant value with diagnostics.
 
-    ``exp(log_value) == value`` up to rounding; overflow shows up only
-    in ``log_value``.
+    ``exp(log_value) == value`` up to rounding, with the imaginary part
+    of ``log_value`` in (-pi, pi]; overflow shows up only in
+    ``log_value``.
     """
 
     value: complex
@@ -190,8 +191,10 @@ def _factor(op):
     if np.any(d == 0):
         return lu, piv, complex(-np.inf, 0.0), 0.0
     swaps = int(np.sum(piv != np.arange(len(piv)))) % 2
-    log_value = complex(np.sum(np.log(np.abs(d))),
-                        np.sum(np.angle(d)) + np.pi * swaps)
+    phase = np.sum(np.angle(d)) + np.pi * swaps
+    # into (-pi, pi]; a phase already there is returned unchanged
+    phase -= 2.0 * np.pi * np.ceil((phase - np.pi) / (2.0 * np.pi))
+    log_value = complex(np.sum(np.log(np.abs(d))), phase)
     gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
     rcond = gecon(lu, anorm)[0] if len(d) else 1.0
     return lu, piv, log_value, float(rcond)

@@ -74,21 +74,48 @@ def gamma_moments(process, endpoints, times, system=None, m=80,
         if system is None:
             system = build_airy_system(
                 t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-        op = airy.iiks_operator(endpoints, t, system, gauge=gauge)
         s = airy.iiks_slots(endpoints, t, system, gauge)
+        op = airy.iiks_from_slots(s, endpoints, system, gauge)
     else:
         if system is None:
             system = build_pearcey_system(
                 t, delta=delta, m=m,
                 endpoint_scale=endpoints.max_abs_endpoint())
-        op = pearcey.iiks_operator(endpoints, t, system)
         s = pearcey.iiks_slots(endpoints, t, system)
+        op = pearcey.iiks_from_slots(s, endpoints, t, system)
     sol = solve_resolvent(op, s.f.T / TWO_PI_I)
     out = []
     for k in (1, 2):
         wxi = s.weights * s.nodes ** (k - 1)
         out.append(np.einsum("s,sp,qs->pq", wxi, sol, s.g))
     return tuple(out)
+
+
+def log_derivatives(process, endpoints, times, m=80, gauge=True, delta=0.5):
+    """Every endpoint and time log-derivative of det from one moment solve.
+
+    d log det / d a_i^(ell) = -(Gamma_1)_qq with q the row of a_i^(ell);
+    d log det / d tau_i sums over the rows qs of time i the diagonal of
+    2 tau_i Gamma_1 + Gamma_1^2 - 2 Gamma_2 (Airy) or of
+    (Gamma_1^2 - 2 Gamma_2) / 2 (Pearcey).  Returns
+    {"a": {(i, ell): value}, "tau": {i: value}}.
+    """
+    t = validate_times(times)
+    g1, g2 = gamma_moments(process, endpoints, t, m=m, gauge=gauge,
+                           delta=delta)
+    g1sq = g1 @ g1
+    out = {"a": {}, "tau": {}}
+    for i, ends in enumerate(endpoints.per_time):
+        qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
+        for ell, q in enumerate(qs):
+            out["a"][i, ell] = -g1[q, q].real
+        if process == "airy":
+            out["tau"][i] = sum((2.0 * t[i] * g1 + g1sq - 2.0 * g2)[q, q].real
+                                for q in qs)
+        else:
+            out["tau"][i] = 0.5 * sum((g1sq - 2.0 * g2)[q, q].real
+                                      for q in qs)
+    return out
 
 
 def _log_det(process, times, endpoints, m, gauge):
@@ -115,66 +142,39 @@ def _fd_time(process, endpoints, times, i, h, m, gauge):
     return (up - dn) / (2.0 * h)
 
 
-def _mismatch(fd, formula):
+def _entry(fd, formula):
     scale = max(abs(fd), abs(formula), 1e-12)
-    return abs(fd - formula) / scale
+    return {"fd": fd, "formula": formula,
+            "rel_mismatch": abs(fd - formula) / scale}
 
 
-def _derivative_report(process, endpoints, t, g1, tau_formula, m, step,
-                       tau_step, gauge):
-    """Central differences of log det against the moment formulas.
-
-    Endpoint derivatives are compared with -(Gamma_1)_qq, the time
-    derivative of time i with ``tau_formula(i, qs)`` over its rows qs.
-    """
-    report = {"a": {}, "tau": {}}
-    for i, ends in enumerate(endpoints.per_time):
-        for ell in range(len(ends)):
-            q = endpoints.row_index(i, ell)
-            fd = _fd_endpoint(process, endpoints, t, i, ell, step, m, gauge)
-            formula = -g1[q, q].real
-            report["a"][(i, ell)] = {
-                "fd": fd, "formula": formula,
-                "rel_mismatch": _mismatch(fd, formula)}
-        qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
-        fd = _fd_time(process, endpoints, t, i, tau_step, m, gauge)
-        formula = tau_formula(i, qs)
-        report["tau"][i] = {"fd": fd, "formula": formula,
-                            "rel_mismatch": _mismatch(fd, formula)}
+def _derivative_report(process, endpoints, times, m, step, tau_step,
+                       gauge=True, delta=0.5):
+    """Central differences of log det against ``log_derivatives``."""
+    t = validate_times(times)
+    formulas = log_derivatives(process, endpoints, t, m=m, gauge=gauge,
+                               delta=delta)
+    report = {
+        "a": {(i, ell): _entry(_fd_endpoint(process, endpoints, t, i, ell,
+                                            step, m, gauge), f)
+              for (i, ell), f in formulas["a"].items()},
+        "tau": {i: _entry(_fd_time(process, endpoints, t, i, tau_step, m,
+                                   gauge), f)
+                for i, f in formulas["tau"].items()}}
     report["max_rel_mismatch"] = max(
-        [v["rel_mismatch"] for v in report["a"].values()]
-        + [v["rel_mismatch"] for v in report["tau"].values()])
+        v["rel_mismatch"] for part in report.values() for v in part.values())
     return report
 
 
 def airy_derivative_report(endpoints, times, m=80, step=1e-3,
                            tau_step=1e-3, gauge=True):
-    """Finite differences of log det against the moment formulas.
-
-    Endpoint derivatives: -(Gamma_1)_qq.  Time derivatives:
-    sum_ell (2 tau_i Gamma_1 + Gamma_1^2 - 2 Gamma_2)_qq.
-    """
-    t = validate_times(times)
-    g1, g2 = gamma_moments("airy", endpoints, t, m=m, gauge=gauge)
-    g1sq = g1 @ g1
-    return _derivative_report(
-        "airy", endpoints, t, g1,
-        lambda i, qs: sum((2.0 * t[i] * g1 + g1sq - 2.0 * g2)[q, q].real
-                          for q in qs),
-        m, step, tau_step, gauge)
+    """Finite differences of log det against the Airy moment formulas."""
+    return _derivative_report("airy", endpoints, times, m, step, tau_step,
+                              gauge=gauge)
 
 
 def pearcey_derivative_report(endpoints, times, m=80, step=1e-3,
                               tau_step=1e-3, delta=0.5):
-    """Finite differences against the Pearcey moment formulas.
-
-    Endpoint derivatives: -(Gamma_1)_qq.  Time derivatives:
-    (1/2) sum_ell (Gamma_1^2 - 2 Gamma_2)_qq.
-    """
-    t = validate_times(times)
-    g1, g2 = gamma_moments("pearcey", endpoints, t, m=m, delta=delta)
-    g1sq = g1 @ g1
-    return _derivative_report(
-        "pearcey", endpoints, t, g1,
-        lambda i, qs: 0.5 * sum((g1sq - 2.0 * g2)[q, q].real for q in qs),
-        m, step, tau_step, True)
+    """Finite differences against the Pearcey moment formulas."""
+    return _derivative_report("pearcey", endpoints, times, m, step,
+                              tau_step, delta=delta)

@@ -7,58 +7,34 @@ variables E = (a+b)/2, W = (a-b)/2 satisfies
     (tau^2/2 dW - W dE)(dE^2 - dW^2) G + 2 tau dTauEW G
         = {d2EW G, d2E G}_E,      {f, g}_E := dE(f) g - f dE(g).
 
-Both sides are evaluated by central differences on a uniform grid of
-log determinants, of which only the points the stencils read are
-computed.
+The gradient (dTau G, dE G, dW G) at a point comes from one resolvent
+solve (``isomono.log_derivatives``); both sides of the PDE are then
+central differences of the gradient on a 3 x 3 (E, W) grid at the
+center tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .airy import AiryEndpoints
 from .gap import airy_gap_probability
+from .isomono import log_derivatives
 
 
 @dataclass(frozen=True)
-class LogDetGrid:
-    """Uniform (tau, E, W) grid of two-time log gap probabilities.
+class GradientGrid:
+    """Gradients of G at the points (tau, E + i step, W + j step).
 
-    Only the points that the PDE stencils read hold a value; every
-    other entry is NaN.
+    ``values[i + 1, j + 1]`` holds (dTau G, dE G, dW G) for i, j in
+    {-1, 0, 1}, with tau, E, W the ``center``.
     """
 
     center: tuple
     step: float
-    radius: int
-    values: np.ndarray  # shape (2r+1, 2r+1, 2r+1), axes (tau, E, W)
-    diagnostics: dict = field(default_factory=dict)
-
-
-_STENCILS = {
-    0: np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
-    1: np.array([0.0, -0.5, 0.0, 0.5, 0.0]),
-    2: np.array([0.0, 1.0, -2.0, 1.0, 0.0]),
-    3: np.array([-0.5, 1.0, 0.0, -1.0, 0.5]),
-}
-
-#: the mixed partials (n_tau, n_E, n_W) that ``avm_residual`` combines;
-#: ``build_grid`` evaluates exactly the points their stencils read
-PDE_ORDERS = ((0, 2, 1), (0, 0, 3), (0, 3, 0), (0, 1, 2), (1, 1, 1),
-              (0, 2, 0), (0, 1, 1))
-
-
-def _support(orders):
-    """Boolean 5x5x5 mask of the points a tensor stencil weights."""
-    st, se, sw = (_STENCILS[o] != 0 for o in orders)
-    return st[:, None, None] & se[None, :, None] & sw[None, None, :]
-
-
-_SUPPORT = np.logical_or.reduce([_support(o) for o in PDE_ORDERS])
-
-#: the most grid steps below the center tau that ``build_grid`` reads
-TAU_REACH = 2 - int(np.nonzero(_SUPPORT)[0].min())
+    values: np.ndarray  # shape (3, 3, 3), axes (E, W, gradient component)
 
 
 def two_time_logdet(tau, e, w, m=120):
@@ -72,44 +48,55 @@ def two_time_logdet(tau, e, w, m=120):
     return res.log_value.real
 
 
+def two_time_gradient(tau, e, w, m=120):
+    """(dTau G, dE G, dW G) of ``two_time_logdet`` from one solve.
+
+    With a = E + W at time 0 and b = E - W at time tau > 0,
+    dE = da + db and dW = da - db.
+    """
+    d = log_derivatives("airy", AiryEndpoints([[e + w], [e - w]]),
+                        [0.0, tau], m=m)
+    da, db = d["a"][0, 0], d["a"][1, 0]
+    return d["tau"][1], da + db, da - db
+
+
 def build_grid(center, step=0.05, radius=2, m=120):
-    """Log determinants at the stencil points of a grid around ``center``.
+    """Gradients of G at 9 points around ``center``, all at its tau.
 
-    Of the (2r+1)^3 grid points only those read by the stencils of
-    ``PDE_ORDERS`` are evaluated (21 of them); the rest are NaN.
+    The points are (E + i step, W + j step), i, j in {-1, 0, 1}.
+    ``radius`` must be at least 2 but no longer shapes the grid.
     """
-    r = int(radius)
-    if r < 2:
-        raise ValueError("need a radius >= 2 grid for the stencils")
-    vals = np.full((2 * r + 1,) * 3, np.nan)
-    for idx in zip(*np.nonzero(_SUPPORT)):
-        dt, de, dw = (step * (i - 2) for i in idx)
-        vals[tuple(i + r - 2 for i in idx)] = two_time_logdet(
-            center[0] + dt, center[1] + de, center[2] + dw, m=m)
-    if np.any(vals[~np.isnan(vals)] > 1e-12):
-        raise RuntimeError("grid holds log probabilities; found positive values")
-    return LogDetGrid(center=tuple(center), step=float(step), radius=r,
-                      values=vals, diagnostics={"m": m})
+    if int(radius) < 2:
+        raise ValueError("need radius >= 2")
+    tau, e, w = center
+    vals = np.empty((3, 3, 3))
+    for i, j in np.ndindex(3, 3):
+        vals[i, j] = two_time_gradient(
+            tau, e + step * (i - 1), w + step * (j - 1), m=m)
+    return GradientGrid(center=tuple(center), step=float(step), values=vals)
 
 
-def derivative(grid, orders):
-    """Central-difference mixed partial d^orders G at the grid center.
+def derivatives(grid):
+    """The mixed partials of G that the PDE combines, at the center.
 
-    ``orders`` = (n_tau, n_E, n_W); supported orders per axis are 0..3
-    on a radius-2 grid.  Entries the stencil gives zero weight are not
-    read; a NaN among the weighted ones raises.
+    Keyed by (n_tau, n_E, n_W); second-order central differences of
+    the gradient components.
     """
-    if grid.radius < 2:
-        raise ValueError("need a radius >= 2 grid for the stencils")
-    if any(o not in _STENCILS for o in orders):
-        raise ValueError(f"unsupported derivative orders {orders}")
-    c = grid.radius
-    sub = np.where(_support(orders),
-                   grid.values[c - 2:c + 3, c - 2:c + 3, c - 2:c + 3], 0.0)
-    if np.isnan(sub).any():
-        raise ValueError(f"stencil {orders} reads an unevaluated grid point")
-    vt, ve, vw = (_STENCILS[o] / grid.step ** o for o in orders)
-    return float(np.einsum("i,j,k,ijk->", vt, ve, vw, sub))
+    h = grid.step
+    gt, ge, gw = np.moveaxis(grid.values, -1, 0)
+
+    def d1(g):  # d/dE and d/dW
+        return (g[2, 1] - g[0, 1]) / (2 * h), (g[1, 2] - g[1, 0]) / (2 * h)
+
+    def d2(g):  # d^2/dE^2 and d^2/dW^2
+        return ((g[2, 1] - 2 * g[1, 1] + g[0, 1]) / h ** 2,
+                (g[1, 2] - 2 * g[1, 1] + g[1, 0]) / h ** 2)
+
+    (g_ee, g_ew), (g_eee, g_eww), (g_eew, g_www) = d1(ge), d2(ge), d2(gw)
+    g_tew = (gt[2, 2] - gt[2, 0] - gt[0, 2] + gt[0, 0]) / (4 * h ** 2)
+    return {(0, 2, 1): g_eew, (0, 0, 3): g_www, (0, 3, 0): g_eee,
+            (0, 1, 2): g_eww, (1, 1, 1): g_tew, (0, 2, 0): g_ee,
+            (0, 1, 1): g_ew}
 
 
 def avm_residual(grid):
@@ -120,7 +107,7 @@ def avm_residual(grid):
     """
     tau = grid.center[0]
     w = grid.center[2]
-    d = {o: derivative(grid, o) for o in PDE_ORDERS}
+    d = derivatives(grid)
     t1 = 0.5 * tau ** 2 * (d[0, 2, 1] - d[0, 0, 3])  # tau^2/2 dW (dE^2-dW^2)
     t2 = -w * (d[0, 3, 0] - d[0, 1, 2])              # -W dE (dE^2-dW^2)
     t3 = 2.0 * tau * d[1, 1, 1]

@@ -202,7 +202,12 @@ def iiks_operator(endpoints, times, system=None, m=80, delta=0.5):
     if system is None:
         system = build_pearcey_system(
             t, delta=delta, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-    s = iiks_slots(endpoints, times, system)
+    return iiks_from_slots(iiks_slots(endpoints, times, system),
+                           endpoints, times, system)
+
+
+def iiks_from_slots(s, endpoints, times, system):
+    """``iiks_operator`` assembled from slots built by ``iiks_slots``."""
     coef = _alternating_sums(endpoints)
     meta = dict(system.meta)
     meta.update({"process": "pearcey", "p": endpoints.p})

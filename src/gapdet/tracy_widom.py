@@ -61,10 +61,13 @@ def _ai_asymptotic(x):
 
 
 def airy_ai(x):
-    """Ai(x) for real x >= about -15, to near machine precision.
+    """Ai(x) for real x >= about -10.
 
     Series evaluation below ``_SER_ASY_SPLIT``, asymptotic expansion
-    above; both branches are accurate in the overlap.
+    above.  Largest absolute error against ``scipy.special.airy`` on
+    20,001 points per range: 1.2e-13 on [-6, 0], 3.8e-10 on [0, 8],
+    6.0e-9 on [-10, -6]; on [-15, -10] the series cancels and the error
+    reaches 0.25.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gapdet import cli, pdecheck
+from gapdet import cli, fredholm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,6 +35,33 @@ def test_run_det_task(tmp_path):
     assert abs(rec["det"]["im"]) < 1e-10
     # the record round-trips losslessly through JSON
     assert json.loads(json.dumps(rec)) == rec
+
+
+def test_run_det_fails_on_a_singular_operator(tmp_path):
+    # F2(-12) ~ 1e-32 is below rounding: the LU returns noise with a tiny
+    # rcond, which must not pass as a probability
+    cfg = {"process": "airy", "times": [0.0], "intervals": [[-12.0]],
+           "task": "det", "quadrature": {"m": 140}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    code, rec = _run(tmp_path, ["run", str(path)])
+    assert code == 1
+    assert rec["passed"] is False
+    assert rec["diagnostics"]["rcond"] < 1e-13
+
+
+@pytest.mark.parametrize("value, rcond, code", [
+    (0.5, 0.3, 0), (1.0 + 5e-9, 0.3, 0), (0.5, 1e-14, 1), (1.1, 0.3, 1),
+    (0.0, 0.3, 1), (-0.2, 0.3, 1), (0.5 + 1e-6j, 0.3, 1)])
+def test_run_det_verdict(tmp_path, monkeypatch, value, rcond, code):
+    def fake(times, intervals, **kw):
+        return fredholm.DetResult(complex(value), 0j, {"rcond": rcond})
+
+    monkeypatch.setattr(cli, "airy_gap_probability", fake)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"process": "airy", "times": [0.0],
+                                "intervals": [[0.0]], "task": "det"}))
+    assert _run(tmp_path, ["run", str(path)])[0] == code
 
 
 def test_run_det_empty_intervals(tmp_path):
@@ -106,13 +133,13 @@ def test_config_validation_errors(tmp_path):
         {**_PDE_JOB, "pde": [1.0, 0.2, 0.1]},
         {**_PDE_JOB, "task": "sweep", "pde": {"radius": 1},
          "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
-        # pde stencils that would read tau <= 0
-        {**_PDE_JOB, "pde": {"center": [0.03, 0.2, 0.1], "steps": [0.04]}},
-        {**_PDE_JOB, "pde": {"center": [0.03, 0.2, 0.1]}},
-        {**_PDE_JOB, "pde": {"center": [0.04, 0.2, 0.1],
+        # pde grids centered at tau <= 0
+        {**_PDE_JOB, "pde": {"center": [0.0, 0.2, 0.1], "steps": [0.04]}},
+        {**_PDE_JOB, "pde": {"center": [-0.5, 0.2, 0.1]}},
+        {**_PDE_JOB, "pde": {"center": [-1e-9, 0.2, 0.1],
                              "steps": [0.02, 0.04]}},
         {**_PDE_JOB, "task": "sweep",
-         "pde": {"center": [0.03, 0.2, 0.1], "steps": [0.04]},
+         "pde": {"center": [0.0, 0.2, 0.1], "steps": [0.04]},
          "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
     ]
     for cfg in bad:
@@ -122,15 +149,17 @@ def test_config_validation_errors(tmp_path):
         assert code == 2
 
 
-def test_pde_stencil_reach_follows_the_stencils():
-    # the lowest tau read is center - TAU_REACH * step, with TAU_REACH
-    # taken from the stencils' support (one step today)
-    assert pdecheck.TAU_REACH == 1
-    ok = {**_PDE_JOB, "pde": {"center": [0.05, 0.2, 0.1], "steps": [0.04]}}
-    assert cli.validate_config(ok)["pde"] == ok["pde"]
-    with pytest.raises(cli.ConfigError, match="tau"):
-        cli.validate_config(
-            {**_PDE_JOB, "pde": {"center": [0.04, 0.2, 0.1], "steps": [0.04]}})
+def test_pde_center_tau_must_be_positive(tmp_path):
+    # the grid sits at the center tau, however large the steps
+    for pde in ({"center": [0.03, 0.2, 0.1], "steps": [0.04]},
+                {"center": [0.04, 0.2, 0.1], "steps": [0.02, 0.04]}):
+        ok = {**_PDE_JOB, "pde": pde}
+        assert cli.validate_config(ok)["pde"] == pde
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(
+        {**_PDE_JOB, "pde": {"center": [0.0, 0.2, 0.1], "steps": [0.04]}}))
+    code, _ = _run(tmp_path, ["run", str(path)])
+    assert code == 2
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -124,6 +124,17 @@ def test_det_log_value_consistency():
     assert res.value == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("n, phase", [(8, 0.0), (3, np.pi)],
+                         ids=["even", "odd"])
+def test_det_log_value_phase_in_principal_range(n, phase):
+    # I - M = -I: every LU pivot has angle pi, det = (-1)^n
+    res = fredholm.det(fredholm.DiscreteOperator.from_kernel_matrix(
+        2 * np.eye(n), np.ones(n)))
+    assert res.log_value.real == 0.0
+    assert res.log_value.imag == pytest.approx(phase, abs=1e-15)
+    assert res.value == pytest.approx((-1) ** n, abs=1e-15)
+
+
 def test_det2_equals_det_for_diagonal_free_matrix():
     op = _random_operator(seed=5)
     m = op.matrix.copy()
