@@ -12,16 +12,14 @@ f^T(lam) g(mu) / (lam - mu) on the contour family built by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .contour import (
     TAIL_LOG,
     ContourComponent,
     ContourError,
+    ContourSystem,
     Endpoints,
-    QuadratureGrid,
     build_grid,
     build_slots,
     solve_radius,
@@ -132,12 +130,12 @@ def g_columns(mu, comp_label, j, endpoints, times, gauge=False):
     return out
 
 
-def fg_matrices(lam, comp_label, endpoints, times, gauge=False):
+def fg_matrices(lam, comp_label, endpoints, times):
     """All n columns of f and g at a single point: two (p, n) arrays."""
     n = endpoints.n
-    f = np.hstack([f_columns(lam, comp_label, i, endpoints, times, gauge)
+    f = np.hstack([f_columns(lam, comp_label, i, endpoints, times)
                    for i in range(n)])
-    g = np.hstack([g_columns(lam, comp_label, j, endpoints, times, gauge)
+    g = np.hstack([g_columns(lam, comp_label, j, endpoints, times)
                    for j in range(n)])
     return f, g
 
@@ -198,24 +196,24 @@ def iiks_slots(endpoints, times, system, gauge=True):
 def iiks_operator(endpoints, times, system, gauge=True):
     """Discretized integrable-kernel operator on the contour system."""
     return iiks_from_slots(iiks_slots(endpoints, times, system, gauge),
-                           endpoints, system, gauge)
+                           endpoints, times, system, gauge)
 
 
-def iiks_from_slots(s, endpoints, system, gauge=True):
-    """``iiks_operator`` assembled from slots built by ``iiks_slots``."""
+def iiks_from_slots(s, endpoints, times, system, gauge=True):
+    """``iiks_operator`` from ``iiks_slots``; ``times`` mirrors Pearcey's."""
     meta = dict(system.meta)
     meta.update({"process": "airy", "gauge": gauge, "p": endpoints.p})
     return cauchy_operator([(s.f, s.g)], s, s.comp_ids, meta=meta)
 
 
-def iiks_tangent_operator(endpoints, times, system, i, ell, gauge=True):
+def iiks_tangent_operator(endpoints, times, system, i, ell):
     """Endpoint derivative d K / d a_i^(ell) sampled like ``iiks_operator``.
 
     The gauge factors are held fixed; the similarity commutator they
     generate is traceless and drops out of Jacobi's formula.
     """
     t = validate_times(times)
-    s = iiks_slots(endpoints, times, system, gauge)
+    s = iiks_slots(endpoints, times, system)
     right = s.comp_ids == system.labels.index("gamma_R")
     terms = s.endpoint_terms(endpoints.row_index(i, ell), i, right, t[i])
     return cauchy_operator(terms, s, s.comp_ids,
@@ -226,42 +224,29 @@ def iiks_tangent_operator(endpoints, times, system, i, ell, gauge=True):
 # physical kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AiryPhysicalContours:
-    """Shifted right contours (one per time) and the common left contour."""
+def physical_contours(times, m=80, radius=None, x_min=0.0):
+    """Contours for the physical Airy kernel entries, as a ContourSystem.
 
-    mu_grids: tuple
-    lam_grid: QuadratureGrid
-    C: float
-
-
-def physical_contours(times, C=None, m=80, radius=None, x_min=0.0):
-    """Contours for the physical Airy kernel entries.
-
-    mu runs over gamma_R - tau_i (apex C - tau_i, angles +-pi/3), lam
-    over the vertical line deformed to left rays (apex c_L, angles
-    +-2pi/3) for cubic decay.  ``x_min`` is the most negative argument
-    the kernel will see; it slows the decay linearly.
+    Grid i < n is the mu contour of time i, gamma_R - tau_i (apex
+    C - tau_i with C = max(times) + 1, angles +-pi/3); the last grid is
+    the lam contour, the vertical line deformed to left rays (apex c_L,
+    angles +-2pi/3) for cubic decay.  ``x_min`` is the most negative
+    argument the kernel will see; it slows the decay linearly.
     """
     t = validate_times(times)
-    if C is None:
-        C = float(t.max()) + 1.0
-    if not C > t.max():
-        raise ContourError(f"need C > max(times); got C={C}")
+    C = float(t.max()) + 1.0
     lin = max(0.0, -x_min) / 2.0
     r = radius or solve_radius(
         lambda r: r ** 3 / 3 - lin * r, TAIL_LOG) + 1.0
     c_left = min(0.0, float(t.min())) - 0.5
-    mu_grids = tuple(
-        build_grid(ContourComponent("ray-pair", complex(C - tau),
-                                    (np.pi / 3, -np.pi / 3), r,
-                                    f"gamma_R_minus_tau{i + 1}"), m)
-        for i, tau in enumerate(t))
-    lam_grid = build_grid(
-        ContourComponent("ray-pair", complex(c_left),
-                         (-2 * np.pi / 3, 2 * np.pi / 3), r,
-                         "left_line"), m)
-    return AiryPhysicalContours(mu_grids=mu_grids, lam_grid=lam_grid, C=C)
+    grids = [build_grid(ContourComponent(complex(C - tau),
+                                         (np.pi / 3, -np.pi / 3), r,
+                                         f"gamma_R_minus_tau{i + 1}"), m)
+             for i, tau in enumerate(t)]
+    grids.append(build_grid(
+        ContourComponent(complex(c_left), (-2 * np.pi / 3, 2 * np.pi / 3),
+                         r, "left_line"), m))
+    return ContourSystem(grids=tuple(grids), meta={"C": C})
 
 
 def physical_block(i, j, xs, ys, phys, times):
@@ -269,8 +254,8 @@ def physical_block(i, j, xs, ys, phys, times):
     t = validate_times(times)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    mu, wmu = phys.mu_grids[i].nodes, phys.mu_grids[i].weights
-    lam, wlam = phys.lam_grid.nodes, phys.lam_grid.weights
+    mu, wmu = phys.grids[i].nodes, phys.grids[i].weights
+    lam, wlam = phys.grids[-1].nodes, phys.grids[-1].weights
     den = lam[None, :] + t[j] - mu[:, None] - t[i]
     if np.abs(den).min() < 1e-8:
         raise ContourError("mu and lam contours collide in the denominator")
@@ -287,17 +272,17 @@ def physical_entry(i, j, x, y, phys, times):
 
 
 def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
-                      C=None, radius=None):
+                      radius=None):
     """Nystrom discretization of the physical operator chi A chi."""
     t = validate_times(times)
     grids = [interval_grid(e, t_cut=t_cut) for e in endpoints.per_time]
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
-    phys = physical_contours(times, C=C, m=m, radius=radius, x_min=x_min)
+    phys = physical_contours(times, m=m, radius=radius, x_min=x_min)
     meta = {"process": "airy", "representation": "physical", "m": m,
-            "t_cut": t_cut, "C": phys.C,
-            "radii": {"right": phys.mu_grids[0].component.truncation_radius,
-                      "left": phys.lam_grid.component.truncation_radius}}
+            "t_cut": t_cut, "C": phys.meta["C"],
+            "radii": {"right": phys.grids[0].component.truncation_radius,
+                      "left": phys.grids[-1].component.truncation_radius}}
     return interval_operator(
         grids, lambda i, j, xs, ys: physical_block(i, j, xs, ys, phys, t),
         meta)

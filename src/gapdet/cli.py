@@ -90,8 +90,10 @@ def _require(cond, msg):
 
 
 def _real(value, name):
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{name}: expected a real number, got {value!r}")
+    # rejects JSON's NaN and Infinity, and integers beyond float range
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{name}: expected a finite real number, got {value!r}")
     return value
 
 
@@ -129,6 +131,8 @@ def validate_config(cfg):
                 PearceyEndpoints(intervals)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"intervals: {exc}") from exc
+    if task == "sweep":
+        _validate_axis(cfg["sweep"]["axis"], job, cfg)
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
     unknown = sorted(set(quad) - {"m", "truncation_radius", "delta", "t_cut"})
@@ -153,10 +157,24 @@ def _validate_sweep(sweep):
     values = sweep.get("values")
     _require(isinstance(values, list) and values,
              "sweep.values: need a non-empty list")
+    for value in values:
+        _real(value, "sweep.values")
     tasks = tuple(t for t in _TASKS if t != "sweep")
     job = sweep.get("task", "det")
     _require(job in tasks, f"sweep.task: expected one of {tasks}, got {job!r}")
     return job
+
+
+def _validate_axis(axis, job, cfg):
+    """A sweep moves ``s`` of a tw-oracle job, else a time or endpoint."""
+    if job == "tw-oracle":
+        allowed = ["s"]
+    else:
+        allowed = [f"tau:{i}" for i in range(len(cfg["times"]))] + [
+            f"endpoint:{i}:{ell}" for i, ends in enumerate(cfg["intervals"])
+            for ell in range(len(ends))]
+    _require(axis in allowed,
+             f"sweep.axis: expected one of {allowed}, got {axis!r}")
 
 
 def _validate_pde(pde):
@@ -220,6 +238,13 @@ def _sanitize(obj):
     return obj
 
 
+def _is_probability(value, diagnostics, tol):
+    """A probability, from an operator the solves would accept."""
+    return abs(value.imag) < tol["imag"] \
+        and 0.0 < value.real <= 1.0 + tol["imag"] \
+        and diagnostics["rcond"] >= fredholm._RCOND_MIN
+
+
 def run_task(cfg):
     """Execute one validated job; returns a result record (dict)."""
     t0 = time.time()
@@ -234,17 +259,16 @@ def run_task(cfg):
         record["det"] = _complex_fields(res.value)
         record["log_det"] = _complex_fields(res.log_value)
         record["diagnostics"] = _sanitize(res.diagnostics)
-        # a probability, from an operator the solves would accept
-        passed = abs(res.value.imag) < tol["imag"] \
-            and 0.0 < res.value.real <= 1.0 + tol["imag"] \
-            and res.diagnostics["rcond"] >= fredholm._RCOND_MIN
+        passed = _is_probability(res.value, res.diagnostics, tol)
     elif task == "equivalence":
         rep = equivalence_report(cfg["process"], cfg["times"],
                                  cfg["intervals"], **_quad_kwargs(cfg))
         record["det_physical"] = _complex_fields(rep["det_physical"])
         record["det_iiks"] = _complex_fields(rep["det_iiks"])
         record["abs_difference"] = rep["abs_difference"]
-        passed = rep["abs_difference"] < tol["equivalence"]
+        passed = rep["abs_difference"] < tol["equivalence"] and all(
+            _is_probability(rep[f"det_{r}"], rep["diagnostics"][r], tol)
+            for r in ("physical", "iiks"))
     elif task == "derivatives":
         process = cfg["process"]
         m = int(cfg.get("quadrature", {}).get("m", 160))
@@ -297,17 +321,14 @@ def _sweep_point(args):
     cfg, axis, value = args
     point = copy.deepcopy(cfg)
     point["task"] = cfg.get("sweep", {}).get("task", "det")
+    kind, *index = axis.split(":")
+    if kind == "endpoint":
+        point["intervals"][int(index[0])][int(index[1])] = value
+    elif kind == "tau":
+        point["times"][int(index[0])] = value
+    else:
+        point["s"] = value
     try:
-        target = axis.split(":")
-        if target[0] == "endpoint":
-            i, ell = int(target[1]), int(target[2])
-            point["intervals"][i][ell] = value
-        elif target[0] == "tau":
-            point["times"][int(target[1])] = value
-        elif target[0] == "s":
-            point["s"] = value
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
         rec = run_task(point)
     except Exception as exc:  # keep sweeps alive, flag the point
         rec = {"config": point, "task": point["task"], "passed": False,

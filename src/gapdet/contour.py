@@ -61,15 +61,12 @@ class ContourComponent:
     A vertical line is the special case ``angles = (-pi/2, pi/2)``.
     """
 
-    kind: str  # "ray-pair" | "vertical-line"
     apex: complex
     angles: tuple  # (incoming angle, outgoing angle), radians
     truncation_radius: float
     label: str
 
     def __post_init__(self):
-        if self.kind not in ("ray-pair", "vertical-line"):
-            raise ContourError(f"unknown component kind {self.kind!r}")
         if not self.truncation_radius > 0:
             raise ContourError("truncation radius must be positive")
 
@@ -168,6 +165,8 @@ def validate_times(times):
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.ndim != 1 or len(t) < 1:
         raise ContourError("need at least one time")
+    if not np.all(np.isfinite(t)):
+        raise ContourError(f"times must be finite: {t.tolist()}")
     if len(t) > 1 and not np.all(np.diff(t) > 0):
         raise ContourError("times must be strictly increasing (no duplicates)")
     return t
@@ -185,6 +184,8 @@ class Endpoints:
         self.per_time = tuple(tuple(float(a) for a in e) for e in per_time)
         if not self.per_time:
             raise ValueError("need at least one time entry")
+        if not all(np.isfinite(a) for e in self.per_time for a in e):
+            raise ValueError(f"endpoints must be finite: {self.per_time}")
         for e in self.per_time:
             self._check(e)
 
@@ -276,22 +277,19 @@ def build_slots(system, active, f_columns, g_columns, *args):
     return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
 
 
-def build_airy_system(times, C=None, radius=None, m=80, endpoint_scale=0.0):
+def build_airy_system(times, radius=None, m=80, endpoint_scale=0.0):
     """Contour system for the Airy integrable kernel.
 
-    One right component gamma_R (rays from apex C at angles +-pi/3,
-    traversed downward) plus one component per time: a left ray pair at
-    apex tau_j with angles +-2pi/3, the vertical line through tau_j
-    deformed so that every kernel factor decays cubically.
+    One right component gamma_R (rays from apex C = max(times) + 1 at
+    angles +-pi/3, traversed downward) plus one component per time: a
+    left ray pair at apex tau_j with angles +-2pi/3, the vertical line
+    through tau_j deformed so that every kernel factor decays cubically.
     ``endpoint_scale`` feeds the slowest linear growth (from interval
     endpoints) into the truncation rule; ``radius`` overrides the rule
     for every component.
     """
     t = validate_times(times)
-    if C is None:
-        C = float(t.max()) + 1.0
-    if not C > t.max():
-        raise ContourError(f"need C > max(times); got C={C}, max={t.max()}")
+    C = float(t.max()) + 1.0
     a = abs(endpoint_scale)
     dt_min = np.diff(t).min() if len(t) > 1 else None
 
@@ -304,12 +302,11 @@ def build_airy_system(times, C=None, radius=None, m=80, endpoint_scale=0.0):
         r_left = max(r_left, solve_radius(
             lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
     grids = [build_grid(
-        ContourComponent("ray-pair", complex(C), (np.pi / 3, -np.pi / 3),
-                         r_right, "gamma_R"), m)]
+        ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), r_right,
+                         "gamma_R"), m)]
     for j, tau in enumerate(t):
         grids.append(build_grid(
-            ContourComponent("ray-pair", complex(tau),
-                             (-2 * np.pi / 3, 2 * np.pi / 3),
+            ContourComponent(complex(tau), (-2 * np.pi / 3, 2 * np.pi / 3),
                              radius or r_left, f"line_{j + 1}"), m))
     meta = {"C": C, "m": m, "eps": DEFAULT_TAIL_EPS,
             "radii": {g.component.label: g.component.truncation_radius
@@ -347,12 +344,11 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
             lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
 
     comps = [
-        ContourComponent("ray-pair", complex(delta),
-                         (np.pi / 4, -np.pi / 4), r_x, "gamma_R"),
-        ContourComponent("ray-pair", complex(-delta),
-                         (-3 * np.pi / 4, 3 * np.pi / 4), r_x, "gamma_L"),
-        ContourComponent("vertical-line", 0j,
-                         (-np.pi / 2, np.pi / 2), r_line, "iR"),
+        ContourComponent(complex(delta), (np.pi / 4, -np.pi / 4), r_x,
+                         "gamma_R"),
+        ContourComponent(complex(-delta), (-3 * np.pi / 4, 3 * np.pi / 4),
+                         r_x, "gamma_L"),
+        ContourComponent(0j, (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
     meta = {"delta": delta, "m": m, "eps": DEFAULT_TAIL_EPS,
             "radii": {c.label: c.truncation_radius for c in comps}}

@@ -15,7 +15,7 @@ from .fredholm import det
 
 
 def airy_gap_probability(times, intervals, representation="iiks", m=80,
-                         gauge=True, C=None, radius=None,
+                         gauge=True, radius=None,
                          t_cut=airy.DEFAULT_TAIL_CUT):
     """Gap probability of the multi-time Airy process.
 
@@ -27,13 +27,11 @@ def airy_gap_probability(times, intervals, representation="iiks", m=80,
     ep = intervals if isinstance(intervals, airy.AiryEndpoints) \
         else airy.AiryEndpoints(intervals)
     if representation == "iiks":
-        system = build_airy_system(
-            t, C=C, radius=radius, m=m,
-            endpoint_scale=ep.max_abs_endpoint())
+        system = build_airy_system(t, radius=radius, m=m,
+                                   endpoint_scale=ep.max_abs_endpoint())
         op = airy.iiks_operator(ep, t, system, gauge=gauge)
     elif representation == "physical":
-        op = airy.physical_operator(ep, t, m=m, t_cut=t_cut, C=C,
-                                    radius=radius)
+        op = airy.physical_operator(ep, t, m=m, t_cut=t_cut, radius=radius)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)
@@ -54,8 +52,7 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
     if representation == "iiks":
         op = pearcey.iiks_operator(ep, t, system)
     elif representation == "physical":
-        op = pearcey.physical_operator(ep, t, system=system, m=m,
-                                       delta=delta)
+        op = pearcey.physical_operator(ep, t, system)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)

@@ -62,27 +62,18 @@ def conjugated_jump(process, lam, comp_label, endpoints, times):
     return np.where(g0 == 0, 0.0, out)
 
 
-def gamma_moments(process, endpoints, times, system=None, m=80,
-                  gauge=True, delta=0.5):
+def gamma_moments(process, endpoints, times, m=80):
     """First two expansion moments of the RH solution.
 
     Gamma_k = int_gamma F(mu) g^T(mu) mu^{k-1} d mu with F the resolvent
     image of f; the diagonal gauge drops out of the product F g^T.
     """
     t = validate_times(times)
-    if process == "airy":
-        if system is None:
-            system = build_airy_system(
-                t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-        s = airy.iiks_slots(endpoints, t, system, gauge)
-        op = airy.iiks_from_slots(s, endpoints, system, gauge)
-    else:
-        if system is None:
-            system = build_pearcey_system(
-                t, delta=delta, m=m,
-                endpoint_scale=endpoints.max_abs_endpoint())
-        s = pearcey.iiks_slots(endpoints, t, system)
-        op = pearcey.iiks_from_slots(s, endpoints, t, system)
+    mod, build = (airy, build_airy_system) if process == "airy" \
+        else (pearcey, build_pearcey_system)
+    system = build(t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
+    s = mod.iiks_slots(endpoints, t, system)
+    op = mod.iiks_from_slots(s, endpoints, t, system)
     sol = solve_resolvent(op, s.f.T / TWO_PI_I)
     out = []
     for k in (1, 2):
@@ -91,7 +82,7 @@ def gamma_moments(process, endpoints, times, system=None, m=80,
     return tuple(out)
 
 
-def log_derivatives(process, endpoints, times, m=80, gauge=True, delta=0.5):
+def log_derivatives(process, endpoints, times, m=80):
     """Every endpoint and time log-derivative of det from one moment solve.
 
     d log det / d a_i^(ell) = -(Gamma_1)_qq with q the row of a_i^(ell);
@@ -101,8 +92,7 @@ def log_derivatives(process, endpoints, times, m=80, gauge=True, delta=0.5):
     {"a": {(i, ell): value}, "tau": {i: value}}.
     """
     t = validate_times(times)
-    g1, g2 = gamma_moments(process, endpoints, t, m=m, gauge=gauge,
-                           delta=delta)
+    g1, g2 = gamma_moments(process, endpoints, t, m=m)
     g1sq = g1 @ g1
     out = {"a": {}, "tau": {}}
     for i, ends in enumerate(endpoints.per_time):
@@ -118,27 +108,25 @@ def log_derivatives(process, endpoints, times, m=80, gauge=True, delta=0.5):
     return out
 
 
-def _log_det(process, times, endpoints, m, gauge):
-    if process == "airy":
-        res = airy_gap_probability(times, endpoints, m=m, gauge=gauge)
-    else:
-        res = pearcey_gap_probability(times, endpoints, m=m)
-    return res.log_value.real
+def _log_det(process, times, endpoints, m):
+    fn = airy_gap_probability if process == "airy" \
+        else pearcey_gap_probability
+    return fn(times, endpoints, m=m).log_value.real
 
 
-def _fd_endpoint(process, endpoints, times, i, ell, h, m, gauge):
-    up = _log_det(process, times, endpoints.shifted(i, ell, h), m, gauge)
-    dn = _log_det(process, times, endpoints.shifted(i, ell, -h), m, gauge)
+def _fd_endpoint(process, endpoints, times, i, ell, h, m):
+    up = _log_det(process, times, endpoints.shifted(i, ell, h), m)
+    dn = _log_det(process, times, endpoints.shifted(i, ell, -h), m)
     return (up - dn) / (2.0 * h)
 
 
-def _fd_time(process, endpoints, times, i, h, m, gauge):
+def _fd_time(process, endpoints, times, i, h, m):
     t = np.asarray(times, dtype=float)
     tp, tm = t.copy(), t.copy()
     tp[i] += h
     tm[i] -= h
-    up = _log_det(process, tp, endpoints, m, gauge)
-    dn = _log_det(process, tm, endpoints, m, gauge)
+    up = _log_det(process, tp, endpoints, m)
+    dn = _log_det(process, tm, endpoints, m)
     return (up - dn) / (2.0 * h)
 
 
@@ -148,18 +136,15 @@ def _entry(fd, formula):
             "rel_mismatch": abs(fd - formula) / scale}
 
 
-def _derivative_report(process, endpoints, times, m, step, tau_step,
-                       gauge=True, delta=0.5):
+def _derivative_report(process, endpoints, times, m, step, tau_step):
     """Central differences of log det against ``log_derivatives``."""
     t = validate_times(times)
-    formulas = log_derivatives(process, endpoints, t, m=m, gauge=gauge,
-                               delta=delta)
+    formulas = log_derivatives(process, endpoints, t, m=m)
     report = {
         "a": {(i, ell): _entry(_fd_endpoint(process, endpoints, t, i, ell,
-                                            step, m, gauge), f)
+                                            step, m), f)
               for (i, ell), f in formulas["a"].items()},
-        "tau": {i: _entry(_fd_time(process, endpoints, t, i, tau_step, m,
-                                   gauge), f)
+        "tau": {i: _entry(_fd_time(process, endpoints, t, i, tau_step, m), f)
                 for i, f in formulas["tau"].items()}}
     report["max_rel_mismatch"] = max(
         v["rel_mismatch"] for part in report.values() for v in part.values())
@@ -167,14 +152,12 @@ def _derivative_report(process, endpoints, times, m, step, tau_step,
 
 
 def airy_derivative_report(endpoints, times, m=80, step=1e-3,
-                           tau_step=1e-3, gauge=True):
+                           tau_step=1e-3):
     """Finite differences of log det against the Airy moment formulas."""
-    return _derivative_report("airy", endpoints, times, m, step, tau_step,
-                              gauge=gauge)
+    return _derivative_report("airy", endpoints, times, m, step, tau_step)
 
 
 def pearcey_derivative_report(endpoints, times, m=80, step=1e-3,
-                              tau_step=1e-3, delta=0.5):
+                              tau_step=1e-3):
     """Finite differences against the Pearcey moment formulas."""
-    return _derivative_report("pearcey", endpoints, times, m, step,
-                              tau_step, delta=delta)
+    return _derivative_report("pearcey", endpoints, times, m, step, tau_step)

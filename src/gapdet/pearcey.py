@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contour import (
-    Endpoints,
-    build_pearcey_system,
-    build_slots,
-    validate_times,
-)
+from .contour import Endpoints, build_slots, validate_times
 from .fredholm import cauchy_operator, interval_grid, interval_operator
 
 TWO_PI_I = 2j * np.pi
@@ -196,12 +191,8 @@ def _x_orth(system, s):
     return np.array(x)[s.comp_ids]
 
 
-def iiks_operator(endpoints, times, system=None, m=80, delta=0.5):
+def iiks_operator(endpoints, times, system):
     """Discretized integrable Pearcey operator."""
-    t = validate_times(times)
-    if system is None:
-        system = build_pearcey_system(
-            t, delta=delta, m=m, endpoint_scale=endpoints.max_abs_endpoint())
     return iiks_from_slots(iiks_slots(endpoints, times, system),
                            endpoints, times, system)
 
@@ -261,17 +252,12 @@ def physical_entry(i, j, x, y, system, times):
     return complex(physical_block(i, j, [x], [y], system, times)[0, 0])
 
 
-def physical_operator(endpoints, times, system=None, m=80, delta=0.5):
+def physical_operator(endpoints, times, system):
     """Nystrom discretization of the physical operator chi P chi."""
     t = validate_times(times)
     grids = [interval_grid(e) for e in endpoints.per_time]
-    all_x = np.concatenate([x for x, _ in grids])
-    x_scale = float(np.abs(all_x).max()) if len(all_x) else 0.0
-    if system is None:
-        system = build_pearcey_system(t, delta=delta, m=m,
-                                      endpoint_scale=x_scale)
-    meta = {"process": "pearcey", "representation": "physical", "m": m,
-            "delta": system.meta.get("delta")}
+    meta = {"process": "pearcey", "representation": "physical",
+            "m": system.meta["m"], "delta": system.meta["delta"]}
     return interval_operator(
         grids, lambda i, j, xs, ys: physical_block(i, j, xs, ys, system, t),
         meta)

@@ -134,7 +134,7 @@ def test_criterion_5_derivative_identities():
     g1, _ = isomono.gamma_moments("airy", ep, [0.0, 1.0], m=160)
     formula = -g1[1, 1].real
     mism = [abs(isomono._fd_endpoint("airy", ep, [0.0, 1.0], 0, 0, h,
-                                     160, True) - formula)
+                                     160) - formula)
             for h in (8e-3, 4e-3)]
     ratio = mism[0] / mism[1]
     _report(5, "derivative identities (endpoint and time)",

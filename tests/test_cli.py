@@ -50,6 +50,39 @@ def test_run_det_fails_on_a_singular_operator(tmp_path):
     assert rec["diagnostics"]["rcond"] < 1e-13
 
 
+def test_run_equivalence_fails_on_a_singular_operator(tmp_path):
+    # both representations agree to 1e-24 on noise: the difference alone
+    # does not make a probability
+    cfg = {"process": "airy", "times": [0.0], "intervals": [[-12.0]],
+           "task": "equivalence", "quadrature": {"m": 140}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    code, rec = _run(tmp_path, ["run", str(path)])
+    assert code == 1
+    assert rec["passed"] is False
+    assert rec["abs_difference"] < 1e-6
+
+
+@pytest.mark.parametrize("rep", ["physical", "iiks"])
+@pytest.mark.parametrize("value, rcond, code", [
+    (0.5, 0.3, 0), (1.1, 0.3, 1), (-1e-28, 0.3, 1), (0.5, 1e-14, 1)])
+def test_run_equivalence_verdict_reads_both_determinants(
+        tmp_path, monkeypatch, rep, value, rcond, code):
+    # one representation gets (value, rcond), the other a clean 0.5
+    def fake(process, times, intervals, **kw):
+        dets = {"physical": 0.5, "iiks": 0.5, rep: value}
+        rconds = {"physical": 0.3, "iiks": 0.3, rep: rcond}
+        return {"det_physical": complex(dets["physical"]),
+                "det_iiks": complex(dets["iiks"]), "abs_difference": 0.0,
+                "diagnostics": {r: {"rcond": c} for r, c in rconds.items()}}
+
+    monkeypatch.setattr(cli, "equivalence_report", fake)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"process": "airy", "times": [0.0],
+                                "intervals": [[0.0]], "task": "equivalence"}))
+    assert _run(tmp_path, ["run", str(path)])[0] == code
+
+
 @pytest.mark.parametrize("value, rcond, code", [
     (0.5, 0.3, 0), (1.0 + 5e-9, 0.3, 0), (0.5, 1e-14, 1), (1.1, 0.3, 1),
     (0.0, 0.3, 1), (-0.2, 0.3, 1), (0.5 + 1e-6j, 0.3, 1)])
@@ -73,6 +106,8 @@ def test_run_det_empty_intervals(tmp_path):
     assert code == 0
     assert rec["det"]["re"] == pytest.approx(1.0, abs=1e-12)
 
+
+NAN, INF = float("nan"), float("inf")
 
 _PDE_JOB = {"process": "airy", "times": [0.0, 1.0],
             "intervals": [[0.3], [0.1]], "task": "pde",
@@ -141,6 +176,34 @@ def test_config_validation_errors(tmp_path):
         {**_PDE_JOB, "task": "sweep",
          "pde": {"center": [0.0, 0.2, 0.1], "steps": [0.04]},
          "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
+        # non-finite numbers, which JSON's NaN and Infinity literals allow
+        {"process": "airy", "times": [0.0], "intervals": [[NAN]]},
+        {"process": "airy", "times": [0.0], "intervals": [[-1.0, INF]]},
+        {"process": "pearcey", "times": [0.0], "intervals": [[-INF, 1.0]]},
+        {"process": "airy", "times": [0.0, NAN], "intervals": [[0.0], [0.0]]},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"truncation_radius": INF}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"m": INF}},
+        {"task": "tw-oracle", "s": NAN},
+        {**_PDE_JOB, "pde": {"center": [1.0, INF, 0.1]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "endpoint:0:0",
+                                    "values": [0.0, NAN]}},
+        # sweep axes the job does not have
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "bogus", "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "endpoint:3:0", "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "endpoint:0:1", "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "tau:1", "values": [0.5]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "s", "values": [0.5]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep",
+         "sweep": {"axis": "tau:0", "task": "tw-oracle", "values": [0.5]}},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
@@ -267,14 +330,13 @@ def test_sweep_emits_one_record_per_point_and_csv(tmp_path):
 
 
 def test_sweep_keeps_failed_points(tmp_path):
+    # the first point moves tau_2 onto tau_1, which no determinant accepts
     cfg = {
-        "process": "airy", "times": [0.0], "intervals": [[0.0]],
+        "process": "airy", "times": [0.0, 1.0], "intervals": [[0.0], [0.0]],
         "task": "sweep",
-        "sweep": {"axis": "tau:0", "task": "det", "values": [0.0]},
+        "sweep": {"axis": "tau:1", "task": "det", "values": [0.0, 1.0]},
         "quadrature": {"m": 24},
     }
-    # tau sweep on a single time is fine; break it with an invalid axis
-    cfg["sweep"]["axis"] = "bogus:0"
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out.json"
@@ -283,3 +345,4 @@ def test_sweep_keeps_failed_points(tmp_path):
     assert code == 1
     assert payload["records"][0]["passed"] is False
     assert "error" in payload["records"][0]
+    assert "det" in payload["records"][1]

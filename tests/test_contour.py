@@ -11,27 +11,24 @@ from gapdet.tracy_widom import airy_ai
 
 
 def test_airy_system_single_time_geometry():
-    sys_ = contour.build_airy_system([0.0], C=1.0, m=40)
+    sys_ = contour.build_airy_system([0.0], m=40)
     assert sys_.labels == ("gamma_R", "line_1")
     apexes = sorted(g.component.apex.real for g in sys_.grids)
     assert apexes == [0.0, 1.0]
     line = sys_.grid("line_1").component
-    assert line.kind == "ray-pair"
     assert np.allclose(sorted(np.abs(line.angles)), [2 * np.pi / 3] * 2)
 
 
 def test_airy_system_two_time_gap_and_disjoint():
-    sys_ = contour.build_airy_system([0.0, 0.5], C=1.0, m=40)
+    sys_ = contour.build_airy_system([0.0, 0.5], m=40)
     right = sys_.grid("gamma_R").component.apex.real
     nearest = max(g.component.apex.real for g in sys_.grids
                   if g.component.label != "gamma_R")
-    assert right - nearest == pytest.approx(0.5)
+    assert right - nearest == pytest.approx(1.0)
     assert sys_.min_pairwise_distance() > 0
 
 
 def test_airy_system_rejects_bad_parameters():
-    with pytest.raises(contour.ContourError):
-        contour.build_airy_system([0.0], C=-1.0)
     with pytest.raises(contour.ContourError):
         contour.build_airy_system([0.0, 0.0])
 
@@ -60,7 +57,7 @@ def test_grid_node_count_and_conjugation_symmetry():
 
 
 def test_integrate_constant_gives_length_times_direction():
-    sys_ = contour.build_airy_system([0.0], C=1.0, m=60)
+    sys_ = contour.build_airy_system([0.0], m=60)
     for g in sys_.grids:
         r = g.component.truncation_radius
         phi_in, phi_out = g.component.angles

@@ -19,7 +19,7 @@ def _sampled(kernel, system):
 
 
 def _toy_system(m=24):
-    return contour.build_airy_system([0.0], C=1.0, m=m)
+    return contour.build_airy_system([0.0], m=m)
 
 
 def _random_operator(n=40, scale=0.3, seed=0):

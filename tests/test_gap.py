@@ -18,6 +18,22 @@ def test_empty_intervals_give_unit_determinant():
     assert resp.value == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("representation", ["iiks", "physical"])
+@pytest.mark.parametrize("fn, times, intervals", [
+    (airy_gap_probability, [0.0], [[0.0, np.inf]]),
+    (airy_gap_probability, [0.0], [[np.nan]]),
+    (airy_gap_probability, [0.0, np.nan], [[0.0], [0.0]]),
+    (airy_gap_probability, [0.0, np.inf], [[0.0], [0.0]]),
+    (pearcey_gap_probability, [0.0], [[-np.inf, 1.0]]),
+    (pearcey_gap_probability, [np.nan], [[-1.0, 1.0]]),
+])
+def test_non_finite_inputs_raise(fn, times, intervals, representation):
+    # [0, inf) is the odd count [[0.0]]; written with an infinite endpoint
+    # it must raise, not return a plausible probability
+    with pytest.raises(ValueError, match="finite"):
+        fn(times, intervals, representation=representation, m=40)
+
+
 def test_airy_single_time_against_physical():
     rep = equivalence_report("airy", [0.0], [[0.0]], m=100)
     assert rep["abs_difference"] < 1e-7

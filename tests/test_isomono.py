@@ -155,8 +155,9 @@ def test_pearcey_degenerate_interval():
     # log det do not vanish, they hit the one-point density with
     # opposite signs (d/da1 log det = +rho(a), d/da2 = -rho(a))
     ep = pearcey.PearceyEndpoints([[0.3, 0.3]])
-    op = pearcey.iiks_operator(ep, [0.0], m=100)
-    res = fredholm.det(op)
+    sys_ = contour.build_pearcey_system(
+        [0.0], m=100, endpoint_scale=ep.max_abs_endpoint())
+    res = fredholm.det(pearcey.iiks_operator(ep, [0.0], sys_))
     assert res.value == pytest.approx(1.0, abs=1e-12)
     g1, _ = isomono.gamma_moments("pearcey", ep, [0.0], m=100)
     assert g1[1, 1] == pytest.approx(-g1[2, 2], rel=1e-10)

@@ -167,6 +167,7 @@ def test_downstream_determinant_invariance_under_delta():
     times = [0.0]
     vals = []
     for delta in (0.25, 0.75):
-        op = pearcey.iiks_operator(ep, times, m=120, delta=delta)
-        vals.append(det(op).value)
+        sys_ = contour.build_pearcey_system(
+            times, delta=delta, m=120, endpoint_scale=ep.max_abs_endpoint())
+        vals.append(det(pearcey.iiks_operator(ep, times, sys_)).value)
     assert abs(vals[0] - vals[1]) < 1e-8
