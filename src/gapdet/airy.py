@@ -16,12 +16,14 @@ import numpy as np
 
 from .contour import (
     TAIL_LOG,
+    TWO_PI_I,
     ContourComponent,
     ContourError,
     ContourSystem,
     Endpoints,
     build_grid,
     build_slots,
+    fg_matrices,
     solve_radius,
     validate_times,
 )
@@ -31,8 +33,6 @@ from .fredholm import (
     interval_grid,
     interval_operator,
 )
-
-TWO_PI_I = 2j * np.pi
 
 
 def theta(x, mu):
@@ -130,22 +130,12 @@ def g_columns(mu, comp_label, j, endpoints, times, gauge=False):
     return out
 
 
-def fg_matrices(lam, comp_label, endpoints, times):
-    """All n columns of f and g at a single point: two (p, n) arrays."""
-    n = endpoints.n
-    f = np.hstack([f_columns(lam, comp_label, i, endpoints, times)
-                   for i in range(n)])
-    g = np.hstack([g_columns(lam, comp_label, j, endpoints, times)
-                   for j in range(n)])
-    return f, g
-
-
 def iiks_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
     """n x n matrix kernel value K(lam, mu); zero on a shared component."""
     if comp_lam == comp_mu:
         return np.zeros((endpoints.n, endpoints.n), dtype=complex)
-    f, _ = fg_matrices(lam, comp_lam, endpoints, times)
-    _, g = fg_matrices(mu, comp_mu, endpoints, times)
+    f, _ = fg_matrices(f_columns, g_columns, lam, comp_lam, endpoints, times)
+    _, g = fg_matrices(f_columns, g_columns, mu, comp_mu, endpoints, times)
     return (f.T @ g) / (lam - mu) / TWO_PI_I
 
 
@@ -193,17 +183,18 @@ def iiks_slots(endpoints, times, system, gauge=True):
                        endpoints, times, gauge)
 
 
+def _lead(endpoints, system):
+    """Slots on gamma_R, where K vanishes: the first grid, n per node."""
+    return endpoints.n * len(system.grid("gamma_R"))
+
+
 def iiks_operator(endpoints, times, system, gauge=True):
     """Discretized integrable-kernel operator on the contour system."""
-    return iiks_from_slots(iiks_slots(endpoints, times, system, gauge),
-                           endpoints, times, system, gauge)
-
-
-def iiks_from_slots(s, endpoints, times, system, gauge=True):
-    """``iiks_operator`` from ``iiks_slots``; ``times`` mirrors Pearcey's."""
+    s = iiks_slots(endpoints, times, system, gauge)
     meta = dict(system.meta)
     meta.update({"process": "airy", "gauge": gauge, "p": endpoints.p})
-    return cauchy_operator([(s.f, s.g)], s, s.comp_ids, meta=meta)
+    return cauchy_operator([(s.f, s.g)], s, _lead(endpoints, system),
+                           meta=meta)
 
 
 def iiks_tangent_operator(endpoints, times, system, i, ell):
@@ -214,10 +205,9 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
     """
     t = validate_times(times)
     s = iiks_slots(endpoints, times, system)
-    right = s.comp_ids == system.labels.index("gamma_R")
-    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, right, t[i])
-    return cauchy_operator(terms, s, s.comp_ids,
-                           meta={"tangent": ("a", i, ell)})
+    lead = _lead(endpoints, system)
+    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, lead, t[i])
+    return cauchy_operator(terms, s, lead, meta={"tangent": ("a", i, ell)})
 
 
 # ---------------------------------------------------------------------------

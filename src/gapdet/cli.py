@@ -109,7 +109,7 @@ def validate_config(cfg):
         _validate_pde(cfg.get("pde", {}))
     if task == "tw-oracle":
         _real(cfg.get("s"), "s")
-    else:
+    elif job != "tw-oracle":  # a tw-oracle sweep sets s at each point
         process = cfg.get("process")
         _require(process in ("airy", "pearcey"),
                  f"process: expected 'airy' or 'pearcey', got {process!r}")
@@ -133,6 +133,8 @@ def validate_config(cfg):
             raise ConfigError(f"intervals: {exc}") from exc
     if task == "sweep":
         _validate_axis(cfg["sweep"]["axis"], job, cfg)
+        _require(not cfg.get("csv") or job == "det",
+                 f"csv: only a det sweep writes one, not a {job} sweep")
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
     unknown = sorted(set(quad) - {"m", "truncation_radius", "delta", "t_cut"})
@@ -167,6 +169,7 @@ def _validate_sweep(sweep):
 
 def _validate_axis(axis, job, cfg):
     """A sweep moves ``s`` of a tw-oracle job, else a time or endpoint."""
+    _require(job != "pde", "sweep.task: a pde job reads only pde.center")
     if job == "tw-oracle":
         allowed = ["s"]
     else:

@@ -19,6 +19,8 @@ import numpy as np
 DEFAULT_TAIL_EPS = 1e-16
 #: the decay exponent at which a contour is truncated
 TAIL_LOG = np.log(1.0 / DEFAULT_TAIL_EPS)
+#: the 2 pi i of Cauchy integrals
+TWO_PI_I = 2j * np.pi
 
 _RAY_PANELS = 5
 _PANEL_RATIO = 2.0
@@ -212,6 +214,12 @@ class Endpoints:
             pos += k
         return tuple(offs)
 
+    def check_times(self, times):
+        """Raise ValueError unless there is one endpoint list per time."""
+        if len(times) != self.n:
+            raise ValueError(f"{len(times)} times but {self.n} endpoint "
+                             "lists: need one endpoint list per time")
+
     def row_index(self, i, ell):
         """0-based row of endpoint ell (0-based) of time i in the p-space."""
         return self.offsets[i] + ell
@@ -243,16 +251,17 @@ class Slots:
     comp_ids: np.ndarray
     vec_ids: np.ndarray
 
-    def endpoint_terms(self, row, i, right, shift):
+    def endpoint_terms(self, row, i, lead, shift):
         """(f, g) terms of dK/da for the endpoint a at ``row``, of time i.
 
         In both processes a enters f as e^{a lam_i} on the left contours
         of time i, and g as e^{-a mu_i} on the right contour of time i
         and on the left contours of later times, where lam_i = lam -
-        shift.  ``right`` flags the slots on the right contour.
+        shift.  The ``lead`` leading slots lie on the right contour.
         """
         d = self.nodes - shift
         df, dg = np.zeros_like(self.f), np.zeros_like(self.g)
+        right = np.arange(len(d)) < lead
         sel = ~right & (self.vec_ids == i)
         df[row, sel] = d[sel] * self.f[row, sel]
         sel = (right & (self.vec_ids == i)) | (~right & (self.vec_ids > i))
@@ -275,6 +284,16 @@ def build_slots(system, active, f_columns, g_columns, *args):
                           g_columns(grid.nodes, label, b, *args), grid.nodes,
                           grid.weights, np.full(k, cid), np.full(k, b)))
     return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
+
+
+def fg_matrices(f_columns, g_columns, lam, label, endpoints, times):
+    """All n columns of f and g at one point: two (p, n) arrays."""
+    n = endpoints.n
+    f = np.hstack([f_columns(lam, label, i, endpoints, times)
+                   for i in range(n)])
+    g = np.hstack([g_columns(lam, label, j, endpoints, times)
+                   for j in range(n)])
+    return f, g
 
 
 def build_airy_system(times, radius=None, m=80, endpoint_scale=0.0):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import gauss_legendre_panels
+from .contour import TWO_PI_I, Slots, gauss_legendre_panels
 
 __all__ = [
     "DiscreteOperator",
@@ -58,12 +58,15 @@ class DiscreteOperator:
     leading ``lead`` x ``lead`` block is exactly zero (the kernel
     vanishes between those slots), so the factorization eliminates them
     exactly and factors only an order ``n - lead`` Schur complement.
+    A contour operator carries the ``contour.Slots`` it was assembled
+    from; an interval operator has none.
     """
 
     matrix: np.ndarray
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
     lead: int = 0
+    slots: Slots | None = None
 
     @classmethod
     def from_kernel_matrix(cls, kmat, weights, meta=None):
@@ -95,15 +98,14 @@ class DetResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def cauchy_operator(terms, slots, orth, diag=None, meta=None):
+def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     """Discretize K(lam, mu) = sum f^T(lam) g(mu) / (2 pi i (lam - mu)).
 
     ``terms`` lists the (f, g) pairs of the sum, (p, N) arrays with one
-    column per slot.  K vanishes between slots with equal non-negative
-    ``orth`` ids (one contour where f^T g = 0); at other coincident
-    slots ``diag(i, j, lam)`` gives its removable value times 2 pi i.
-    The leading run of slots with one non-negative id is the operator's
-    vanishing ``lead`` block.
+    column per slot.  K vanishes between the ``lead`` leading slots (one
+    contour where the non-zero rows of f and g never meet, so f^T g = 0
+    there exactly); at coincident slots past them ``diag(i, j, lam)``
+    gives its removable value times 2 pi i.
     """
     f, g = terms[0]
     kmat = f.T @ g
@@ -114,18 +116,14 @@ def cauchy_operator(terms, slots, orth, diag=None, meta=None):
     den[coincident] = 1.0
     np.divide(kmat, den, out=kmat)
     del den
-    kmat /= 2j * np.pi
-    zero = (orth[:, None] == orth[None, :]) & (orth >= 0)[:, None]
-    kmat[zero] = 0.0
+    kmat /= TWO_PI_I
     if diag is not None:
-        rows, cols = np.nonzero(coincident & ~zero)
+        coincident[:lead] = False
+        rows, cols = np.nonzero(coincident)
         kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
-                                slots.nodes[rows]) / (2j * np.pi)
+                                slots.nodes[rows]) / TWO_PI_I
     op = DiscreteOperator.from_kernel_matrix(kmat, slots.weights, meta=meta)
-    lead = 0
-    if len(orth) and orth[0] >= 0:
-        lead = int(np.argmin(np.append(orth, -1) == orth[0]))
-    return replace(op, lead=lead)
+    return replace(op, lead=lead, slots=slots)
 
 
 def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):

@@ -19,13 +19,14 @@ def airy_gap_probability(times, intervals, representation="iiks", m=80,
                          t_cut=airy.DEFAULT_TAIL_CUT):
     """Gap probability of the multi-time Airy process.
 
-    ``intervals`` lists the sorted endpoints per time; an odd count
+    ``intervals`` holds one sorted endpoint list per time; an odd count
     makes the last interval semi-infinite.  Returns a DetResult whose
     value is real up to quadrature error.
     """
     t = validate_times(times)
     ep = intervals if isinstance(intervals, airy.AiryEndpoints) \
         else airy.AiryEndpoints(intervals)
+    ep.check_times(t)
     if representation == "iiks":
         system = build_airy_system(t, radius=radius, m=m,
                                    endpoint_scale=ep.max_abs_endpoint())
@@ -41,11 +42,12 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
                             delta=0.5, radius=None):
     """Gap probability of the multi-time Pearcey process.
 
-    Every time needs an even endpoint count (finite intervals only).
+    One endpoint list per time, each of even count (finite intervals).
     """
     t = validate_times(times)
     ep = intervals if isinstance(intervals, pearcey.PearceyEndpoints) \
         else pearcey.PearceyEndpoints(intervals)
+    ep.check_times(t)
     system = build_pearcey_system(
         t, delta=delta, m=m, radius=radius,
         endpoint_scale=ep.max_abs_endpoint())

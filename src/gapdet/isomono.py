@@ -13,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import airy, pearcey
-from .contour import build_airy_system, build_pearcey_system, validate_times
+from .contour import (TWO_PI_I, build_airy_system, build_pearcey_system,
+                      fg_matrices, validate_times)
 from .fredholm import solve_resolvent
 from .gap import airy_gap_probability, pearcey_gap_probability
-
-TWO_PI_I = 2j * np.pi
 
 
 def jump_matrix(process, lam, comp_label, endpoints, times):
@@ -27,7 +26,8 @@ def jump_matrix(process, lam, comp_label, endpoints, times):
     normalization of f cancels the 2 pi i of the jump formula).
     """
     mod = airy if process == "airy" else pearcey
-    f, g = mod.fg_matrices(lam, comp_label, endpoints, times)
+    f, g = fg_matrices(mod.f_columns, mod.g_columns, lam, comp_label,
+                       endpoints, times)
     return f @ g.T
 
 
@@ -69,11 +69,12 @@ def gamma_moments(process, endpoints, times, m=80):
     image of f; the diagonal gauge drops out of the product F g^T.
     """
     t = validate_times(times)
+    endpoints.check_times(t)
     mod, build = (airy, build_airy_system) if process == "airy" \
         else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-    s = mod.iiks_slots(endpoints, t, system)
-    op = mod.iiks_from_slots(s, endpoints, t, system)
+    op = mod.iiks_operator(endpoints, t, system)
+    s = op.slots
     sol = solve_resolvent(op, s.f.T / TWO_PI_I)
     out = []
     for k in (1, 2):

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contour import Endpoints, build_slots, validate_times
+from .contour import (TWO_PI_I, Endpoints, build_slots, fg_matrices,
+                      validate_times)
 from .fredholm import cauchy_operator, interval_grid, interval_operator
-
-TWO_PI_I = 2j * np.pi
 
 _X_LABELS = ("gamma_R", "gamma_L")
 
@@ -98,16 +97,6 @@ def g_columns(mu, comp_label, j, endpoints, times):
     return out
 
 
-def fg_matrices(lam, comp_label, endpoints, times):
-    """All n columns of f and g at one point: two (p, n) arrays."""
-    n = endpoints.n
-    f = np.hstack([f_columns(lam, comp_label, i, endpoints, times)
-                   for i in range(n)])
-    g = np.hstack([g_columns(lam, comp_label, j, endpoints, times)
-                   for j in range(n)])
-    return f, g
-
-
 def _alternating_sums(endpoints):
     """sum_ell (-1)^ell a_i^(ell) for every time i."""
     return np.array([sum((-1.0) ** ell * a for ell, a in enumerate(ends))
@@ -140,8 +129,8 @@ def iiks_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
         i, j = np.indices((n, n))
         return _diag_limit(i, j, lam, times,
                            _alternating_sums(endpoints)) / TWO_PI_I
-    f, _ = fg_matrices(lam, comp_lam, endpoints, times)
-    _, g = fg_matrices(mu, comp_mu, endpoints, times)
+    f, _ = fg_matrices(f_columns, g_columns, lam, comp_lam, endpoints, times)
+    _, g = fg_matrices(f_columns, g_columns, mu, comp_mu, endpoints, times)
     return (f.T @ g) / (lam - mu) / TWO_PI_I
 
 
@@ -185,38 +174,32 @@ def iiks_slots(endpoints, times, system):
                        f_columns, g_columns, endpoints, times)
 
 
-def _x_orth(system, s):
-    """Per slot: 0 on the X contour, where K vanishes, and -1 on iR."""
-    x = [0 if label in _X_LABELS else -1 for label in system.labels]
-    return np.array(x)[s.comp_ids]
+def _lead(endpoints, system):
+    """Slots on gamma_R and gamma_L, where K vanishes: the first two grids."""
+    return endpoints.n * sum(len(system.grid(c)) for c in _X_LABELS)
 
 
 def iiks_operator(endpoints, times, system):
     """Discretized integrable Pearcey operator."""
-    return iiks_from_slots(iiks_slots(endpoints, times, system),
-                           endpoints, times, system)
-
-
-def iiks_from_slots(s, endpoints, times, system):
-    """``iiks_operator`` assembled from slots built by ``iiks_slots``."""
+    s = iiks_slots(endpoints, times, system)
     coef = _alternating_sums(endpoints)
     meta = dict(system.meta)
     meta.update({"process": "pearcey", "p": endpoints.p})
     return cauchy_operator(
-        [(s.f, s.g)], s, _x_orth(system, s),
+        [(s.f, s.g)], s, _lead(endpoints, system),
         diag=lambda i, j, lam: _diag_limit(i, j, lam, times, coef), meta=meta)
 
 
 def iiks_tangent_operator(endpoints, times, system, i, ell):
     """Endpoint derivative d K / d a_i^(ell) on the same slots."""
     s = iiks_slots(endpoints, times, system)
-    orth = _x_orth(system, s)
-    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, orth == 0, 0.0)
+    lead = _lead(endpoints, system)
+    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, lead, 0.0)
     # d/da of the L'Hopital limit e^{dt lam^2/2} sum (-1)^l a_l
     coef = np.zeros(endpoints.n)
     coef[i] = (-1.0) ** ell
     return cauchy_operator(
-        terms, s, orth,
+        terms, s, lead,
         diag=lambda vi, vj, lam: _diag_limit(vi, vj, lam, times, coef),
         meta={"tangent": ("a", i, ell)})
 

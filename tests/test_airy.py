@@ -7,6 +7,11 @@ from gapdet import airy, contour
 from gapdet.tracy_widom import airy_kernel_matrix
 
 
+def _fg(lam, label, ep, times):
+    return contour.fg_matrices(airy.f_columns, airy.g_columns, lam,
+                               label, ep, times)
+
+
 def test_theta_values():
     assert airy.theta(0.0, 0.0) == 0
     assert airy.theta(1.0, 1.0) == pytest.approx(-2.0 / 3.0)
@@ -67,14 +72,14 @@ def test_fg_support_structure():
     ep = airy.AiryEndpoints([[0.0], [0.5, 1.0]])
     times = [0.0, 1.0]
     lam_r = 1.7 + 0.4j
-    f, g = airy.fg_matrices(lam_r, "gamma_R", ep, times)
+    f, g = _fg(lam_r, "gamma_R", ep, times)
     assert np.all(f[1:] == 0)            # only row 0 on gamma_R
     assert np.all(f[0] != 0)
     assert np.all(g[0] == 0)             # g on gamma_R: own block only
     assert np.count_nonzero(g[:, 0]) == 1
     assert np.count_nonzero(g[:, 1]) == 2
     lam_l = 1.0 + 0.9j  # on line_2 geometrically; chi is by label
-    f2, g2 = airy.fg_matrices(lam_l, "line_2", ep, times)
+    f2, g2 = _fg(lam_l, "line_2", ep, times)
     assert np.all(f2[:, 0] == 0)         # column 1 unsupported on line_2
     assert np.count_nonzero(f2[:, 1]) == 2
     assert g2[0, 1] != 0 and g2[1, 1] != 0  # row 0 and earlier block
@@ -87,8 +92,8 @@ def test_same_contour_orthogonality_is_structural(comp):
     rng = np.random.default_rng(5)
     for _ in range(6):
         lam, mu = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        f, _ = airy.fg_matrices(lam, comp, ep, times)
-        _, g = airy.fg_matrices(mu, comp, ep, times)
+        f, _ = _fg(lam, comp, ep, times)
+        _, g = _fg(mu, comp, ep, times)
         assert np.all(f.T @ g == 0)  # exact structural zeros
 
 

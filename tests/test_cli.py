@@ -204,6 +204,16 @@ def test_config_validation_errors(tmp_path):
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "sweep",
          "sweep": {"axis": "tau:0", "task": "tw-oracle", "values": [0.5]}},
+        # a pde job reads only pde.center: no axis moves its grid
+        {**_PDE_JOB, "task": "sweep",
+         "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0, 2.0]}},
+        {**_PDE_JOB, "task": "sweep",
+         "sweep": {"axis": "endpoint:0:0", "task": "pde", "values": [0.3]}},
+        # the CSV columns hold the determinant of a det record
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "csv": str(tmp_path / "sweep.csv"),
+         "sweep": {"axis": "endpoint:0:0", "task": "equivalence",
+                   "values": [0.0]}},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
@@ -346,3 +356,15 @@ def test_sweep_keeps_failed_points(tmp_path):
     assert payload["records"][0]["passed"] is False
     assert "error" in payload["records"][0]
     assert "det" in payload["records"][1]
+
+
+def test_sweep_of_tw_oracle_needs_no_process(tmp_path):
+    cfg = {"task": "sweep",
+           "sweep": {"axis": "s", "task": "tw-oracle", "values": [-1.0, 0.0]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    code, payload = _run(tmp_path, ["run", str(path)])
+    assert code == 0
+    assert [r["s"] for r in payload["records"]] == [-1.0, 0.0]
+    assert all(r["passed"] for r in payload["records"])
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapdet import airy, fredholm
+from gapdet import airy, fredholm, isomono, pearcey
 from gapdet.gap import (
     airy_gap_probability,
     equivalence_report,
@@ -32,6 +32,30 @@ def test_non_finite_inputs_raise(fn, times, intervals, representation):
     # it must raise, not return a plausible probability
     with pytest.raises(ValueError, match="finite"):
         fn(times, intervals, representation=representation, m=40)
+
+
+_MISMATCHED = [
+    (airy_gap_probability, [0.0, 1.0], [[0.0]]),
+    (airy_gap_probability, [0.0], [[0.0], [0.5]]),
+    (pearcey_gap_probability, [0.0, 1.0], [[-1.0, 1.0]]),
+    (pearcey_gap_probability, [0.0], [[-1.0, 1.0], [-1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("call", [
+    *(lambda fn=fn, t=t, iv=iv, rep=rep: fn(t, iv, rep, m=24)
+      for fn, t, iv in _MISMATCHED for rep in ("iiks", "physical")),
+    lambda: isomono.gamma_moments(
+        "airy", airy.AiryEndpoints([[0.0]]), [0.0, 1.0], m=24),
+    lambda: isomono.gamma_moments(
+        "pearcey", pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2), [0.0], m=24),
+], ids=[f"{fn.__name__.split('_')[0]}-{len(t)}-{len(iv)}-{rep}"
+        for fn, t, iv in _MISMATCHED for rep in ("iiks", "physical")]
+    + ["moments-airy-2-1", "moments-pearcey-1-2"])
+def test_times_and_intervals_counts_must_match(call):
+    # a one-time answer to a two-time question must not come back
+    with pytest.raises(ValueError, match="one endpoint list per time"):
+        call()
 
 
 def test_airy_single_time_against_physical():

@@ -72,6 +72,24 @@ def test_exponent_matrix_traceless(process):
         assert abs(d.sum()) < 1e-12 * max(1.0, np.abs(d).max())
 
 
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_gamma_moments_assembles_through_iiks_operator(process, monkeypatch):
+    # one assembly per call, through the function the benchmark traces
+    mod, ep, t = (airy, AIRY_EP, AIRY_T) if process == "airy" \
+        else (pearcey, PEARCEY_EP, PEARCEY_T)
+    ops = []
+    iiks_operator = mod.iiks_operator
+
+    def counting(*args, **kwargs):
+        ops.append(iiks_operator(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(mod, "iiks_operator", counting)
+    isomono.gamma_moments(process, ep, t, m=24)
+    assert len(ops) == 1
+    assert ops[0].slots.f.shape[1] == ops[0].n
+
+
 def test_gamma_moments_empty_intervals_vanish():
     ep = airy.AiryEndpoints([[], []])
     g1, g2 = isomono.gamma_moments("airy", ep, AIRY_T, m=24)

@@ -7,6 +7,11 @@ from gapdet import contour, pearcey
 from gapdet.fredholm import det
 
 
+def _fg(lam, label, ep, times):
+    return contour.fg_matrices(pearcey.f_columns, pearcey.g_columns, lam,
+                               label, ep, times)
+
+
 def test_phase_values():
     assert pearcey.phase(0, 0.0, 0.0, [0.0]) == 0
     assert pearcey.phase(0, 1.0, 1.0, [0.0]) == pytest.approx(-0.75)
@@ -74,8 +79,8 @@ def test_H_numerator_vanishes_on_diagonal_and_limit():
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-1.0, 1.0]])
     times = [0.0, 1.0]
     lam = 0.35j
-    f, _ = pearcey.fg_matrices(lam, "iR", ep, times)
-    _, g = pearcey.fg_matrices(lam, "iR", ep, times)
+    f, _ = _fg(lam, "iR", ep, times)
+    _, g = _fg(lam, "iR", ep, times)
     prod = f.T @ g
     assert np.abs(prod).max() < 1e-12  # alternating sum cancels at xi = lam
     # analytic limit, endpoints (a, b): e^{dt lam^2 / 2} (a - b)
@@ -101,7 +106,7 @@ def test_fg_orthogonality_at_coincident_points():
     for comp in ("gamma_R", "gamma_L", "iR"):
         for _ in range(5):
             lam = complex(rng.standard_normal(), rng.standard_normal())
-            f, g = pearcey.fg_matrices(lam, comp, ep, times)
+            f, g = _fg(lam, comp, ep, times)
             assert np.abs(f.T @ g).max() < 1e-12
 
 
@@ -151,7 +156,7 @@ def test_jump_D_blocks_match_outer_product():
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
     times = [0.0, 1.0]
     lam = 0.6j
-    f, g = pearcey.fg_matrices(lam, "iR", ep, times)
+    f, g = _fg(lam, "iR", ep, times)
     outer = f @ g.T
     a1, a2 = ep.per_time[1], ep.per_time[0]
     for s in range(2):
