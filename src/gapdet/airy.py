@@ -15,13 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import (
+    RADIUS_CAP,
     TAIL_LOG,
     TWO_PI_I,
     ContourComponent,
     ContourError,
     ContourSystem,
     Endpoints,
-    build_grid,
+    build_grids,
     build_slots,
     fg_matrices,
     solve_radius,
@@ -217,48 +218,64 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
 def physical_contours(times, m=80, radius=None, x_min=0.0):
     """Contours for the physical Airy kernel entries, as a ContourSystem.
 
-    Grid i < n is the mu contour of time i, gamma_R - tau_i (apex
-    C - tau_i with C = max(times) + 1, angles +-pi/3); the last grid is
-    the lam contour, the vertical line deformed to left rays (apex c_L,
-    angles +-2pi/3) for cubic decay.  ``x_min`` is the most negative
-    argument the kernel will see; it slows the decay linearly.
+    "gamma_R" has apex C = max(times) + 1 and angles +-pi/3; the mu
+    contour of time i is gamma_R - tau_i.  "left_line" is the lam
+    contour, the vertical line deformed to left rays (apex c_L, angles
+    +-2pi/3) for cubic decay.  ``x_min`` is the most negative argument
+    the kernel will see; it slows the decay linearly.
+    ``meta["radius_capped"]`` names both contours when the solved radius
+    hit ``RADIUS_CAP``.
     """
     t = validate_times(times)
     C = float(t.max()) + 1.0
-    lin = max(0.0, -x_min) / 2.0
-    r = radius or solve_radius(
-        lambda r: r ** 3 / 3 - lin * r, TAIL_LOG) + 1.0
+    capped = ()
+    if not radius:
+        lin = max(0.0, -x_min) / 2.0
+        radius = solve_radius(lambda r: r ** 3 / 3 - lin * r, TAIL_LOG)
+        if radius == RADIUS_CAP:
+            capped = ("gamma_R", "left_line")
+        radius += 1.0
     c_left = min(0.0, float(t.min())) - 0.5
-    grids = [build_grid(ContourComponent(complex(C - tau),
-                                         (np.pi / 3, -np.pi / 3), r,
-                                         f"gamma_R_minus_tau{i + 1}"), m)
-             for i, tau in enumerate(t)]
-    grids.append(build_grid(
+    grids = build_grids([
+        ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), radius,
+                         "gamma_R"),
         ContourComponent(complex(c_left), (-2 * np.pi / 3, 2 * np.pi / 3),
-                         r, "left_line"), m))
-    return ContourSystem(grids=tuple(grids), meta={"C": C})
+                         radius, "left_line")], m)
+    return ContourSystem(grids=grids, meta={"C": C, "radius_capped": capped})
 
 
-def physical_block(i, j, xs, ys, phys, times):
-    """Matrix of kernel entries A_ij(x, y) over node arrays xs, ys."""
+def _physical_factors(phys, times):
+    """(left, right) with A_ij(x, y) = left(i, x)^T right(j, y) - B_ij.
+
+    left(i, x) = e^{theta(x, mu - tau_i)} and right(j, y) = d_j
+    e^{-theta(y, lam)}, with d_j = w_mu w_lam / ((2 pi i)^2 (lam + tau_j
+    - mu)) for mu on gamma_R and lam on the left line: the mu contour of
+    every time is gamma_R shifted, so the Cauchy factor depends on j
+    alone.
+    """
     t = validate_times(times)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    mu, wmu = phys.grids[i].nodes, phys.grids[i].weights
-    lam, wlam = phys.grids[-1].nodes, phys.grids[-1].weights
-    den = lam[None, :] + t[j] - mu[:, None] - t[i]
-    if np.abs(den).min() < 1e-8:
-        raise ContourError("mu and lam contours collide in the denominator")
-    d = (wmu[:, None] * wlam[None, :]) / den
-    u = np.exp(theta(xs[None, :], mu[:, None]))
-    v = np.exp(-theta(ys[None, :], lam[:, None]))
-    a_tilde = (u.T @ d @ v) / TWO_PI_I ** 2
-    return a_tilde - gaussian_bridge(i, j, xs[:, None], ys[None, :], times)
+    right_grid, left_grid = phys.grids
+    mu, lam = right_grid.nodes, left_grid.nodes
+    w = right_grid.weights[:, None] * left_grid.weights[None, :] / TWO_PI_I ** 2
+
+    def left(i, xs):
+        return np.exp(theta(xs[None, :], mu[:, None] - t[i]))
+
+    def right(j, ys):
+        den = lam[None, :] + t[j] - mu[:, None]
+        if np.abs(den).min() < 1e-8:
+            raise ContourError(
+                "mu and lam contours collide in the denominator")
+        return (w / den) @ np.exp(-theta(ys[None, :], lam[:, None]))
+
+    return left, right
 
 
 def physical_entry(i, j, x, y, phys, times):
     """Single kernel entry A_ij(x, y)."""
-    return complex(physical_block(i, j, [x], [y], phys, times)[0, 0])
+    left, right = _physical_factors(phys, times)
+    u, v = left(i, np.array([float(x)])), right(j, np.array([float(y)]))
+    return complex((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, times))
 
 
 def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
@@ -272,7 +289,8 @@ def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
     meta = {"process": "airy", "representation": "physical", "m": m,
             "t_cut": t_cut, "C": phys.meta["C"],
             "radii": {"right": phys.grids[0].component.truncation_radius,
-                      "left": phys.grids[-1].component.truncation_radius}}
+                      "left": phys.grids[-1].component.truncation_radius},
+            "radius_capped": phys.meta["radius_capped"]}
     return interval_operator(
-        grids, lambda i, j, xs, ys: physical_block(i, j, xs, ys, phys, t),
-        meta)
+        grids, *_physical_factors(phys, t),
+        lambda i, j, xs, ys: gaussian_bridge(i, j, xs, ys, t), meta)

@@ -70,8 +70,7 @@ _PRESETS = {
     },
     "pde": {
         "avm-center": {
-            "process": "airy", "times": [0.0, 1.0],
-            "intervals": [[0.3], [0.1]], "task": "pde",
+            "task": "pde",
             "pde": {"center": [1.0, 0.2, 0.1], "steps": [0.04, 0.02],
                     "radius": 2},
             "quadrature": {"m": 120},
@@ -107,9 +106,11 @@ def validate_config(cfg):
     job = _validate_sweep(cfg.get("sweep")) if task == "sweep" else task
     if job == "pde":
         _validate_pde(cfg.get("pde", {}))
+        ignored = sorted({"process", "times", "intervals"} & set(cfg))
+        _require(not ignored, f"pde: this job ignores keys {ignored}")
     if task == "tw-oracle":
         _real(cfg.get("s"), "s")
-    elif job != "tw-oracle":  # a tw-oracle sweep sets s at each point
+    elif job not in ("tw-oracle", "pde"):  # a tw-oracle sweep sets s
         process = cfg.get("process")
         _require(process in ("airy", "pearcey"),
                  f"process: expected 'airy' or 'pearcey', got {process!r}")
@@ -133,8 +134,8 @@ def validate_config(cfg):
             raise ConfigError(f"intervals: {exc}") from exc
     if task == "sweep":
         _validate_axis(cfg["sweep"]["axis"], job, cfg)
-        _require(not cfg.get("csv") or job == "det",
-                 f"csv: only a det sweep writes one, not a {job} sweep")
+    _require(not cfg.get("csv") or (task, job) == ("sweep", "det"),
+             "csv: only a det sweep writes one")
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
     unknown = sorted(set(quad) - {"m", "truncation_radius", "delta", "t_cut"})

@@ -22,6 +22,9 @@ TAIL_LOG = np.log(1.0 / DEFAULT_TAIL_EPS)
 #: the 2 pi i of Cauchy integrals
 TWO_PI_I = 2j * np.pi
 
+#: the largest truncation radius ``solve_radius`` returns
+RADIUS_CAP = 200.0
+
 _RAY_PANELS = 5
 _PANEL_RATIO = 2.0
 
@@ -85,28 +88,30 @@ class QuadratureGrid:
         return len(self.nodes)
 
 
-def build_grid(component, m):
-    """Quadrature grid with exactly ``m`` nodes on ``component``.
+def build_grids(components, m):
+    """Quadrature grids with exactly ``m`` nodes on each of ``components``.
 
-    Each of the two legs receives m/2 nodes on geometrically graded
-    panels (clustered toward the apex, where the integrands peak).
+    Each of the two legs of a component receives m/2 nodes on
+    geometrically graded panels (clustered toward the apex, where the
+    integrands peak).  One unit-radius rule, scaled to each truncation
+    radius, serves every component.
     """
     if m < 4:
         raise ContourError("need m >= 4 nodes per component")
     if m % 2:
         m += 1
-    half = m // 2
-    breaks = component.truncation_radius / _PANEL_RATIO ** np.arange(
-        _RAY_PANELS, -1, -1, dtype=float)
+    breaks = _PANEL_RATIO ** np.arange(-_RAY_PANELS, 1, dtype=float)
     breaks[0] = 0.0
-    r, w = gauss_legendre_panels(breaks, half)
-    phi_in, phi_out = component.angles
-    d_in, d_out = np.exp(1j * phi_in), np.exp(1j * phi_out)
-    # incoming leg traversed from far to apex, outgoing from apex to far
-    nodes = np.concatenate([component.apex + r[::-1] * d_in,
-                            component.apex + r * d_out])
-    weights = np.concatenate([-w[::-1] * d_in, w * d_out])
-    return QuadratureGrid(nodes=nodes, weights=weights, component=component)
+    r_unit, w_unit = gauss_legendre_panels(breaks, m // 2)
+    grids = []
+    for c in components:
+        r, w = c.truncation_radius * r_unit, c.truncation_radius * w_unit
+        d_in, d_out = np.exp(1j * c.angles[0]), np.exp(1j * c.angles[1])
+        # incoming leg traversed from far to apex, outgoing from apex to far
+        nodes = np.concatenate([c.apex + r[::-1] * d_in, c.apex + r * d_out])
+        weights = np.concatenate([-w[::-1] * d_in, w * d_out])
+        grids.append(QuadratureGrid(nodes=nodes, weights=weights, component=c))
+    return tuple(grids)
 
 
 @dataclass(frozen=True)
@@ -136,17 +141,29 @@ class ContourSystem:
         return best
 
 
-def _check_disjoint(system):
-    if len(system.grids) > 1 and not system.min_pairwise_distance() > 0:
+def _system(comps, m, radius, meta):
+    """Disjoint system of ``comps`` with ``m`` nodes each.
+
+    ``meta["radius_capped"]`` lists the components whose solved radius
+    is ``RADIUS_CAP``; a ``radius`` given by the caller caps nothing.
+    """
+    radii = {c.label: c.truncation_radius for c in comps}
+    capped = () if radius else tuple(
+        label for label, r in radii.items() if r == RADIUS_CAP)
+    system = ContourSystem(grids=build_grids(comps, m), meta={
+        **meta, "m": m, "eps": DEFAULT_TAIL_EPS, "radii": radii,
+        "radius_capped": capped})
+    if len(comps) > 1 and not system.min_pairwise_distance() > 0:
         raise ContourError("contour components collide")
     return system
 
 
-def solve_radius(exponent, target, r_max=200.0):
+def solve_radius(exponent, target, r_max=RADIUS_CAP):
     """Smallest r with exponent(r) >= target, by bracketing + bisection.
 
     ``exponent`` is the decay exponent of the slowest weight on the
-    component, i.e. the weight is exp(-exponent(r)).
+    component, i.e. the weight is exp(-exponent(r)).  Returns exactly
+    ``r_max`` when no r up to it reaches the target.
     """
     lo, hi = 1e-3, 2.0
     while exponent(hi) < target:
@@ -320,17 +337,12 @@ def build_airy_system(times, radius=None, m=80, endpoint_scale=0.0):
     if dt_min is not None:
         r_left = max(r_left, solve_radius(
             lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
-    grids = [build_grid(
-        ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), r_right,
-                         "gamma_R"), m)]
-    for j, tau in enumerate(t):
-        grids.append(build_grid(
-            ContourComponent(complex(tau), (-2 * np.pi / 3, 2 * np.pi / 3),
-                             radius or r_left, f"line_{j + 1}"), m))
-    meta = {"C": C, "m": m, "eps": DEFAULT_TAIL_EPS,
-            "radii": {g.component.label: g.component.truncation_radius
-                      for g in grids}}
-    return _check_disjoint(ContourSystem(grids=tuple(grids), meta=meta))
+    comps = [ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), r_right,
+                              "gamma_R")]
+    comps += [ContourComponent(complex(tau), (-2 * np.pi / 3, 2 * np.pi / 3),
+                               radius or r_left, f"line_{j + 1}")
+              for j, tau in enumerate(t)]
+    return _system(comps, m, radius, {"C": C})
 
 
 def build_pearcey_system(times, delta=0.5, radius=None, m=80,
@@ -369,7 +381,4 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
                          r_x, "gamma_L"),
         ContourComponent(0j, (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
-    meta = {"delta": delta, "m": m, "eps": DEFAULT_TAIL_EPS,
-            "radii": {c.label: c.truncation_radius for c in comps}}
-    return _check_disjoint(
-        ContourSystem(grids=tuple(build_grid(c, m) for c in comps), meta=meta))
+    return _system(comps, m, radius, {"delta": delta})

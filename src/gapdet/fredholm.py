@@ -7,11 +7,18 @@ Both representations of a gap probability are assembled here: the
 physical kernel on real interval grids (``interval_operator``) and the
 integrable kernel f^T(lam) g(mu) / (lam - mu) on contour slots
 (``cauchy_operator``).
+
+Where the finiteness checks stand: an interval operator checks every
+sampled entry before folding.  A contour operator carries the weights
+in its f and g columns and checks those columns, at O(pN) cost; it
+never writes its vanishing ``lead`` x ``lead`` block, and an entry
+that overflows from finite columns shows in the 1-norm of the Schur
+complement, which ``_factor`` checks before every factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -106,24 +113,37 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     contour where the non-zero rows of f and g never meet, so f^T g = 0
     there exactly); at coincident slots past them ``diag(i, j, lam)``
     gives its removable value times 2 pi i.
+
+    The weights live in the columns: f carries sqrt(w) / (2 pi i) and g
+    carries sqrt(w), so one product per entry gives the folded matrix.
+    Only what the factorization reads is written: rows past ``lead``
+    and the ``lead`` x rest block; the ``lead`` x ``lead`` block stays
+    exactly zero.  The scaled columns must be finite, else ValueError;
+    an entry that overflows from finite columns is caught where
+    ``_factor`` forms the Schur complement.
     """
-    f, g = terms[0]
-    kmat = f.T @ g
-    for f, g in terms[1:]:
-        kmat += f.T @ g
-    den = slots.nodes[:, None] - slots.nodes[None, :]
+    s = np.sqrt(slots.weights)
+    f = np.concatenate([f for f, _ in terms]) * (s / TWO_PI_I)
+    g = np.concatenate([g for _, g in terms]) * s
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        raise ValueError("kernel vectors contain non-finite entries")
+    z, k = slots.nodes, lead
+    m = np.zeros((len(z), len(z)), dtype=complex)
+    # slots of distinct components never coincide
+    m[:k, k:] = f[:, :k].T @ g[:, k:]
+    m[:k, k:] /= z[:k, None] - z[None, k:]
+    den = z[k:, None] - z[None, :]
     coincident = den == 0
     den[coincident] = 1.0
-    np.divide(kmat, den, out=kmat)
-    del den
-    kmat /= TWO_PI_I
+    m[k:] = f[:, k:].T @ g
+    m[k:] /= den
     if diag is not None:
-        coincident[:lead] = False
         rows, cols = np.nonzero(coincident)
-        kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
-                                slots.nodes[rows]) / TWO_PI_I
-    op = DiscreteOperator.from_kernel_matrix(kmat, slots.weights, meta=meta)
-    return replace(op, lead=lead, slots=slots)
+        rows += k
+        m[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
+                             z[rows]) * (s[rows] * s[cols] / TWO_PI_I)
+    return DiscreteOperator(matrix=m, weights=slots.weights,
+                            meta=dict(meta or {}), lead=lead, slots=slots)
 
 
 def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
@@ -149,20 +169,22 @@ def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def interval_operator(grids, block, meta):
+def interval_operator(grids, left, right, bridge, meta):
     """Nystrom discretization of chi K chi on per-time interval grids.
 
-    ``grids`` holds one (nodes, weights) pair per time, and
-    ``block(i, j, xs, ys)`` returns the kernel block K_ij on xs x ys.
+    ``grids`` holds one (nodes, weights) pair per time, and the kernel
+    block is K_ij(x, y) = left(i, x)^T right(j, y) - bridge(i, j, x, y):
+    each time's factors are computed once, on its own nodes.
     """
-    sizes = [len(x) for x, _ in grids]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    xs = [x for x, _ in grids]
+    us = [left(i, x) for i, x in enumerate(xs)]
+    vs = [right(j, x) for j, x in enumerate(xs)]
+    starts = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
     kmat = np.zeros((starts[-1], starts[-1]), dtype=complex)
-    for i, (xi, _) in enumerate(grids):
-        for j, (xj, _) in enumerate(grids):
-            if len(xi) and len(xj):
-                kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \
-                    block(i, j, xi, xj)
+    for i, j in np.ndindex(len(xs), len(xs)):
+        if len(xs[i]) and len(xs[j]):
+            kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \
+                us[i].T @ vs[j] - bridge(i, j, xs[i][:, None], xs[j][None, :])
     return DiscreteOperator.from_kernel_matrix(
         kmat, np.concatenate([w for _, w in grids]), meta=meta)
 
@@ -184,6 +206,8 @@ def _factor(op):
     np.subtract(0.0, a, out=a)
     a[np.diag_indices(op.n - k)] += 1.0
     anorm = np.abs(a).sum(axis=0).max(initial=0.0)
+    if not np.isfinite(anorm):
+        raise ValueError("operator has non-finite or overflowing entries")
     lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     d = np.diag(lu)
     if np.any(d == 0):

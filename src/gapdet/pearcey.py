@@ -214,25 +214,33 @@ def _x_nodes(system):
             np.concatenate([gr.weights, gl.weights]))
 
 
-def physical_block(i, j, xs, ys, system, times):
-    """Matrix of kernel entries P_ij(x, y) over node arrays xs, ys."""
-    t = validate_times(times)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+def _physical_factors(system, times):
+    """(left, right) with P_ij(x, y) = left(i, x)^T right(j, y) - Q_ij.
+
+    left(i, x) = e^{Theta_i(x, mu)} for mu on the X contour and
+    right(j, y) = d e^{-Theta_j(y, lam)} for lam on iR, with the Cauchy
+    factor d = w_mu w_lam / ((2 pi i)^2 (lam - mu)) shared by all times.
+    """
     mu, wmu = _x_nodes(system)
     line = system.grid("iR")
-    lam, wlam = line.nodes, line.weights
-    den = lam[None, :] - mu[:, None]
-    d = (wmu[:, None] * wlam[None, :]) / den
-    u = np.exp(phase(i, xs[None, :], mu[:, None], times))
-    v = np.exp(-phase(j, ys[None, :], lam[:, None], times))
-    p_tilde = (u.T @ d @ v) / TWO_PI_I ** 2
-    return p_tilde - heat_kernel(i, j, xs[:, None], ys[None, :], times)
+    lam = line.nodes
+    d = wmu[:, None] * line.weights[None, :] / TWO_PI_I ** 2 \
+        / (lam[None, :] - mu[:, None])
+
+    def left(i, xs):
+        return np.exp(phase(i, xs[None, :], mu[:, None], times))
+
+    def right(j, ys):
+        return d @ np.exp(-phase(j, ys[None, :], lam[:, None], times))
+
+    return left, right
 
 
 def physical_entry(i, j, x, y, system, times):
     """Single kernel entry P_ij(x, y)."""
-    return complex(physical_block(i, j, [x], [y], system, times)[0, 0])
+    left, right = _physical_factors(system, times)
+    u, v = left(i, np.array([float(x)])), right(j, np.array([float(y)]))
+    return complex((u.T @ v)[0, 0] - heat_kernel(i, j, x, y, times))
 
 
 def physical_operator(endpoints, times, system):
@@ -240,7 +248,8 @@ def physical_operator(endpoints, times, system):
     t = validate_times(times)
     grids = [interval_grid(e) for e in endpoints.per_time]
     meta = {"process": "pearcey", "representation": "physical",
-            "m": system.meta["m"], "delta": system.meta["delta"]}
+            "m": system.meta["m"], "delta": system.meta["delta"],
+            "radius_capped": system.meta["radius_capped"]}
     return interval_operator(
-        grids, lambda i, j, xs, ys: physical_block(i, j, xs, ys, system, t),
-        meta)
+        grids, *_physical_factors(system, t),
+        lambda i, j, xs, ys: heat_kernel(i, j, xs, ys, t), meta)

@@ -37,6 +37,17 @@ def test_run_det_task(tmp_path):
     assert json.loads(json.dumps(rec)) == rec
 
 
+@pytest.mark.parametrize("dt, capped", [(1e-3, ["line_1", "line_2"]),
+                                        (1.0, [])])
+def test_run_det_reports_capped_radius(tmp_path, dt, capped):
+    cfg = {"process": "airy", "times": [0.0, dt],
+           "intervals": [[0.0], [0.0]], "quadrature": {"m": 8}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    _, rec = _run(tmp_path, ["run", str(path)])
+    assert rec["diagnostics"]["radius_capped"] == capped
+
+
 def test_run_det_fails_on_a_singular_operator(tmp_path):
     # F2(-12) ~ 1e-32 is below rounding: the LU returns noise with a tiny
     # rcond, which must not pass as a probability
@@ -109,9 +120,7 @@ def test_run_det_empty_intervals(tmp_path):
 
 NAN, INF = float("nan"), float("inf")
 
-_PDE_JOB = {"process": "airy", "times": [0.0, 1.0],
-            "intervals": [[0.3], [0.1]], "task": "pde",
-            "quadrature": {"m": 24}}
+_PDE_JOB = {"task": "pde", "quadrature": {"m": 24}}
 
 
 def test_config_validation_errors(tmp_path):
@@ -140,8 +149,7 @@ def test_config_validation_errors(tmp_path):
          "task": "derivatives", "quadrature": {"truncation_radius": 9.0}},
         {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
          "task": "derivatives", "quadrature": {"delta": 0.3}},
-        {"process": "airy", "times": [0.0, 1.0], "intervals": [[0.3], [0.1]],
-         "task": "pde", "quadrature": {"t_cut": 10.0}},
+        {**_PDE_JOB, "quadrature": {"t_cut": 10.0}},
         {"task": "tw-oracle", "s": 0.0,
          "quadrature": {"truncation_radius": 9.0}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
@@ -168,6 +176,11 @@ def test_config_validation_errors(tmp_path):
         {**_PDE_JOB, "pde": [1.0, 0.2, 0.1]},
         {**_PDE_JOB, "task": "sweep", "pde": {"radius": 1},
          "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
+        # a pde job computes the two-time Airy grid of pde.center only
+        {**_PDE_JOB, "process": "pearcey"},
+        {**_PDE_JOB, "process": "airy", "times": [0.0, 5.0],
+         "intervals": [[0.3], [0.1]]},
+        {**_PDE_JOB, "intervals": [[0.3], [0.1]]},
         # pde grids centered at tau <= 0
         {**_PDE_JOB, "pde": {"center": [0.0, 0.2, 0.1], "steps": [0.04]}},
         {**_PDE_JOB, "pde": {"center": [-0.5, 0.2, 0.1]}},
@@ -214,6 +227,8 @@ def test_config_validation_errors(tmp_path):
          "task": "sweep", "csv": str(tmp_path / "sweep.csv"),
          "sweep": {"axis": "endpoint:0:0", "task": "equivalence",
                    "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "det", "csv": str(tmp_path / "j1.csv")},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
@@ -305,7 +320,6 @@ def test_check_derivatives_preset(tmp_path):
 
 def test_run_pde_task_with_tolerance_override(tmp_path):
     cfg = {
-        "process": "airy", "times": [0.0, 1.0], "intervals": [[0.3], [0.1]],
         "task": "pde",
         "pde": {"center": [1.0, 0.2, 0.1], "steps": [0.08], "radius": 2},
         "quadrature": {"m": 100},

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gapdet import contour
+from gapdet import airy, contour, fredholm, gap, pearcey
 from gapdet.airy import theta
 from gapdet.tracy_widom import airy_ai
 
@@ -26,6 +26,33 @@ def test_airy_system_two_time_gap_and_disjoint():
                   if g.component.label != "gamma_R")
     assert right - nearest == pytest.approx(1.0)
     assert sys_.min_pairwise_distance() > 0
+
+
+@pytest.mark.parametrize("dt, capped", [(1e-3, ("line_1", "line_2")),
+                                        (1.0, ())])
+def test_capped_radius_is_reported(dt, capped):
+    # the Gaussian rule asks for r = sqrt(2 TAIL_LOG / dt), 272 at dt=1e-3
+    sys_ = contour.build_airy_system([0.0, dt], m=8)
+    assert sys_.meta["radius_capped"] == capped
+    assert all(sys_.meta["radii"][c] == contour.RADIUS_CAP for c in capped)
+    res = gap.airy_gap_probability([0.0, dt], [[0.0], [0.0]], m=8)
+    assert res.diagnostics["radius_capped"] == capped
+    # a radius the caller gives is no cap
+    assert contour.build_airy_system(
+        [0.0, dt], m=8, radius=contour.RADIUS_CAP).meta["radius_capped"] == ()
+
+
+def test_capped_physical_radius_is_reported():
+    assert airy.physical_contours([0.0], m=8).meta["radius_capped"] == ()
+    # the linear slowdown from x = -3e4 outgrows the cubic decay up to 200
+    assert airy.physical_contours([0.0], m=8, x_min=-3e4).meta[
+        "radius_capped"] == ("gamma_R", "left_line")
+    op = airy.physical_operator(airy.AiryEndpoints([[0.0]]), [0.0], m=8)
+    assert fredholm.det(op).diagnostics["radius_capped"] == ()
+    sys_ = contour.build_pearcey_system([0.0, 1.0], m=8)
+    op = pearcey.physical_operator(
+        pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2), [0.0, 1.0], sys_)
+    assert op.meta["radius_capped"] == ()
 
 
 def test_airy_system_rejects_bad_parameters():

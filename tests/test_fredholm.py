@@ -1,5 +1,7 @@
 """Determinant engine tests on small synthetic kernels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -113,6 +115,123 @@ def test_assembled_operators_match_pointwise_entries(process):
         ref = mod.physical_entry(times_of[r], times_of[c], nodes[r],
                                  nodes[c], sys_, times)
         assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def _iiks_case(process, tangent):
+    """(operator, its (f, g) terms, slots, diag) at n = 2, small m."""
+    times = [0.0, 1.0]
+    if process == "airy":
+        ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
+        sys_ = contour.build_airy_system(times, m=16, endpoint_scale=0.7)
+        s = airy.iiks_slots(ep, times, sys_)
+        if tangent:
+            op = airy.iiks_tangent_operator(ep, times, sys_, 0, 1)
+            terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead,
+                                     times[0])
+        else:
+            op, terms = airy.iiks_operator(ep, times, sys_), [(s.f, s.g)]
+        return op, terms, s, None
+    ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
+    sys_ = contour.build_pearcey_system(times, m=16, endpoint_scale=1.0)
+    s = pearcey.iiks_slots(ep, times, sys_)
+    if tangent:
+        op = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
+        terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead, 0.0)
+        coef = np.array([-1.0, 0.0])
+    else:
+        op, terms = pearcey.iiks_operator(ep, times, sys_), [(s.f, s.g)]
+        coef = pearcey._alternating_sums(ep)
+    return op, terms, s, \
+        lambda i, j, lam: pearcey._diag_limit(i, j, lam, times, coef)
+
+
+def _dense_reference(terms, slots, lead, diag):
+    """Every entry of sum f^T g / (2 pi i (lam - mu)), weights folded after."""
+    kmat = sum(f.T @ g for f, g in terms)
+    den = slots.nodes[:, None] - slots.nodes[None, :]
+    coincident = den == 0
+    den[coincident] = 1.0
+    kmat = kmat / den / contour.TWO_PI_I
+    if diag is not None:
+        coincident[:lead] = False
+        rows, cols = np.nonzero(coincident)
+        kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
+                                slots.nodes[rows]) / contour.TWO_PI_I
+    s = np.sqrt(slots.weights)
+    return s[:, None] * kmat * s[None, :]
+
+
+@pytest.mark.parametrize("tangent", [False, True], ids=["base", "tangent"])
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_cauchy_assembly_matches_dense_reference(process, tangent):
+    op, terms, s, diag = _iiks_case(process, tangent)
+    ref = _dense_reference(terms, s, op.lead, diag)
+    k = op.lead
+    assert k > 0 and not np.any(ref[:k, :k])
+    assert np.array_equal(op.matrix[:k, :k], np.zeros((k, k)))
+    assert np.all(np.abs(op.matrix - ref) <= 1e-13 * np.abs(ref) + 1e-300)
+    if diag is not None:  # the L'Hopital fill is among the compared entries
+        fill = s.nodes[k:, None] == s.nodes[None, :]
+        assert np.count_nonzero(ref[k:][fill]) > 0
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, -1], ids=["lead-slot", "last-slot"])
+def test_cauchy_operator_rejects_non_finite_columns(side, bad, slot):
+    op, terms, s, _ = _iiks_case("airy", False)
+    cols = getattr(s, side).copy()
+    cols[:, slot] = bad
+    s = replace(s, **{side: cols})
+    with pytest.raises(ValueError):
+        fredholm.cauchy_operator([(s.f, s.g)], s, op.lead)
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+@pytest.mark.parametrize("call", [
+    fredholm.det,
+    lambda op: fredholm.solve_resolvent(op, np.ones(op.n)),
+    lambda op: fredholm.logdet_derivative(op, op),
+], ids=["det", "solve_resolvent", "logdet_derivative"])
+def test_overflowing_cauchy_entries_are_rejected(process, call):
+    # finite columns, but f^T g / (lam - mu) exceeds the double range
+    op, _, s, diag = _iiks_case(process, False)
+    assert np.all(np.isfinite(s.f)) and np.all(np.isfinite(s.g))
+    with pytest.raises(ValueError), np.errstate(over="ignore",
+                                                invalid="ignore"):
+        call(fredholm.cauchy_operator([(1e160 * s.f, 1e160 * s.g)], s,
+                                      op.lead, diag=diag))
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_physical_operator_matches_entries_in_every_block(process):
+    # n = 3 with a different interval count at every time: a time index
+    # swapped between the per-time factors shows in some (i, j) block
+    times = [0.0, 0.5, 1.0]
+    if process == "airy":
+        ep = airy.AiryEndpoints([[-1.0], [-0.5, 0.7], [0.2]])
+        op = airy.physical_operator(ep, times, m=40)
+        grids = [fredholm.interval_grid(e) for e in ep.per_time]
+        x_min = min(x.min() for x, _ in grids)
+        sys_ = airy.physical_contours(times, m=40, x_min=float(x_min))
+    else:
+        ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5, 0.8, 1.2],
+                                       [-0.3, 0.3]])
+        sys_ = contour.build_pearcey_system(times, m=40, endpoint_scale=1.2)
+        op = pearcey.physical_operator(ep, times, sys_)
+        grids = [fredholm.interval_grid(e) for e in ep.per_time]
+    mod = airy if process == "airy" else pearcey
+    starts = np.cumsum([0] + [len(x) for x, _ in grids])
+    kmat = _unfolded(op)
+    rng = np.random.default_rng(41)
+    for i, j in np.ndindex(3, 3):
+        for _ in range(3):
+            a = rng.integers(len(grids[i][0]))
+            b = rng.integers(len(grids[j][0]))
+            ref = mod.physical_entry(i, j, grids[i][0][a], grids[j][0][b],
+                                     sys_, times)
+            got = kmat[starts[i] + a, starts[j] + b]
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_det_log_value_consistency():
