@@ -282,7 +282,8 @@ def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
                       radius=None):
     """Nystrom discretization of the physical operator chi A chi."""
     t = validate_times(times)
-    grids = [interval_grid(e, t_cut=t_cut) for e in endpoints.per_time]
+    rules = {}
+    grids = [interval_grid(e, t_cut, rules) for e in endpoints.per_time]
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
     phys = physical_contours(times, m=m, radius=radius, x_min=x_min)

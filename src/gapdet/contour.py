@@ -33,11 +33,14 @@ class ContourError(ValueError):
     """Invalid contour geometry or parameters."""
 
 
-def gauss_legendre_panels(breaks, n_nodes):
+def gauss_legendre_panels(breaks, n_nodes, rules=None):
     """Composite Gauss-Legendre rule on the panels defined by ``breaks``.
 
     ``n_nodes`` nodes are distributed over the panels as evenly as an
     exact total allows.  Returns real nodes and positive weights.
+    ``rules`` maps a node count to its Gauss-Legendre rule; the rules
+    built here are added to it, so one dict shared by several calls
+    builds each rule once.
     """
     breaks = np.asarray(breaks, dtype=float)
     n_panels = len(breaks) - 1
@@ -45,8 +48,9 @@ def gauss_legendre_panels(breaks, n_nodes):
         raise ContourError("need at least one panel")
     counts = np.full(n_panels, n_nodes // n_panels, dtype=int)
     counts[: n_nodes - counts.sum()] += 1
-    rules = {cnt: np.polynomial.legendre.leggauss(cnt)
-             for cnt in set(counts.tolist()) - {0}}
+    rules = {} if rules is None else rules
+    for cnt in set(counts.tolist()) - {0} - set(rules):
+        rules[cnt] = np.polynomial.legendre.leggauss(cnt)
     xs, ws = [], []
     for (a, b), cnt in zip(zip(breaks[:-1], breaks[1:]), counts):
         if cnt == 0:

@@ -1,19 +1,33 @@
 """Nystrom discretization and the Fredholm determinant engine.
 
-A kernel sampled at quadrature nodes becomes a dense complex matrix M
-with the weights folded in symmetrically, M[r,c] = sqrt(w_r) K(r,c)
+A kernel sampled at quadrature nodes becomes a complex matrix M with
+the weights folded in symmetrically, M[r,c] = sqrt(w_r) K(r,c)
 sqrt(w_c), so that det(I - M) approximates the Fredholm determinant.
 Both representations of a gap probability are assembled here: the
-physical kernel on real interval grids (``interval_operator``) and the
-integrable kernel f^T(lam) g(mu) / (lam - mu) on contour slots
-(``cauchy_operator``).
+physical kernel on real interval grids (``interval_operator``, a dense
+``DiscreteOperator``) and the integrable kernel f^T(lam) g(mu) /
+(lam - mu) on contour slots (``cauchy_operator``, a ``CauchyOperator``).
+
+A contour operator never holds M.  M vanishes on its ``lead`` leading
+slots, M = [[0, B], [C, D]], and det(I - M) = det(S) with the Schur
+complement S = I - D - C B.  S is again integrable: with the folded
+generators f, g and the slots split into X (the lead) and L (the
+rest), 1 / ((z_r - z_l)(z_l - z_c)) = (1 / (z_r - z_l) + 1 / (z_l -
+z_c)) / (z_r - z_c) gives, for z_r != z_c,
+
+    (D + C B)_rc = ((f_r + u_r) . g_c + f_r . v_c) / (z_r - z_c),
+    u = C f_X^T,  v = g_X B,
+
+a numerator of rank 2p, so S costs one such product and one division
+per entry instead of a product of inner dimension ``lead``.  At
+coincident slots D keeps its stored value and the two Cauchy factors
+of C B merge: (C B)_rc = -sum_l C_rl (f_l . g_c) / (z_r - z_l).
 
 Where the finiteness checks stand: an interval operator checks every
-sampled entry before folding.  A contour operator carries the weights
-in its f and g columns and checks those columns, at O(pN) cost; it
-never writes its vanishing ``lead`` x ``lead`` block, and an entry
-that overflows from finite columns shows in the 1-norm of the Schur
-complement, which ``_factor`` checks before every factorization.
+sampled entry before folding.  A contour operator checks its f and g
+columns, at O(pN) cost; an entry of B, C or S that overflows from
+finite columns shows in the 1-norm of S, which ``_factor`` checks
+before every factorization.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ import scipy.linalg as sla
 from .contour import TWO_PI_I, Slots, gauss_legendre_panels
 
 __all__ = [
+    "CauchyOperator",
     "DiscreteOperator",
     "DetResult",
     "NearSingularOperatorError",
@@ -57,23 +72,19 @@ class NearSingularOperatorError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense discretization of a matrix-valued kernel.
+    """Dense discretization of a sampled kernel.
 
-    Row/column r corresponds to one slot: a quadrature node together
-    with one active vector component.  ``matrix`` already contains the
-    quadrature ``weights`` of the slots, folded in symmetrically.  Its
-    leading ``lead`` x ``lead`` block is exactly zero (the kernel
-    vanishes between those slots), so the factorization eliminates them
-    exactly and factors only an order ``n - lead`` Schur complement.
-    A contour operator carries the ``contour.Slots`` it was assembled
-    from; an interval operator has none.
+    Row/column r corresponds to one quadrature node.  ``matrix``
+    already contains the quadrature ``weights``, folded in
+    symmetrically.  No block of it is known to vanish (``lead`` is 0),
+    so the factorization reads all of I - M.
     """
 
     matrix: np.ndarray
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
-    lead: int = 0
-    slots: Slots | None = None
+
+    lead = 0
 
     @classmethod
     def from_kernel_matrix(cls, kmat, weights, meta=None):
@@ -90,6 +101,81 @@ class DiscreteOperator:
     def n(self):
         return self.matrix.shape[0]
 
+    def schur(self):
+        """I - M in a fresh Fortran-ordered array."""
+        # 0 - x, not -x: the off-diagonal zeros of I - M stay +0
+        a = np.subtract(0.0, self.matrix, order="F")
+        a[np.diag_indices(self.n)] += 1.0
+        return a
+
+    def schur_tangent(self, dop):
+        """d(I - M) = -dM for the sampler ``dop``."""
+        return np.subtract(0.0, dop.matrix)
+
+    def trace(self):
+        """tr M."""
+        return complex(np.trace(self.matrix))
+
+
+@dataclass(frozen=True)
+class CauchyOperator:
+    """Integrable-kernel operator, held as O(N lead) data.
+
+    In slot order M = [[0, B], [C, D]], with the exact zero block on
+    the ``lead`` leading slots X.  ``f`` and ``g`` are the folded
+    generators, (q, N) arrays with M[r, c] = f_r . g_c / (z_r - z_c)
+    wherever z_r != z_c; ``b`` = M[X, L] and ``c`` = M[L, X] are
+    stored; D = M[L, L] is not, apart from its values ``fill`` at the
+    coincident rest slots ``pairs`` (indices into L, the diagonal
+    included).  The ``contour.Slots`` it was assembled from are kept
+    for the resolvent moments.
+    """
+
+    f: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    pairs: tuple
+    fill: np.ndarray
+    slots: Slots
+    lead: int
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def n(self):
+        return len(self.slots.nodes)
+
+    @property
+    def weights(self):
+        return self.slots.weights
+
+    def schur(self):
+        """S = I - D - C B in a fresh Fortran-ordered array."""
+        k = self.lead
+        f, g = self.f[:, k:], self.g[:, k:]
+        u, v, cb = _product(self, self)
+        a = _neg_cauchy([(f + u, g), (f, v)], self.slots.nodes[k:],
+                        self.pairs, self.fill + cb)
+        a[np.diag_indices(self.n - k)] += 1.0
+        return a
+
+    def schur_tangent(self, dop):
+        """dS = -(dD + dC B + C dB) for a tangent ``dop`` on the same
+        slots, whose lead block vanishes like that of M."""
+        k = self.lead
+        u1, v1, cb1 = _product(dop, self)  # dC B
+        u2, v2, cb2 = _product(self, dop)  # C dB
+        phi, psi = dop.f[:, k:], dop.g[:, k:]
+        f, g = self.f[:, k:], self.g[:, k:]
+        return _neg_cauchy([(phi + u2, psi), (u1, g), (phi, v1), (f, v2)],
+                           self.slots.nodes[k:], self.pairs,
+                           dop.fill + cb1 + cb2)
+
+    def trace(self):
+        """tr M: the lead block is zero and the diagonal is coincident."""
+        rows, cols = self.pairs
+        return complex(np.sum(self.fill[rows == cols]))
+
 
 @dataclass(frozen=True)
 class DetResult:
@@ -105,6 +191,38 @@ class DetResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _product(a, b):
+    """C_a B_b of two contour operators on the same slots, as (u, v, cb).
+
+    Off the coincident pairs C_a B_b = (u_r . g^b_c + f^a_r . v_c) /
+    (z_r - z_c) with u = f^b_X C_a^T and v = g^a_X B_b (one column per
+    rest slot).  At a pair z_r = z_c the two Cauchy factors merge, and
+    ``cb`` = -w_r . g^b_c with w = (C_a / (z_r - z_X)) f^b_X^T.
+    """
+    k, z = a.lead, a.slots.nodes
+    rows, cols = a.pairs
+    u = b.f[:, :k] @ a.c.T
+    v = a.g[:, :k] @ b.b
+    w = a.c / (z[k:, None] - z[None, :k]) @ b.f[:, :k].T
+    cb = -np.einsum("rq,qr->r", w[rows], b.g[:, k + cols])
+    return u, v, cb
+
+
+def _neg_cauchy(terms, z, pairs, fill):
+    """-sum_t l_t^T r_t / (z_r - z_c) over the (l, r) generator ``terms``,
+    Fortran-ordered, with -``fill`` at the coincident ``pairs``."""
+    left = np.concatenate([l for l, _ in terms])
+    right = np.concatenate([r for _, r in terms])
+    at = right.T @ left  # at[c, r] = l_r . r_c
+    den = np.subtract.outer(z, z)  # den[c, r] = z_c - z_r
+    rows, cols = pairs
+    den[cols, rows] = 1.0
+    at /= den
+    a = at.T
+    a[rows, cols] = -fill
+    return a
+
+
 def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     """Discretize K(lam, mu) = sum f^T(lam) g(mu) / (2 pi i (lam - mu)).
 
@@ -112,15 +230,14 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     column per slot.  K vanishes between the ``lead`` leading slots (one
     contour where the non-zero rows of f and g never meet, so f^T g = 0
     there exactly); at coincident slots past them ``diag(i, j, lam)``
-    gives its removable value times 2 pi i.
+    gives its removable value times 2 pi i (without it, f^T g there).
 
-    The weights live in the columns: f carries sqrt(w) / (2 pi i) and g
-    carries sqrt(w), so one product per entry gives the folded matrix.
-    Only what the factorization reads is written: rows past ``lead``
-    and the ``lead`` x rest block; the ``lead`` x ``lead`` block stays
-    exactly zero.  The scaled columns must be finite, else ValueError;
-    an entry that overflows from finite columns is caught where
-    ``_factor`` forms the Schur complement.
+    The weights live in the generators: f carries sqrt(w) / (2 pi i)
+    and g carries sqrt(w), so one product per entry gives the folded
+    matrix.  Only the B and C blocks are written, and D at coincident
+    slots (see ``CauchyOperator``).  The scaled columns must be finite,
+    else ValueError; an entry that overflows from finite columns is
+    caught where ``_factor`` checks S.
     """
     s = np.sqrt(slots.weights)
     f = np.concatenate([f for f, _ in terms]) * (s / TWO_PI_I)
@@ -128,29 +245,29 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise ValueError("kernel vectors contain non-finite entries")
     z, k = slots.nodes, lead
-    m = np.zeros((len(z), len(z)), dtype=complex)
     # slots of distinct components never coincide
-    m[:k, k:] = f[:, :k].T @ g[:, k:]
-    m[:k, k:] /= z[:k, None] - z[None, k:]
-    den = z[k:, None] - z[None, :]
-    coincident = den == 0
-    den[coincident] = 1.0
-    m[k:] = f[:, k:].T @ g
-    m[k:] /= den
-    if diag is not None:
-        rows, cols = np.nonzero(coincident)
-        rows += k
-        m[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
-                             z[rows]) * (s[rows] * s[cols] / TWO_PI_I)
-    return DiscreteOperator(matrix=m, weights=slots.weights,
-                            meta=dict(meta or {}), lead=lead, slots=slots)
+    b = f[:, :k].T @ g[:, k:]
+    b /= z[:k, None] - z[None, k:]
+    c = f[:, k:].T @ g[:, :k]
+    c /= z[k:, None] - z[None, :k]
+    rows, cols = np.nonzero(z[k:, None] == z[None, k:])
+    if diag is None:
+        fill = np.einsum("qr,qr->r", f[:, k + rows], g[:, k + cols])
+    else:
+        rk, ck = rows + k, cols + k
+        fill = diag(slots.vec_ids[rk], slots.vec_ids[ck], z[rk]) \
+            * (s[rk] * s[ck] / TWO_PI_I)
+    return CauchyOperator(f=f, g=g, b=b, c=c, pairs=(rows, cols), fill=fill,
+                          slots=slots, lead=lead, meta=dict(meta or {}))
 
 
-def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
+def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT, rules=None):
     """Real quadrature nodes/weights on a union of intervals.
 
     ``ends`` are the sorted endpoints of one time; an odd count makes
-    the last interval semi-infinite, truncated at ``t_cut``.
+    the last interval semi-infinite, truncated at ``t_cut``.  ``rules``
+    is passed to ``gauss_legendre_panels``: a physical operator shares
+    one dict over its times, so each distinct rule is built once.
     """
     ends = list(ends)
     if not ends:
@@ -163,7 +280,7 @@ def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT):
         n_panels = max(1, int(np.ceil(length / _MAX_PANEL)))
         n_nodes = max(_MIN_NODES, int(np.ceil(_NODES_PER_UNIT * length)))
         x, w = gauss_legendre_panels(np.linspace(a, b, n_panels + 1),
-                                     n_nodes)
+                                     n_nodes, rules)
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
@@ -189,26 +306,17 @@ def interval_operator(grids, left, right, bridge, meta):
         kmat, np.concatenate([w for _, w in grids]), meta=meta)
 
 
-def _factor(op):
-    """(lu, piv, log det, rcond) of the Schur complement S of I - M.
+def _factor(a, overwrite=True):
+    """(lu, piv, log det, rcond) of the Fortran-ordered matrix ``a``.
 
-    In slot order M = [[0, B], [C, D]] with the zero block on the
-    ``op.lead`` leading slots, so I - M starts with an exact identity
-    block and det(I - M) = det(S), S = I - D - C B of order
-    ``n - lead``.  S is formed Fortran-ordered in one fresh array that
-    LAPACK factors in place; rcond is that of S in its own 1-norm.
-    ``op.matrix`` is left untouched.  With lead 0, S is I - M.
+    ``a`` is the Schur complement S of I - M (``op.schur()``); with
+    ``overwrite`` LAPACK factors it in place.  rcond is that of S in its
+    own 1-norm; a non-finite S raises ValueError.
     """
-    m, k = op.matrix, op.lead
-    a = (m[:k, k:].T @ m[k:, :k].T).T  # C B = (B^T C^T)^T, Fortran-ordered
-    a += m[k:, k:]
-    # 0 - x, not -x: with lead 0 this keeps S bit-identical to I - M
-    np.subtract(0.0, a, out=a)
-    a[np.diag_indices(op.n - k)] += 1.0
     anorm = np.abs(a).sum(axis=0).max(initial=0.0)
     if not np.isfinite(anorm):
         raise ValueError("operator has non-finite or overflowing entries")
-    lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
+    lu, piv = sla.lu_factor(a, overwrite_a=overwrite, check_finite=False)
     d = np.diag(lu)
     if np.any(d == 0):
         return lu, piv, complex(-np.inf, 0.0), 0.0
@@ -222,9 +330,9 @@ def _factor(op):
     return lu, piv, log_value, float(rcond)
 
 
-def _solver(op):
-    """LU factors of S for solves; raises when S is near singular."""
-    lu, piv, _, rcond = _factor(op)
+def _solver(a, overwrite=True):
+    """LU factors of S = ``a`` for solves; raises when S is near singular."""
+    lu, piv, _, rcond = _factor(a, overwrite)
     if rcond < _RCOND_MIN:
         raise NearSingularOperatorError(
             f"operator nearly singular (rcond={rcond:.2e})")
@@ -234,18 +342,30 @@ def _solver(op):
 def _solve(op, factors, b):
     """(I - M)^{-1} b by block elimination: S x_L = b_L + C b_X, then
     x_X = b_X + B x_L."""
-    m, k = op.matrix, op.lead
+    k = op.lead
+    if not k:
+        return sla.lu_solve(factors, b, check_finite=False)
     x = np.empty_like(b)
-    x[k:] = sla.lu_solve(factors, b[k:] + m[k:, :k] @ b[:k],
-                         check_finite=False)
-    x[:k] = b[:k] + m[:k, k:] @ x[k:]
+    x[k:] = sla.lu_solve(factors, b[k:] + op.c @ b[:k], check_finite=False)
+    x[:k] = b[:k] + op.b @ x[k:]
     return x
+
+
+def _apply(op, a, x):
+    """(I - M) x = [x_X - B x_L; S x_L - C (x_X - B x_L)], S = ``a``."""
+    k = op.lead
+    if not k:
+        return a @ x
+    y = np.empty_like(x)
+    y[:k] = x[:k] - op.b @ x[k:]
+    y[k:] = a @ x[k:] - op.c @ y[:k]
+    return y
 
 
 def det(op):
     """Fredholm determinant det(I - M) via pivoted LU of the Schur
     complement (see ``_factor``)."""
-    _, _, log_value, rcond = _factor(op)
+    _, _, log_value, rcond = _factor(op.schur())
     value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
     diag = {"rcond": rcond, "n": op.n, "n_factored": op.n - op.lead,
             "max_abs_imag": abs(value.imag) if np.isfinite(value.real) else np.nan}
@@ -260,7 +380,7 @@ def det2(op):
     det; the trace factor matters for kernels with a genuine diagonal.
     """
     base = det(op)
-    tr = complex(np.trace(op.matrix))
+    tr = op.trace()
     log_value = base.log_value + tr
     value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
     diag = dict(base.diagnostics)
@@ -272,18 +392,20 @@ def solve_resolvent(op, rhs):
     """Solve (I - M) F = f for node values F.
 
     ``rhs`` holds plain kernel-side values at the slots (one column per
-    right-hand side); the weight scaling is internal.
+    right-hand side); the weight scaling is internal.  One refinement
+    step, then the residual must be below 1e-10.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    factors = _solver(op)
+    a = op.schur()
+    factors = _solver(a, overwrite=False)
     s = np.sqrt(op.weights)
     if rhs.ndim == 2:
         s = s[:, None]
     b = rhs * s
-    m = op.matrix
     x = _solve(op, factors, b)
-    x += _solve(op, factors, b - x + m @ x)
-    resid = np.linalg.norm(b - x + m @ x) / max(np.linalg.norm(b), 1e-300)
+    x += _solve(op, factors, b - _apply(op, a, x))
+    resid = np.linalg.norm(b - _apply(op, a, x)) \
+        / max(np.linalg.norm(b), 1e-300)
     if resid > 1e-10:
         raise NearSingularOperatorError(
             f"resolvent residual {resid:.2e} exceeds 1e-10")
@@ -291,19 +413,15 @@ def solve_resolvent(op, rhs):
 
 
 def logdet_derivative(op, dop):
-    """Jacobi's formula: d log det(I - M) = -tr((I - M)^{-1} dM).
+    """Jacobi's formula: d log det(I - M) = tr(S^{-1} dS).
 
-    Through S: tr((I - M)^{-1} dM) = tr(dM_XX)
-    + tr(S^{-1} [(C dM_XX + dM_LX) B + C dM_XL + dM_LL]), with X the
-    ``op.lead`` leading slots and L the rest; C dM_XX is skipped when
-    ``dop`` has the same vanishing block.  ``dop`` must be assembled
-    with the same slots and weights as ``op``.
+    ``dop`` samples dM like ``op`` samples M: a dense sampler for a
+    dense operator, or a contour tangent on the same slots and weights
+    (and with the same vanishing lead block) for a contour operator;
+    ``op.schur_tangent`` assembles dS from both.
     """
-    if dop.n != op.n:
+    if type(dop) is not type(op) or dop.n != op.n or dop.lead != op.lead:
         raise ValueError("operator and derivative sampler are incompatible")
-    m, dm, k = op.matrix, dop.matrix, op.lead
-    b, c = m[:k, k:], m[k:, :k]
-    lx = dm[k:, :k] if dop.lead >= k else c @ dm[:k, :k] + dm[k:, :k]
-    rhs = lx @ b + c @ dm[:k, k:] + dm[k:, k:]
-    x = sla.lu_solve(_solver(op), rhs, check_finite=False)
-    return -complex(np.trace(dm[:k, :k]) + np.trace(x))
+    x = sla.lu_solve(_solver(op.schur()), op.schur_tangent(dop),
+                     check_finite=False)
+    return complex(np.trace(x))

@@ -246,7 +246,8 @@ def physical_entry(i, j, x, y, system, times):
 def physical_operator(endpoints, times, system):
     """Nystrom discretization of the physical operator chi P chi."""
     t = validate_times(times)
-    grids = [interval_grid(e) for e in endpoints.per_time]
+    rules = {}
+    grids = [interval_grid(e, rules=rules) for e in endpoints.per_time]
     meta = {"process": "pearcey", "representation": "physical",
             "m": system.meta["m"], "delta": system.meta["delta"],
             "radius_capped": system.meta["radius_capped"]}

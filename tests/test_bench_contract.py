@@ -75,3 +75,30 @@ WORKLOAD_CALLS = [
          for i, (fn, _, _) in enumerate(WORKLOAD_CALLS)])
 def test_workload_calls_bind(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_tracer_notes_read_the_program(process):
+    # what ``tracing._note`` reads at each layer boundary, on one small
+    # two-time determinant: the full operator order, rcond, every grid's
+    # truncation radius, and one LU of the Schur complement through the
+    # ``scipy.linalg.lu_factor`` shim
+    tracing = _load_tracing()
+    times, m = [0.0, 1.0], 16
+    with tracing.Tracer() as tracer:
+        if process == "airy":
+            res = gap.airy_gap_probability(times, [[0.0], [0.5]], m=m)
+            n, lead, grids = 4 * m, 2 * m, 3  # gamma_R carries both times
+        else:
+            res = gap.pearcey_gap_probability(times, [[-1.0, 1.0]] * 2, m=m)
+            n, lead, grids = 6 * m, 4 * m, 3  # every grid carries both
+    notes = {}
+    for span in tracer.spans:
+        notes.setdefault(span.name, []).append(span.attrs)
+    assert notes[f"{process}.iiks_operator"] == [{"n": n}]
+    assert notes["fredholm.det"] == [{"rcond": res.diagnostics["rcond"]}]
+    assert 0 < res.diagnostics["rcond"] <= 1
+    [radii] = [a["radii"] for a in notes["contour"]]
+    assert len(radii) == grids and all(r > 0 for r in radii)
+    [lu] = notes["fredholm.lu"]
+    assert lu["n"] == n - lead and len(lu["fingerprint"]) == 40

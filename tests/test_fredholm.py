@@ -58,10 +58,29 @@ def test_assemble_gauge_similarity_leaves_det_unchanged():
     assert abs(d1 - d2) < 1e-8
 
 
-def _unfolded(op):
+def _unfolded(m, weights):
     """Kernel samples K(r, c) with the quadrature weights divided out."""
-    s = np.sqrt(op.weights)
-    return op.matrix / s[:, None] / s[None, :]
+    s = np.sqrt(weights)
+    return m / s[:, None] / s[None, :]
+
+
+def _matrix(op):
+    """The full M a contour operator defines: the zero lead block, its B
+    and C blocks, D from its generators and its coincident fill."""
+    k, z = op.lead, op.slots.nodes
+    den = z[:, None] - z[None, :]
+    m = op.f.T @ op.g / np.where(den == 0, 1.0, den)
+    m[:k, :k] = 0.0
+    m[:k, k:], m[k:, :k] = op.b, op.c
+    rows, cols = op.pairs
+    m[k + rows, k + cols] = op.fill
+    return m
+
+
+def _contour_arrays(op):
+    """Every array a contour operator stores, its slots' included."""
+    return [v for v in vars(op).values() if isinstance(v, np.ndarray)] \
+        + list(op.pairs) + list(vars(op.slots).values())
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
@@ -81,7 +100,11 @@ def test_assembled_operators_match_pointwise_entries(process):
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
     assert np.array_equal(op.weights, s.weights)
     labels = [sys_.labels[c] for c in s.comp_ids]
-    kmat = _unfolded(op)
+    # B and C as stored, D from the generators and the coincident fill
+    m = _matrix(op)
+    kmat = _unfolded(m, op.weights)
+    k = op.lead
+    assert np.array_equal(m[:k, k:], op.b) and np.array_equal(m[k:, :k], op.c)
     coincident = 0
     for r in range(op.n):
         for c in range(op.n):
@@ -89,12 +112,13 @@ def test_assembled_operators_match_pointwise_entries(process):
                                         labels[c], ep, times)
             ref = ref[s.vec_ids[r], s.vec_ids[c]]
             if vanishes(labels[r], labels[c]):
-                assert op.matrix[r, c] == 0 and ref == 0
+                assert m[r, c] == 0 and ref == 0
             coincident += labels[r] == labels[c] == "iR" and \
                 s.nodes[r] == s.nodes[c] and ref != 0
             assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
     # the L'Hopital limit fills the coincident (tau_1, tau_2) iR slots
     assert coincident == (len(sys_.grid("iR")) if process == "pearcey" else 0)
+    assert np.count_nonzero(op.fill) == coincident
 
     # physical operator against single entries, on sampled slot pairs;
     # slots run time by time over each time's interval grid
@@ -109,7 +133,7 @@ def test_assembled_operators_match_pointwise_entries(process):
         phys_op = pearcey.physical_operator(ep, times, system=sys_)
     assert np.array_equal(phys_op.weights,
                           np.concatenate([w for _, w in grids]))
-    kmat = _unfolded(phys_op)
+    kmat = _unfolded(phys_op.matrix, phys_op.weights)
     rng = np.random.default_rng(29)
     for r, c in rng.integers(phys_op.n, size=(40, 2)):
         ref = mod.physical_entry(times_of[r], times_of[c], nodes[r],
@@ -117,11 +141,11 @@ def test_assembled_operators_match_pointwise_entries(process):
         assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
-def _iiks_case(process, tangent):
-    """(operator, its (f, g) terms, slots, diag) at n = 2, small m."""
-    times = [0.0, 1.0]
+def _iiks_case(process, tangent, n=2):
+    """(operator, its (f, g) terms, slots, diag) at n times, small m."""
+    times = [0.0, 1.0] if n == 2 else [0.0, 0.5, 1.0]
     if process == "airy":
-        ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
+        ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5], [0.2]][:n])
         sys_ = contour.build_airy_system(times, m=16, endpoint_scale=0.7)
         s = airy.iiks_slots(ep, times, sys_)
         if tangent:
@@ -131,13 +155,15 @@ def _iiks_case(process, tangent):
         else:
             op, terms = airy.iiks_operator(ep, times, sys_), [(s.f, s.g)]
         return op, terms, s, None
-    ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
+    ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5],
+                                   [-0.3, 0.3]][:n])
     sys_ = contour.build_pearcey_system(times, m=16, endpoint_scale=1.0)
     s = pearcey.iiks_slots(ep, times, sys_)
     if tangent:
         op = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
         terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead, 0.0)
-        coef = np.array([-1.0, 0.0])
+        coef = np.zeros(n)
+        coef[0] = -1.0
     else:
         op, terms = pearcey.iiks_operator(ep, times, sys_), [(s.f, s.g)]
         coef = pearcey._alternating_sums(ep)
@@ -162,17 +188,85 @@ def _dense_reference(terms, slots, lead, diag):
 
 
 @pytest.mark.parametrize("tangent", [False, True], ids=["base", "tangent"])
-@pytest.mark.parametrize("process", ["airy", "pearcey"])
+@pytest.mark.parametrize("process", ["airy", "pearcey", "airy-3",
+                                     "pearcey-3"])
 def test_cauchy_assembly_matches_dense_reference(process, tangent):
-    op, terms, s, diag = _iiks_case(process, tangent)
+    process, n = (process.split("-") + ["2"])[:2]
+    n = int(n)
+    op, terms, s, diag = _iiks_case(process, tangent, n)
     ref = _dense_reference(terms, s, op.lead, diag)
     k = op.lead
     assert k > 0 and not np.any(ref[:k, :k])
-    assert np.array_equal(op.matrix[:k, :k], np.zeros((k, k)))
-    assert np.all(np.abs(op.matrix - ref) <= 1e-13 * np.abs(ref) + 1e-300)
+    b, c, d = ref[:k, k:], ref[k:, :k], ref[k:, k:]
+    assert np.all(np.abs(op.b - b) <= 1e-13 * np.abs(b) + 1e-300)
+    assert np.all(np.abs(op.c - c) <= 1e-13 * np.abs(c) + 1e-300)
+    rows, cols = op.pairs
+    assert np.array_equal(s.nodes[k + rows], s.nodes[k + cols])
+    assert len(rows) == np.count_nonzero(s.nodes[k:, None] == s.nodes[None, k:])
+    assert np.all(np.abs(op.fill - d[rows, cols])
+                  <= 1e-13 * np.abs(d[rows, cols]) + 1e-300)
     if diag is not None:  # the L'Hopital fill is among the compared entries
-        fill = s.nodes[k:, None] == s.nodes[None, :]
-        assert np.count_nonzero(ref[k:][fill]) > 0
+        # one per iR node and pair of times tau_i < tau_j (the tangent
+        # in an endpoint of time 0 keeps the pairs with i = 0)
+        n_ir = np.count_nonzero(s.comp_ids == 2) // n
+        pairs = n - 1 if tangent else n * (n - 1) // 2
+        assert np.count_nonzero(d[rows, cols]) == pairs * n_ir
+    # the Schur complement from the generators against the dense product;
+    # a tangent enters only through dS = -(dD + dC B + C dB)
+    if not tangent:
+        got, want = op.schur(), np.eye(op.n - k) - d - c @ b
+    else:
+        base, base_terms, _, base_diag = _iiks_case(process, False, n)
+        base_ref = _dense_reference(base_terms, s, k, base_diag)
+        got = base.schur_tangent(op)
+        want = -(d + c @ base_ref[:k, k:] + base_ref[k:, :k] @ b)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_schur_product_identity_on_random_generators():
+    # a lead of 30 slots away from 44 rest slots that hold pairs 1e-6
+    # apart and groups of two and three coincident nodes
+    rng = np.random.default_rng(47)
+    cplx = lambda *shape: rng.standard_normal(shape) \
+        + 1j * rng.standard_normal(shape)
+    rest = cplx(28)
+    rest[1::4] = rest[::4] + 1e-6 * np.exp(2j * np.pi * rng.random(7))
+    nodes = np.concatenate([4.0 + cplx(30), rest, rest[:8], rest[10:14],
+                            rest[10:14]])
+    n, k, p = len(nodes), 30, 3
+    weights = 0.1 * (rng.random(n) + 0.5) * np.exp(1j * rng.random(n))
+    slots = contour.Slots(f=cplx(p, n), g=cplx(p, n), nodes=nodes,
+                          weights=weights, comp_ids=np.zeros(n, int),
+                          vec_ids=np.zeros(n, int))
+    terms, dterms = [(slots.f, slots.g)], [(cplx(p, n), cplx(p, n))]
+    op = fredholm.cauchy_operator(terms, slots, k)
+    dop = fredholm.cauchy_operator(dterms, slots, k)
+    assert len(op.pairs[0]) == 16 + 8 * 2 ** 2 + 4 * 3 ** 2
+    # dense references: every entry of M and dM, the products as GEMMs
+    m = _dense_reference(terms, slots, k, None)
+    dm = _dense_reference(dterms, slots, k, None)
+    m[:k, :k] = dm[:k, :k] = 0.0
+    for got, want in (_matrix(op), m), (_matrix(dop), dm):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    b, c, d = m[:k, k:], m[k:, :k], m[k:, k:]
+    db, dc, dd = dm[:k, k:], dm[k:, :k], dm[k:, k:]
+    # entrywise against the scale of the dense sums, |D| + |C| |B|
+    for got, want, scale in (
+            (op.schur(), np.eye(n - k) - d - c @ b,
+             1.0 + np.abs(d) + np.abs(c) @ np.abs(b)),
+            (op.schur_tangent(dop), -(dd + dc @ b + c @ db),
+             np.abs(dd) + np.abs(dc) @ np.abs(b) + np.abs(c) @ np.abs(db))):
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+@pytest.mark.parametrize("tangent", [False, True], ids=["base", "tangent"])
+def test_contour_operator_stores_no_order_n_square_array(process, tangent):
+    op, _, _, _ = _iiks_case(process, tangent, 3)
+    sizes = [a.size for a in _contour_arrays(op)]
+    assert op.n == len(op.slots.nodes) and op.lead > 0
+    # no array of M's size, and all of them together hold fewer entries
+    assert sum(sizes) < op.n ** 2
 
 
 @pytest.mark.parametrize("side", ["f", "g"])
@@ -197,10 +291,14 @@ def test_overflowing_cauchy_entries_are_rejected(process, call):
     # finite columns, but f^T g / (lam - mu) exceeds the double range
     op, _, s, diag = _iiks_case(process, False)
     assert np.all(np.isfinite(s.f)) and np.all(np.isfinite(s.g))
-    with pytest.raises(ValueError), np.errstate(over="ignore",
-                                                invalid="ignore"):
-        call(fredholm.cauchy_operator([(1e160 * s.f, 1e160 * s.g)], s,
-                                      op.lead, diag=diag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = fredholm.cauchy_operator([(1e160 * s.f, 1e160 * s.g)], s,
+                                      op.lead, diag=diag)
+        before = [a.copy() for a in _contour_arrays(op)]
+        with pytest.raises(ValueError):
+            call(op)
+    for a, b in zip(_contour_arrays(op), before):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
@@ -222,7 +320,7 @@ def test_physical_operator_matches_entries_in_every_block(process):
         grids = [fredholm.interval_grid(e) for e in ep.per_time]
     mod = airy if process == "airy" else pearcey
     starts = np.cumsum([0] + [len(x) for x, _ in grids])
-    kmat = _unfolded(op)
+    kmat = _unfolded(op.matrix, op.weights)
     rng = np.random.default_rng(41)
     for i, j in np.ndindex(3, 3):
         for _ in range(3):
@@ -232,6 +330,19 @@ def test_physical_operator_matches_entries_in_every_block(process):
                                      sys_, times)
             got = kmat[starts[i] + a, starts[j] + b]
             assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def test_physical_operator_builds_each_gauss_legendre_rule_once(monkeypatch):
+    # three intervals over two times, each of 16 nodes on one panel
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: (calls.append(n), leggauss(n))[1])
+    ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5, 0.8, 1.2]])
+    sys_ = contour.build_pearcey_system([0.0, 1.0], m=40, endpoint_scale=1.2)
+    calls.clear()
+    pearcey.physical_operator(ep, [0.0, 1.0], sys_)
+    assert calls == [16]
 
 
 def test_det_log_value_consistency():
@@ -363,6 +474,14 @@ def test_one_lu_per_call_and_matrix_untouched(call, monkeypatch):
     call(op)
     assert calls == [(op.n, op.n)]
     assert np.array_equal(op.matrix, before)
+    # a contour operator factors S alone and keeps its arrays too
+    op = _iiks_case("pearcey", False)[0]
+    before = [a.copy() for a in _contour_arrays(op)]
+    calls.clear()
+    call(op)
+    assert calls == [(op.n - op.lead, op.n - op.lead)]
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_contour_arrays(op), before))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -374,10 +493,11 @@ def test_logdet_derivative_raises_on_singular():
 
 
 def _schur_case(case):
-    """(operator, tangent sampler or None, expected lead) for one case."""
+    """(operator, its dense M, tangent sampler or None, expected lead)."""
     if case == "physical":
         ep = airy.AiryEndpoints([[0.0], [0.5]])
-        return airy.physical_operator(ep, [0.0, 1.0], m=40), None, 0
+        op = airy.physical_operator(ep, [0.0, 1.0], m=40)
+        return op, op.matrix, None, 0
     process, n = case.split("-")
     n = int(n)
     times = [0.0, 0.5, 1.0][:n]
@@ -389,23 +509,23 @@ def _schur_case(case):
                                          endpoint_scale=ep.max_abs_endpoint())
         op = airy.iiks_operator(ep, times, sys_)
         dop = airy.iiks_tangent_operator(ep, times, sys_, 0, 0)
-        return op, dop, n * m  # gamma_R carries all n vector components
+        return op, _matrix(op), dop, n * m  # gamma_R carries all n
     m = 24
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0]] * n)
     sys_ = contour.build_pearcey_system(times, m=m,
                                         endpoint_scale=ep.max_abs_endpoint())
     op = pearcey.iiks_operator(ep, times, sys_)
     dop = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
-    return op, dop, 2 * n * m  # gamma_R and gamma_L
+    return op, _matrix(op), dop, 2 * n * m  # gamma_R and gamma_L
 
 
 @pytest.mark.parametrize("case", ["airy-1", "airy-2", "airy-3", "pearcey-1",
                                   "pearcey-2", "pearcey-3", "physical"])
 def test_schur_path_matches_dense_linear_algebra(case, monkeypatch):
-    op, tangent, lead = _schur_case(case)
+    op, m, tangent, lead = _schur_case(case)
     assert op.lead == lead
-    assert not np.any(op.matrix[:lead, :lead])
-    a = np.eye(op.n) - op.matrix
+    assert not np.any(m[:lead, :lead])
+    a = np.eye(op.n) - m
     rng = np.random.default_rng(31)
 
     orders = []
@@ -429,17 +549,22 @@ def test_schur_path_matches_dense_linear_algebra(case, monkeypatch):
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     # the block solve alone, before the refinement step (which would
     # repair a wrong B or C coupling exactly)
-    x = fredholm._solve(op, fredholm._solver(op), rhs * s) / s
+    x = fredholm._solve(op, fredholm._solver(op.schur()), rhs * s) / s
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    # a sampler with a non-zero X x X block takes the C dM_XX B path
+    # a dense sampler goes with a dense operator, a contour tangent with
+    # a contour operator; dS never needs the lead x lead block of dM
     dense = fredholm.DiscreteOperator.from_kernel_matrix(
         rng.standard_normal((op.n, op.n)) / op.n, np.ones(op.n))
-    dops = [dense] + ([tangent] if tangent is not None else [])
-    for dop in dops:
-        ref = -np.trace(np.linalg.solve(a, dop.matrix))
-        val = fredholm.logdet_derivative(op, dop)
-        assert abs(val - ref) <= 1e-10 * abs(ref)
-    assert orders == [(op.n - lead, op.n - lead)] * (3 + len(dops))
+    if tangent is None:
+        dop, dm = dense, dense.matrix
+    else:
+        dop, dm = tangent, _matrix(tangent)
+        with pytest.raises(ValueError):
+            fredholm.logdet_derivative(op, dense)
+    ref = -np.trace(np.linalg.solve(a, dm))
+    val = fredholm.logdet_derivative(op, dop)
+    assert abs(val - ref) <= 1e-10 * abs(ref)
+    assert orders == [(op.n - lead, op.n - lead)] * 4
     if case == "airy-2":
         assert orders[0] == (240, 240)
