@@ -8,26 +8,27 @@ physical kernel on real interval grids (``interval_operator``, a dense
 ``DiscreteOperator``) and the integrable kernel f^T(lam) g(mu) /
 (lam - mu) on contour slots (``cauchy_operator``, a ``CauchyOperator``).
 
-A contour operator never holds M.  M vanishes on its ``lead`` leading
-slots, M = [[0, B], [C, D]], and det(I - M) = det(S) with the Schur
-complement S = I - D - C B.  S is again integrable: with the folded
-generators f, g and the slots split into X (the lead) and L (the
-rest), 1 / ((z_r - z_l)(z_l - z_c)) = (1 / (z_r - z_l) + 1 / (z_l -
-z_c)) / (z_r - z_c) gives, for z_r != z_c,
+A contour operator holds neither M nor a block of it.  M vanishes on
+its ``lead`` leading slots X, M = [[0, B], [C, D]], and det(I - M) =
+det(S) with S = I - D - C B.  With the folded generators f, g, X enters
+S only through 1 / (z - xi) at its distinct nodes xi and through P_xi
+= sum f_l g_l^T over the slots at xi: the operator keeps one matrix K
+= 1 / (zeta - xi) over the distinct rest nodes zeta.  With T = K P, the
+partial fractions of 1 / ((z_r - xi)(xi - z_c)) give, for z_r != z_c,
 
     (D + C B)_rc = ((f_r + u_r) . g_c + f_r . v_c) / (z_r - z_c),
-    u = C f_X^T,  v = g_X B,
+    u_r = T_r f_r,  v_c = -T_c^T g_c,
 
 a numerator of rank 2p, so S costs one such product and one division
-per entry instead of a product of inner dimension ``lead``.  At
-coincident slots D keeps its stored value and the two Cauchy factors
-of C B merge: (C B)_rc = -sum_l C_rl (f_l . g_c) / (z_r - z_l).
+per entry.  At coincident slots D keeps its stored value and the two
+Cauchy factors merge: (C B)_rc = -g_c^T ((K o K) P)_r f_r.  C y and B x
+are products of K and K^T with node sums of g y and g x.
 
 Where the finiteness checks stand: an interval operator checks every
 sampled entry before folding.  A contour operator checks its f and g
-columns, at O(pN) cost; an entry of B, C or S that overflows from
-finite columns shows in the 1-norm of S, which ``_factor`` checks
-before every factorization.
+columns, at O(pN) cost; an entry of S that overflows from finite
+columns shows in the 1-norm of S, which ``_factor`` checks before
+every factorization.
 """
 
 from __future__ import annotations
@@ -117,24 +118,57 @@ class DiscreteOperator:
         return complex(np.trace(self.matrix))
 
 
+class _Nodes:
+    """The distinct nodes of a slot set, from one exact sort: ``values``
+    in sorted order, ``ids`` the node of each slot, and ``ranks[j]`` the
+    nodes with more than j slots with the j-th of those slots."""
+
+    def __init__(self, z):
+        self.values, self.ids = np.unique(z, return_inverse=True)
+        order = np.argsort(self.ids, kind="stable")
+        sizes = np.bincount(self.ids)
+        starts = np.cumsum(sizes) - sizes
+        self.ranks = [(i, order[starts[i] + j])
+                      for j in range(sizes.max(initial=0))
+                      for i in [np.flatnonzero(sizes > j)]]
+
+    def sum(self, a):
+        """Rows of ``a``, one per slot, summed over the slots of each node."""
+        out = a[self.ranks[0][1]]
+        for nodes, slots in self.ranks[1:]:
+            out[nodes] += a[slots]
+        return out
+
+    def pairs(self):
+        """Slot pairs (r, c) at one node, the diagonal included, sorted."""
+        group = np.full((len(self.values), len(self.ranks)), -1)
+        for j, (nodes, slots) in enumerate(self.ranks):
+            group[nodes, j] = slots
+        cols = group[self.ids]
+        rows = np.indices(cols.shape)[0]
+        return rows[cols >= 0], cols[cols >= 0]
+
+
 @dataclass(frozen=True)
 class CauchyOperator:
-    """Integrable-kernel operator, held as O(N lead) data.
+    """Integrable-kernel operator: O(N) data and one node-level matrix.
 
     In slot order M = [[0, B], [C, D]], with the exact zero block on
     the ``lead`` leading slots X.  ``f`` and ``g`` are the folded
     generators, (q, N) arrays with M[r, c] = f_r . g_c / (z_r - z_c)
-    wherever z_r != z_c; ``b`` = M[X, L] and ``c`` = M[L, X] are
-    stored; D = M[L, L] is not, apart from its values ``fill`` at the
-    coincident rest slots ``pairs`` (indices into L, the diagonal
-    included).  The ``contour.Slots`` it was assembled from are kept
-    for the resolvent moments.
+    wherever z_r != z_c.  No block is stored: ``lead_nodes`` and
+    ``rest_nodes`` are the distinct nodes xi of X and zeta of the rest
+    L, ``cauchy`` = 1 / (zeta - xi) is the one matrix held, and D is
+    kept only as its values ``fill`` at the coincident rest slots
+    ``pairs`` (indices into L, the diagonal included).  The
+    ``contour.Slots`` are kept for the resolvent moments.
     """
 
     f: np.ndarray
     g: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    cauchy: np.ndarray
+    lead_nodes: _Nodes
+    rest_nodes: _Nodes
     pairs: tuple
     fill: np.ndarray
     slots: Slots
@@ -171,10 +205,32 @@ class CauchyOperator:
                            self.slots.nodes[k:], self.pairs,
                            dop.fill + cb1 + cb2)
 
+    def c_dot(self, y):
+        """C y for ``y`` on the lead slots, one row per slot."""
+        k = self.lead
+        return _couple(self.f[:, k:], self.rest_nodes.ids, self.cauchy,
+                       self.lead_nodes, self.g[:, :k], y)
+
+    def b_dot(self, x):
+        """B x for ``x`` on the rest slots, one row per slot."""
+        k = self.lead
+        return -_couple(self.f[:, :k], self.lead_nodes.ids, self.cauchy.T,
+                        self.rest_nodes, self.g[:, k:], x)
+
     def trace(self):
         """tr M: the lead block is zero and the diagonal is coincident."""
         rows, cols = self.pairs
         return complex(np.sum(self.fill[rows == cols]))
+
+
+def _couple(f, ids, kmat, nodes, g, y):
+    """f_s . sum_t kmat[ids_s, node_t] g_t y_t over the slots t of ``y``
+    (one row each): a product with a lead-rest block of M, summed over
+    the slots at each node of ``nodes`` before the product with kmat."""
+    y2 = y.reshape(len(y), -1)
+    h = nodes.sum((g.T[:, :, None] * y2[:, None, :]).reshape(len(y2), -1))
+    h = (kmat @ h).reshape(len(kmat), len(f), -1)[ids]
+    return np.einsum("is,sir->sr", f, h).reshape(f.shape[1:] + y.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -192,19 +248,18 @@ class DetResult:
 
 
 def _product(a, b):
-    """C_a B_b of two contour operators on the same slots, as (u, v, cb).
-
-    Off the coincident pairs C_a B_b = (u_r . g^b_c + f^a_r . v_c) /
-    (z_r - z_c) with u = f^b_X C_a^T and v = g^a_X B_b (one column per
-    rest slot).  At a pair z_r = z_c the two Cauchy factors merge, and
-    ``cb`` = -w_r . g^b_c with w = (C_a / (z_r - z_X)) f^b_X^T.
-    """
-    k, z = a.lead, a.slots.nodes
+    """C_a B_b of two contour operators on the same slots, as the (u, v,
+    cb) of the module docstring with P_xi = sum f^b_l (g^a_l)^T over the
+    lead slots at xi; ``cb`` holds the values at the coincident pairs."""
+    k, ids, kc = a.lead, a.rest_nodes.ids, a.cauchy
+    fa, gb, fb, ga = a.f[:, k:], b.g[:, k:], b.f[:, :k], a.g[:, :k]
+    p = a.lead_nodes.sum((fb.T[:, :, None] * ga.T[:, None, :]).reshape(k, -1))
+    t = (kc @ p).reshape(-1, len(fb), len(ga))[ids]
+    u = np.einsum("sij,js->is", t, fa)
+    v = -np.einsum("sij,is->js", t, gb)
     rows, cols = a.pairs
-    u = b.f[:, :k] @ a.c.T
-    v = a.g[:, :k] @ b.b
-    w = a.c / (z[k:, None] - z[None, :k]) @ b.f[:, :k].T
-    cb = -np.einsum("rq,qr->r", w[rows], b.g[:, k + cols])
+    w = (kc * kc @ p).reshape(-1, len(fb), len(ga))[ids[rows]]
+    cb = -np.einsum("ip,pij,jp->p", gb[:, cols], w, fa[:, rows])
     return u, v, cb
 
 
@@ -234,10 +289,10 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
 
     The weights live in the generators: f carries sqrt(w) / (2 pi i)
     and g carries sqrt(w), so one product per entry gives the folded
-    matrix.  Only the B and C blocks are written, and D at coincident
-    slots (see ``CauchyOperator``).  The scaled columns must be finite,
-    else ValueError; an entry that overflows from finite columns is
-    caught where ``_factor`` checks S.
+    matrix.  Only the node-level Cauchy matrix is written, and D at
+    coincident slots (see ``CauchyOperator``).  The scaled columns must
+    be finite, else ValueError; an entry that overflows from finite
+    columns is caught where ``_factor`` checks S.
     """
     s = np.sqrt(slots.weights)
     f = np.concatenate([f for f, _ in terms]) * (s / TWO_PI_I)
@@ -245,20 +300,20 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise ValueError("kernel vectors contain non-finite entries")
     z, k = slots.nodes, lead
+    lead_nodes, rest_nodes = _Nodes(z[:k]), _Nodes(z[k:])
     # slots of distinct components never coincide
-    b = f[:, :k].T @ g[:, k:]
-    b /= z[:k, None] - z[None, k:]
-    c = f[:, k:].T @ g[:, :k]
-    c /= z[k:, None] - z[None, :k]
-    rows, cols = np.nonzero(z[k:, None] == z[None, k:])
+    cauchy = 1.0 / np.subtract.outer(rest_nodes.values, lead_nodes.values)
+    rows, cols = rest_nodes.pairs()
+    rk, ck = rows + k, cols + k
     if diag is None:
-        fill = np.einsum("qr,qr->r", f[:, k + rows], g[:, k + cols])
+        fill = np.einsum("qr,qr->r", f[:, rk], g[:, ck])
     else:
-        rk, ck = rows + k, cols + k
         fill = diag(slots.vec_ids[rk], slots.vec_ids[ck], z[rk]) \
             * (s[rk] * s[ck] / TWO_PI_I)
-    return CauchyOperator(f=f, g=g, b=b, c=c, pairs=(rows, cols), fill=fill,
-                          slots=slots, lead=lead, meta=dict(meta or {}))
+    return CauchyOperator(f=f, g=g, cauchy=cauchy, lead_nodes=lead_nodes,
+                          rest_nodes=rest_nodes, pairs=(rows, cols),
+                          fill=fill, slots=slots, lead=lead,
+                          meta=dict(meta or {}))
 
 
 def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT, rules=None):
@@ -346,8 +401,8 @@ def _solve(op, factors, b):
     if not k:
         return sla.lu_solve(factors, b, check_finite=False)
     x = np.empty_like(b)
-    x[k:] = sla.lu_solve(factors, b[k:] + op.c @ b[:k], check_finite=False)
-    x[:k] = b[:k] + op.b @ x[k:]
+    x[k:] = sla.lu_solve(factors, b[k:] + op.c_dot(b[:k]), check_finite=False)
+    x[:k] = b[:k] + op.b_dot(x[k:])
     return x
 
 
@@ -357,8 +412,8 @@ def _apply(op, a, x):
     if not k:
         return a @ x
     y = np.empty_like(x)
-    y[:k] = x[:k] - op.b @ x[k:]
-    y[k:] = a @ x[k:] - op.c @ y[:k]
+    y[:k] = x[:k] - op.b_dot(x[k:])
+    y[k:] = a @ x[k:] - op.c_dot(y[:k])
     return y
 
 

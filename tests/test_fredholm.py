@@ -65,22 +65,38 @@ def _unfolded(m, weights):
 
 
 def _matrix(op):
-    """The full M a contour operator defines: the zero lead block, its B
-    and C blocks, D from its generators and its coincident fill."""
+    """The full M a contour operator defines: the zero lead block, B, C
+    and D from its generators and its coincident fill."""
     k, z = op.lead, op.slots.nodes
     den = z[:, None] - z[None, :]
     m = op.f.T @ op.g / np.where(den == 0, 1.0, den)
     m[:k, :k] = 0.0
-    m[:k, k:], m[k:, :k] = op.b, op.c
     rows, cols = op.pairs
     m[k + rows, k + cols] = op.fill
     return m
 
 
 def _contour_arrays(op):
-    """Every array a contour operator stores, its slots' included."""
+    """Every array a contour operator stores, its slots' and node sets'
+    included."""
+    nodes = [a for n in (op.lead_nodes, op.rest_nodes)
+             for a in [n.values, n.ids] + [a for r in n.ranks for a in r]]
     return [v for v in vars(op).values() if isinstance(v, np.ndarray)] \
-        + list(op.pairs) + list(vars(op.slots).values())
+        + list(op.pairs) + list(vars(op.slots).values()) + nodes
+
+
+def _assert_couplings(op, b, c, seed=0):
+    """The operator's C y and B x against the dense blocks ``b`` and
+    ``c``, on random right-hand sides, entrywise within 1e-13 of |C| |y|
+    and |B| |x|."""
+    rng = np.random.default_rng(seed)
+    k = op.lead
+    y = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+    x = rng.standard_normal((op.n - k, 3)) \
+        + 1j * rng.standard_normal((op.n - k, 3))
+    for got, block, rhs in (op.c_dot(y), c, y), (op.b_dot(x), b, x):
+        assert np.all(np.abs(got - block @ rhs)
+                      <= 1e-13 * (np.abs(block) @ np.abs(rhs)))
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
@@ -100,11 +116,12 @@ def test_assembled_operators_match_pointwise_entries(process):
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
     assert np.array_equal(op.weights, s.weights)
     labels = [sys_.labels[c] for c in s.comp_ids]
-    # B and C as stored, D from the generators and the coincident fill
+    # every entry from the generators and the coincident fill; the
+    # operator applies B and C through its node-level Cauchy matrix
     m = _matrix(op)
     kmat = _unfolded(m, op.weights)
     k = op.lead
-    assert np.array_equal(m[:k, k:], op.b) and np.array_equal(m[k:, :k], op.c)
+    _assert_couplings(op, m[:k, k:], m[k:, :k])
     coincident = 0
     for r in range(op.n):
         for c in range(op.n):
@@ -141,12 +158,12 @@ def test_assembled_operators_match_pointwise_entries(process):
         assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
-def _iiks_case(process, tangent, n=2):
+def _iiks_case(process, tangent, n=2, m=16):
     """(operator, its (f, g) terms, slots, diag) at n times, small m."""
     times = [0.0, 1.0] if n == 2 else [0.0, 0.5, 1.0]
     if process == "airy":
         ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5], [0.2]][:n])
-        sys_ = contour.build_airy_system(times, m=16, endpoint_scale=0.7)
+        sys_ = contour.build_airy_system(times, m=m, endpoint_scale=0.7)
         s = airy.iiks_slots(ep, times, sys_)
         if tangent:
             op = airy.iiks_tangent_operator(ep, times, sys_, 0, 1)
@@ -157,7 +174,7 @@ def _iiks_case(process, tangent, n=2):
         return op, terms, s, None
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5],
                                    [-0.3, 0.3]][:n])
-    sys_ = contour.build_pearcey_system(times, m=16, endpoint_scale=1.0)
+    sys_ = contour.build_pearcey_system(times, m=m, endpoint_scale=1.0)
     s = pearcey.iiks_slots(ep, times, sys_)
     if tangent:
         op = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
@@ -198,11 +215,11 @@ def test_cauchy_assembly_matches_dense_reference(process, tangent):
     k = op.lead
     assert k > 0 and not np.any(ref[:k, :k])
     b, c, d = ref[:k, k:], ref[k:, :k], ref[k:, k:]
-    assert np.all(np.abs(op.b - b) <= 1e-13 * np.abs(b) + 1e-300)
-    assert np.all(np.abs(op.c - c) <= 1e-13 * np.abs(c) + 1e-300)
+    _assert_couplings(op, b, c)
+    # the coincident rest pairs, in the order of a full comparison
     rows, cols = op.pairs
-    assert np.array_equal(s.nodes[k + rows], s.nodes[k + cols])
-    assert len(rows) == np.count_nonzero(s.nodes[k:, None] == s.nodes[None, k:])
+    want = np.nonzero(s.nodes[k:, None] == s.nodes[None, k:])
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
     assert np.all(np.abs(op.fill - d[rows, cols])
                   <= 1e-13 * np.abs(d[rows, cols]) + 1e-300)
     if diag is not None:  # the L'Hopital fill is among the compared entries
@@ -242,6 +259,9 @@ def test_schur_product_identity_on_random_generators():
     op = fredholm.cauchy_operator(terms, slots, k)
     dop = fredholm.cauchy_operator(dterms, slots, k)
     assert len(op.pairs[0]) == 16 + 8 * 2 ** 2 + 4 * 3 ** 2
+    want = np.nonzero(nodes[k:, None] == nodes[None, k:])
+    for got in op.pairs, dop.pairs:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # dense references: every entry of M and dM, the products as GEMMs
     m = _dense_reference(terms, slots, k, None)
     dm = _dense_reference(dterms, slots, k, None)
@@ -250,6 +270,8 @@ def test_schur_product_identity_on_random_generators():
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     b, c, d = m[:k, k:], m[k:, :k], m[k:, k:]
     db, dc, dd = dm[:k, k:], dm[k:, :k], dm[k:, k:]
+    _assert_couplings(op, b, c)
+    _assert_couplings(dop, db, dc)
     # entrywise against the scale of the dense sums, |D| + |C| |B|
     for got, want, scale in (
             (op.schur(), np.eye(n - k) - d - c @ b,
@@ -259,14 +281,35 @@ def test_schur_product_identity_on_random_generators():
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
+def test_schur_cancellation_at_close_rest_nodes_stays_bounded():
+    # single-time Airy at s = -4: rest nodes close together compared with
+    # their distance to the lead contour, where the partial fractions of
+    # C B cancel; S against I - D - C B summed in long double from the
+    # same folded generators
+    ep = airy.AiryEndpoints([[-4.0]])
+    sys_ = contour.build_airy_system([0.0], m=80,
+                                     endpoint_scale=ep.max_abs_endpoint())
+    op = airy.iiks_operator(ep, [0.0], sys_)
+    k, z = op.lead, op.slots.nodes.astype(np.clongdouble)
+    f, g = op.f.astype(np.clongdouble), op.g.astype(np.clongdouble)
+    den = z[:, None] - z[None, :]
+    den[den == 0] = 1.0
+    m = f.T @ g / den  # D at a coincident slot (the diagonal) is f . g
+    b, c, d = m[:k, k:], m[k:, :k], m[k:, k:]
+    want = np.eye(op.n - k, dtype=np.clongdouble) - d - c @ b
+    assert np.abs(op.schur() - want).max() <= 2e-14 * np.abs(want).max()
+    sign, logabs = np.linalg.slogdet(want.astype(complex))
+    assert abs(fredholm.det(op).log_value - (np.log(sign) + logabs)) <= 5e-13
+
+
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
 @pytest.mark.parametrize("tangent", [False, True], ids=["base", "tangent"])
 def test_contour_operator_stores_no_order_n_square_array(process, tangent):
-    op, _, _, _ = _iiks_case(process, tangent, 3)
+    op, _, _, _ = _iiks_case(process, tangent, 3, m=48)
     sizes = [a.size for a in _contour_arrays(op)]
     assert op.n == len(op.slots.nodes) and op.lead > 0
-    # no array of M's size, and all of them together hold fewer entries
-    assert sum(sizes) < op.n ** 2
+    # all of them together hold fewer entries than the block B alone
+    assert sum(sizes) < op.lead * (op.n - op.lead)
 
 
 @pytest.mark.parametrize("side", ["f", "g"])
