@@ -263,6 +263,9 @@ class Slots:
     ``f`` and ``g`` hold the bare integrable-kernel vectors, one column
     per slot.  The grids of a system never share a node, so two slots
     sit at the same point exactly when their nodes are equal.
+    ``mirror`` is the slot at the conjugate node of each slot: every
+    component has a real apex and legs at +-theta, laid out by
+    ``build_grids`` as mirror images.
     """
 
     f: np.ndarray
@@ -271,6 +274,7 @@ class Slots:
     weights: np.ndarray
     comp_ids: np.ndarray
     vec_ids: np.ndarray
+    mirror: np.ndarray
 
     def endpoint_terms(self, row, i, lead, shift):
         """(f, g) terms of dK/da for the endpoint a at ``row``, of time i.
@@ -297,13 +301,15 @@ def build_slots(system, active, f_columns, g_columns, *args):
     carries; ``f_columns(nodes, label, b, *args)`` and ``g_columns``
     return the bare columns of vector component b there.
     """
-    parts = []
+    parts, start = [], 0
     for cid, grid in enumerate(system.grids):
         label, k = grid.component.label, len(grid)
         for b in active(label):
             parts.append((f_columns(grid.nodes, label, b, *args),
                           g_columns(grid.nodes, label, b, *args), grid.nodes,
-                          grid.weights, np.full(k, cid), np.full(k, b)))
+                          grid.weights, np.full(k, cid), np.full(k, b),
+                          start + np.arange(k)[::-1]))
+            start += k
     return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
 
 

@@ -22,12 +22,23 @@ partial fractions of 1 / ((z_r - xi)(xi - z_c)) give, for z_r != z_c,
 a numerator of rank 2p, so S costs one such product and one division
 per entry.  At coincident slots D keeps its stored value and the two
 Cauchy factors merge: (C B)_rc = -g_c^T ((K o K) P)_r f_r.  C y and B x
-are products of K and K^T with node sums of g y and g x.
+are products of K and K^T with node sums of g y and g x, over the rows
+of f and g that are non-zero on some lead slot.
+
+S is factored as a real matrix.  The contours have real apexes and
+mirrored legs, and the phases real coefficients, so S[sigma, sigma] =
+conj(S) for the slot mirror sigma of ``contour.Slots``.  With h the
+first slot of each mirrored pair, A11 = S[h, h], A12 = S[h, sigma h]
+and Q = [[I, I], [-iI, iI]] / sqrt(2) on [h, sigma h], R = Q S Q^H =
+[[Re(A11 + A12), -Im(A11 - A12)], [Im(A11 + A12), Re(A11 - A12)]] is
+real with det R = det S, and only the rows h of S are formed.  Solves
+and the Jacobi trace go through Q as well; a contour determinant is
+real, with ``max_abs_imag`` 0.
 
 Where the finiteness checks stand: an interval operator checks every
 sampled entry before folding.  A contour operator checks its f and g
 columns, at O(pN) cost; an entry of S that overflows from finite
-columns shows in the 1-norm of S, which ``_factor`` checks before
+columns shows in the 1-norm of R, which ``_factor`` checks before
 every factorization.
 """
 
@@ -160,17 +171,23 @@ class CauchyOperator:
     ``rest_nodes`` are the distinct nodes xi of X and zeta of the rest
     L, ``cauchy`` = 1 / (zeta - xi) is the one matrix held, and D is
     kept only as its values ``fill`` at the coincident rest slots
-    ``pairs`` (indices into L, the diagonal included).  The
-    ``contour.Slots`` are kept for the resolvent moments.
+    ``pairs`` (indices into L, the diagonal included).  ``f_rows`` and
+    ``g_rows`` are the rows of f and g that are non-zero on the lead
+    slots; ``mirror`` lists L as [h, sigma h].  ``schur()`` is the real
+    form R (module docstring).  The ``contour.Slots`` are kept for the
+    resolvent moments.
     """
 
     f: np.ndarray
     g: np.ndarray
+    f_rows: np.ndarray
+    g_rows: np.ndarray
     cauchy: np.ndarray
     lead_nodes: _Nodes
     rest_nodes: _Nodes
     pairs: tuple
     fill: np.ndarray
+    mirror: np.ndarray
     slots: Slots
     lead: int
     meta: dict = field(default_factory=dict)
@@ -184,38 +201,72 @@ class CauchyOperator:
         return self.slots.weights
 
     def schur(self):
-        """S = I - D - C B in a fresh Fortran-ordered array."""
+        """R = Q (I - D - C B) Q^H, real, in a fresh Fortran-ordered array."""
         k = self.lead
-        f, g = self.f[:, k:], self.g[:, k:]
-        u, v, cb = _product(self, self)
-        a = _neg_cauchy([(f + u, g), (f, v)], self.slots.nodes[k:],
-                        self.pairs, self.fill + cb)
-        a[np.diag_indices(self.n - k)] += 1.0
-        return a
+        terms, cb = _product(self, self)
+        r = self._real_form([(self.f[:, k:], self.g[:, k:])] + terms,
+                            self.fill + cb)
+        r[np.diag_indices(len(r))] += 1.0
+        return r
 
     def schur_tangent(self, dop):
-        """dS = -(dD + dC B + C dB) for a tangent ``dop`` on the same
-        slots, whose lead block vanishes like that of M."""
+        """Q dS Q^H with dS = -(dD + dC B + C dB), for a tangent ``dop``
+        on the same slots, whose lead block vanishes like that of M."""
         k = self.lead
-        u1, v1, cb1 = _product(dop, self)  # dC B
-        u2, v2, cb2 = _product(self, dop)  # C dB
-        phi, psi = dop.f[:, k:], dop.g[:, k:]
-        f, g = self.f[:, k:], self.g[:, k:]
-        return _neg_cauchy([(phi + u2, psi), (u1, g), (phi, v1), (f, v2)],
-                           self.slots.nodes[k:], self.pairs,
-                           dop.fill + cb1 + cb2)
+        terms1, cb1 = _product(dop, self)  # dC B
+        terms2, cb2 = _product(self, dop)  # C dB
+        return self._real_form([(dop.f[:, k:], dop.g[:, k:])] + terms1
+                               + terms2, dop.fill + cb1 + cb2)
+
+    def _real_form(self, terms, fill):
+        """Q A Q^H for A = -sum_t l_t^T r_t / (z_r - z_c) on L over the
+        (l, r) generator ``terms``, with -``fill`` at the coincident
+        pairs: Fortran-ordered, from the rows h of A alone."""
+        order, z = self.mirror, self.slots.nodes[self.lead:]
+        h = order[:len(order) // 2]
+        left = np.concatenate([l[:, h] for l, _ in terms])
+        right = np.concatenate([r[:, order] for _, r in terms])
+        at = right.T @ left  # at[c, r] = l_r . r_c, c in mirror order
+        den = np.subtract.outer(z[order], z[h])  # den[c, r] = z_c - z_r
+        pos = np.argsort(order)  # the place of each slot of L in order
+        rows, cols = pos[self.pairs[0]], pos[self.pairs[1]]
+        keep = rows < len(h)
+        den[cols[keep], rows[keep]] = 1.0
+        at /= den
+        at[cols[keep], rows[keep]] = -fill[keep]
+        n = len(h)
+        p, m = at[:n] + at[n:], at[:n] - at[n:]
+        r = np.empty((2 * n, 2 * n), order="F")
+        r[:n, :n], r[n:, :n], r[:n, n:], r[n:, n:] = \
+            p.real.T, p.imag.T, -m.imag.T, m.real.T
+        return r
+
+    def fold(self, x):
+        """sqrt(2) Q x for rest-slot rows ``x``, as real columns [Re | Im]."""
+        h, t = np.split(self.mirror, 2)
+        y = np.concatenate([x[h] + x[t], 1j * (x[t] - x[h])])
+        return np.hstack([y.real, y.imag])
+
+    def unfold(self, y):
+        """The x with ``fold(x) = y``."""
+        h, t = np.split(self.mirror, 2)
+        re, im = np.hsplit(y, 2)
+        a, b = np.split(re + 1j * im, 2)
+        x = np.empty(re.shape, dtype=complex)
+        x[h], x[t] = (a + 1j * b) / 2, (a - 1j * b) / 2
+        return x
 
     def c_dot(self, y):
         """C y for ``y`` on the lead slots, one row per slot."""
-        k = self.lead
-        return _couple(self.f[:, k:], self.rest_nodes.ids, self.cauchy,
-                       self.lead_nodes, self.g[:, :k], y)
+        k, q = self.lead, self.g_rows
+        return _couple(self.f[q, k:], self.rest_nodes.ids, self.cauchy,
+                       self.lead_nodes, self.g[q, :k], y)
 
     def b_dot(self, x):
         """B x for ``x`` on the rest slots, one row per slot."""
-        k = self.lead
-        return -_couple(self.f[:, :k], self.lead_nodes.ids, self.cauchy.T,
-                        self.rest_nodes, self.g[:, k:], x)
+        k, q = self.lead, self.f_rows
+        return -_couple(self.f[q, :k], self.lead_nodes.ids, self.cauchy.T,
+                        self.rest_nodes, self.g[q, k:], x)
 
     def trace(self):
         """tr M: the lead block is zero and the diagonal is coincident."""
@@ -229,7 +280,7 @@ def _couple(f, ids, kmat, nodes, g, y):
     the slots at each node of ``nodes`` before the product with kmat."""
     y2 = y.reshape(len(y), -1)
     h = nodes.sum((g.T[:, :, None] * y2[:, None, :]).reshape(len(y2), -1))
-    h = (kmat @ h).reshape(len(kmat), len(f), -1)[ids]
+    h = (kmat @ h).reshape(len(kmat), len(f), y2.shape[1])[ids]
     return np.einsum("is,sir->sr", f, h).reshape(f.shape[1:] + y.shape[1:])
 
 
@@ -248,34 +299,23 @@ class DetResult:
 
 
 def _product(a, b):
-    """C_a B_b of two contour operators on the same slots, as the (u, v,
-    cb) of the module docstring with P_xi = sum f^b_l (g^a_l)^T over the
-    lead slots at xi; ``cb`` holds the values at the coincident pairs."""
+    """C_a B_b of two contour operators on the same slots: the generator
+    terms [(u, g^b), (f^a, v)] of its Cauchy-like form (module
+    docstring), with P_xi = sum f^b_l (g^a_l)^T over the lead slots at
+    xi on the non-zero rows alone, and ``cb``, its values at the
+    coincident pairs."""
     k, ids, kc = a.lead, a.rest_nodes.ids, a.cauchy
-    fa, gb, fb, ga = a.f[:, k:], b.g[:, k:], b.f[:, :k], a.g[:, :k]
+    fa, gb = a.f[a.g_rows, k:], b.g[b.f_rows, k:]
+    fb, ga = b.f[b.f_rows, :k], a.g[a.g_rows, :k]
     p = a.lead_nodes.sum((fb.T[:, :, None] * ga.T[:, None, :]).reshape(k, -1))
-    t = (kc @ p).reshape(-1, len(fb), len(ga))[ids]
+    shape = (len(kc), len(fb), len(ga))
+    t = (kc @ p).reshape(shape)[ids]
     u = np.einsum("sij,js->is", t, fa)
     v = -np.einsum("sij,is->js", t, gb)
     rows, cols = a.pairs
-    w = (kc * kc @ p).reshape(-1, len(fb), len(ga))[ids[rows]]
+    w = (kc * kc @ p).reshape(shape)[ids[rows]]
     cb = -np.einsum("ip,pij,jp->p", gb[:, cols], w, fa[:, rows])
-    return u, v, cb
-
-
-def _neg_cauchy(terms, z, pairs, fill):
-    """-sum_t l_t^T r_t / (z_r - z_c) over the (l, r) generator ``terms``,
-    Fortran-ordered, with -``fill`` at the coincident ``pairs``."""
-    left = np.concatenate([l for l, _ in terms])
-    right = np.concatenate([r for _, r in terms])
-    at = right.T @ left  # at[c, r] = l_r . r_c
-    den = np.subtract.outer(z, z)  # den[c, r] = z_c - z_r
-    rows, cols = pairs
-    den[cols, rows] = 1.0
-    at /= den
-    a = at.T
-    a[rows, cols] = -fill
-    return a
+    return [(u, gb), (fa, v)], cb
 
 
 def cauchy_operator(terms, slots, lead, diag=None, meta=None):
@@ -291,8 +331,9 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     and g carries sqrt(w), so one product per entry gives the folded
     matrix.  Only the node-level Cauchy matrix is written, and D at
     coincident slots (see ``CauchyOperator``).  The scaled columns must
-    be finite, else ValueError; an entry that overflows from finite
-    columns is caught where ``_factor`` checks S.
+    be finite and mirror-symmetric (``_check_mirror``), else
+    ValueError; an entry that overflows from finite columns is caught
+    where ``_factor`` checks S.
     """
     s = np.sqrt(slots.weights)
     f = np.concatenate([f for f, _ in terms]) * (s / TWO_PI_I)
@@ -300,6 +341,9 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise ValueError("kernel vectors contain non-finite entries")
     z, k = slots.nodes, lead
+    _check_mirror(f, g, z, slots.mirror, k)
+    sigma = slots.mirror[k:] - k
+    half = np.flatnonzero(sigma > np.arange(len(sigma)))  # h, in L
     lead_nodes, rest_nodes = _Nodes(z[:k]), _Nodes(z[k:])
     # slots of distinct components never coincide
     cauchy = 1.0 / np.subtract.outer(rest_nodes.values, lead_nodes.values)
@@ -310,10 +354,36 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None):
     else:
         fill = diag(slots.vec_ids[rk], slots.vec_ids[ck], z[rk]) \
             * (s[rk] * s[ck] / TWO_PI_I)
-    return CauchyOperator(f=f, g=g, cauchy=cauchy, lead_nodes=lead_nodes,
-                          rest_nodes=rest_nodes, pairs=(rows, cols),
-                          fill=fill, slots=slots, lead=lead,
-                          meta=dict(meta or {}))
+    nonzero = lambda a: np.flatnonzero(np.any(a != 0, axis=1))
+    return CauchyOperator(f=f, g=g, f_rows=nonzero(f[:, :k]),
+                          g_rows=nonzero(g[:, :k]), cauchy=cauchy,
+                          lead_nodes=lead_nodes, rest_nodes=rest_nodes,
+                          pairs=(rows, cols), fill=fill,
+                          mirror=np.concatenate([half, sigma[half]]),
+                          slots=slots, lead=lead, meta=dict(meta or {}))
+
+
+def _check_mirror(f, g, z, mirror, lead):
+    """Raise ValueError unless S[sigma, sigma] = conj(S) for sigma =
+    ``mirror``: sigma pairs each slot with another at the conjugate
+    node, lead with lead, and f[:, sigma] = e conj(f), g[:, sigma] = -e
+    conj(g) within 1e-14 of their largest entry, with e = -i on the
+    rest (the fold of weights with w[sigma] = -conj(w)) and e = +-i on
+    each lead slot, which enters S only through f g^T."""
+    idx = np.arange(len(z))
+    if not (np.array_equal(mirror[mirror], idx) and np.all(mirror != idx)
+            and np.array_equal(mirror < lead, idx < lead)
+            and np.array_equal(z[mirror], z.conj())):
+        raise ValueError("slots are not paired with their conjugate nodes")
+    rest, at_lead = True, True  # e = -i holds, e = +i holds on the lead
+    for a, ie in (f, 1j), (g, -1j):
+        a_sigma, tol = a[:, mirror], 1e-14 * abs(a).max()
+        ia = ie * a.conj()
+        rest = rest & np.all(abs(a_sigma + ia) <= tol, axis=0)
+        at_lead = at_lead & np.all(abs(a_sigma[:, :lead] - ia[:, :lead])
+                                   <= tol, axis=0)
+    if not (np.all(rest[lead:]) and np.all(rest[:lead] | at_lead)):
+        raise ValueError("kernel vectors are not mirror-symmetric")
 
 
 def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT, rules=None):
@@ -364,9 +434,10 @@ def interval_operator(grids, left, right, bridge, meta):
 def _factor(a, overwrite=True):
     """(lu, piv, log det, rcond) of the Fortran-ordered matrix ``a``.
 
-    ``a`` is the Schur complement S of I - M (``op.schur()``); with
-    ``overwrite`` LAPACK factors it in place.  rcond is that of S in its
-    own 1-norm; a non-finite S raises ValueError.
+    ``a`` is ``op.schur()``: I - M, or the real form R of the Schur
+    complement S of a contour operator; with ``overwrite`` LAPACK
+    factors it in place.  rcond is that of ``a`` in its own 1-norm; a
+    non-finite ``a`` raises ValueError.
     """
     anorm = np.abs(a).sum(axis=0).max(initial=0.0)
     if not np.isfinite(anorm):
@@ -380,9 +451,32 @@ def _factor(a, overwrite=True):
     # into (-pi, pi]; a phase already there is returned unchanged
     phase -= 2.0 * np.pi * np.ceil((phase - np.pi) / (2.0 * np.pi))
     log_value = complex(np.sum(np.log(np.abs(d))), phase)
-    gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond = gecon(lu, anorm)[0] if len(d) else 1.0
+    if not len(d):
+        rcond = 1.0
+    elif np.iscomplexobj(lu):
+        rcond = sla.get_lapack_funcs(("gecon",), (lu,))[0](lu, anorm)[0]
+    else:
+        inv = _inv_norm1(lu, piv)
+        rcond = 1.0 / (anorm * inv) if 0.0 < inv < np.inf else 0.0
     return lu, piv, log_value, float(rcond)
+
+
+def _inv_norm1(lu, piv):
+    """Hager-Higham estimate of ||A^{-1}||_1 (LAPACK's dlacn2) from the
+    LU factors of a real A, with its sums in numpy: dgecon sums with
+    BLAS dasum, whose rounding follows the alignment of its work array,
+    so its rcond does not repeat bit for bit."""
+    getrs, n = sla.get_lapack_funcs(("getrs",), (lu,))[0], len(piv)
+    x, est = np.full(n, 1.0 / n), 0.0
+    for _ in range(5):
+        y = getrs(lu, piv, x)[0]
+        if not np.abs(y).sum() > est:
+            break
+        est = np.abs(y).sum()
+        z = getrs(lu, piv, np.where(y < 0, -1.0, 1.0), trans=1)[0]
+        x = np.eye(1, n, np.argmax(np.abs(z)))[0]
+    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
+    return max(est, 2.0 * np.abs(getrs(lu, piv, alt)[0]).sum() / (3 * n))
 
 
 def _solver(a, overwrite=True):
@@ -395,33 +489,38 @@ def _solver(a, overwrite=True):
 
 
 def _solve(op, factors, b):
-    """(I - M)^{-1} b by block elimination: S x_L = b_L + C b_X, then
-    x_X = b_X + B x_L."""
+    """(I - M)^{-1} b (one column each) by block elimination: S x_L =
+    b_L + C b_X, solved through R, then x_X = b_X + B x_L."""
     k = op.lead
     if not k:
         return sla.lu_solve(factors, b, check_finite=False)
     x = np.empty_like(b)
-    x[k:] = sla.lu_solve(factors, b[k:] + op.c_dot(b[:k]), check_finite=False)
+    x[k:] = op.unfold(sla.lu_solve(factors, op.fold(b[k:] + op.c_dot(b[:k])),
+                                   check_finite=False))
     x[:k] = b[:k] + op.b_dot(x[k:])
     return x
 
 
 def _apply(op, a, x):
-    """(I - M) x = [x_X - B x_L; S x_L - C (x_X - B x_L)], S = ``a``."""
+    """(I - M) x = [x_X - B x_L; S x_L - C (x_X - B x_L)], S = ``a`` or
+    Q^H ``a`` Q."""
     k = op.lead
     if not k:
         return a @ x
     y = np.empty_like(x)
     y[:k] = x[:k] - op.b_dot(x[k:])
-    y[k:] = a @ x[k:] - op.c_dot(y[:k])
+    y[k:] = op.unfold(a @ op.fold(x[k:])) - op.c_dot(y[:k])
     return y
 
 
 def det(op):
     """Fredholm determinant det(I - M) via pivoted LU of the Schur
     complement (see ``_factor``)."""
-    _, _, log_value, rcond = _factor(op.schur())
+    a = op.schur()
+    _, _, log_value, rcond = _factor(a)
     value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
+    if np.isrealobj(a):  # drop the sin(pi) of a negative real determinant
+        value = complex(value.real)
     diag = {"rcond": rcond, "n": op.n, "n_factored": op.n - op.lead,
             "max_abs_imag": abs(value.imag) if np.isfinite(value.real) else np.nan}
     diag.update(op.meta)
@@ -453,10 +552,8 @@ def solve_resolvent(op, rhs):
     rhs = np.asarray(rhs, dtype=complex)
     a = op.schur()
     factors = _solver(a, overwrite=False)
-    s = np.sqrt(op.weights)
-    if rhs.ndim == 2:
-        s = s[:, None]
-    b = rhs * s
+    s = np.sqrt(op.weights)[:, None]
+    b = rhs.reshape(len(rhs), -1) * s
     x = _solve(op, factors, b)
     x += _solve(op, factors, b - _apply(op, a, x))
     resid = np.linalg.norm(b - _apply(op, a, x)) \
@@ -464,7 +561,7 @@ def solve_resolvent(op, rhs):
     if resid > 1e-10:
         raise NearSingularOperatorError(
             f"resolvent residual {resid:.2e} exceeds 1e-10")
-    return x / s
+    return (x / s).reshape(rhs.shape)
 
 
 def logdet_derivative(op, dop):

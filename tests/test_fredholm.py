@@ -76,6 +76,18 @@ def _matrix(op):
     return m
 
 
+def _real_form(op, a, absolute=False):
+    """Q a Q^H for a matrix ``a`` on the rest slots in slot order: the
+    real form a contour operator factors, with Q = [[I, I], [-iI, iI]] /
+    sqrt(2) on its mirror order [h, sigma h].  With ``absolute``, |Q| a
+    |Q|^T: the bound that entrywise errors in ``a`` carry into it."""
+    eye = np.eye(len(op.mirror) // 2)
+    q = np.block([[eye, eye], [-1j * eye, 1j * eye]])
+    if absolute:
+        q = np.abs(q)
+    return q @ a[np.ix_(op.mirror, op.mirror)] @ q.conj().T / 2
+
+
 def _contour_arrays(op):
     """Every array a contour operator stores, its slots' and node sets'
     included."""
@@ -228,8 +240,9 @@ def test_cauchy_assembly_matches_dense_reference(process, tangent):
         n_ir = np.count_nonzero(s.comp_ids == 2) // n
         pairs = n - 1 if tangent else n * (n - 1) // 2
         assert np.count_nonzero(d[rows, cols]) == pairs * n_ir
-    # the Schur complement from the generators against the dense product;
-    # a tangent enters only through dS = -(dD + dC B + C dB)
+    # the real form of the Schur complement from the generators against
+    # that of the dense product; a tangent enters only through dS = -(dD
+    # + dC B + C dB)
     if not tangent:
         got, want = op.schur(), np.eye(op.n - k) - d - c @ b
     else:
@@ -237,28 +250,46 @@ def test_cauchy_assembly_matches_dense_reference(process, tangent):
         base_ref = _dense_reference(base_terms, s, k, base_diag)
         got = base.schur_tangent(op)
         want = -(d + c @ base_ref[:k, k:] + base_ref[k:, :k] @ b)
+    want = _real_form(op, want)
+    assert got.dtype == np.float64
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _mirrored(lead_half, rest_half, sign=1):
+    """Slot values of a lead and a rest block, each a random half followed
+    by ``sign`` times the conjugates of that half in reverse order."""
+    return np.concatenate([a for h in (lead_half, rest_half)
+                           for a in (h, sign * h.conj()[..., ::-1])],
+                          axis=-1)
+
+
 def test_schur_product_identity_on_random_generators():
-    # a lead of 30 slots away from 44 rest slots that hold pairs 1e-6
-    # apart and groups of two and three coincident nodes
+    # a lead of 30 slots away from 88 rest slots, each block a random
+    # half and its mirror images; the rest half holds pairs 1e-6 apart
+    # and groups of two and three coincident nodes
     rng = np.random.default_rng(47)
     cplx = lambda *shape: rng.standard_normal(shape) \
         + 1j * rng.standard_normal(shape)
     rest = cplx(28)
     rest[1::4] = rest[::4] + 1e-6 * np.exp(2j * np.pi * rng.random(7))
-    nodes = np.concatenate([4.0 + cplx(30), rest, rest[:8], rest[10:14],
-                            rest[10:14]])
+    nodes = _mirrored(4.0 + cplx(15), np.concatenate(
+        [rest, rest[:8], rest[10:14], rest[10:14]]))
     n, k, p = len(nodes), 30, 3
-    weights = 0.1 * (rng.random(n) + 0.5) * np.exp(1j * rng.random(n))
-    slots = contour.Slots(f=cplx(p, n), g=cplx(p, n), nodes=nodes,
-                          weights=weights, comp_ids=np.zeros(n, int),
-                          vec_ids=np.zeros(n, int))
-    terms, dterms = [(slots.f, slots.g)], [(cplx(p, n), cplx(p, n))]
+    # bare columns with f(conj z) = conj f(z) and weights with w[sigma] =
+    # -conj(w); rest weights in the upper half plane, so that the fold
+    # gives f[:, sigma] = -i conj(f) there, lead weights of any phase
+    weights = _mirrored(np.exp(2j * np.pi * rng.random(15)),
+                        np.exp(1j * rng.random(44)), -1) \
+        * 0.1 * (_mirrored(rng.random(15), rng.random(44)) + 0.5)
+    mirror = np.concatenate([np.arange(k)[::-1], np.arange(k, n)[::-1]])
+    gens = lambda: _mirrored(cplx(p, 15), cplx(p, 44))
+    slots = contour.Slots(f=gens(), g=gens(), nodes=nodes, weights=weights,
+                          comp_ids=np.zeros(n, int), vec_ids=np.zeros(n, int),
+                          mirror=mirror)
+    terms, dterms = [(slots.f, slots.g)], [(gens(), gens())]
     op = fredholm.cauchy_operator(terms, slots, k)
     dop = fredholm.cauchy_operator(dterms, slots, k)
-    assert len(op.pairs[0]) == 16 + 8 * 2 ** 2 + 4 * 3 ** 2
+    assert len(op.pairs[0]) == 2 * (16 + 8 * 2 ** 2 + 4 * 3 ** 2)
     want = np.nonzero(nodes[k:, None] == nodes[None, k:])
     for got in op.pairs, dop.pairs:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -272,20 +303,22 @@ def test_schur_product_identity_on_random_generators():
     db, dc, dd = dm[:k, k:], dm[k:, :k], dm[k:, k:]
     _assert_couplings(op, b, c)
     _assert_couplings(dop, db, dc)
-    # entrywise against the scale of the dense sums, |D| + |C| |B|
+    # the real forms, entrywise against the scale of the dense sums, |D| +
+    # |C| |B|, carried through Q
     for got, want, scale in (
             (op.schur(), np.eye(n - k) - d - c @ b,
              1.0 + np.abs(d) + np.abs(c) @ np.abs(b)),
             (op.schur_tangent(dop), -(dd + dc @ b + c @ db),
              np.abs(dd) + np.abs(dc) @ np.abs(b) + np.abs(c) @ np.abs(db))):
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.all(np.abs(got - _real_form(op, want))
+                      <= 1e-13 * _real_form(op, scale, absolute=True))
 
 
 def test_schur_cancellation_at_close_rest_nodes_stays_bounded():
     # single-time Airy at s = -4: rest nodes close together compared with
     # their distance to the lead contour, where the partial fractions of
     # C B cancel; S against I - D - C B summed in long double from the
-    # same folded generators
+    # same folded generators, and R against its real form
     ep = airy.AiryEndpoints([[-4.0]])
     sys_ = contour.build_airy_system([0.0], m=80,
                                      endpoint_scale=ep.max_abs_endpoint())
@@ -297,7 +330,8 @@ def test_schur_cancellation_at_close_rest_nodes_stays_bounded():
     m = f.T @ g / den  # D at a coincident slot (the diagonal) is f . g
     b, c, d = m[:k, k:], m[k:, :k], m[k:, k:]
     want = np.eye(op.n - k, dtype=np.clongdouble) - d - c @ b
-    assert np.abs(op.schur() - want).max() <= 2e-14 * np.abs(want).max()
+    real = _real_form(op, want)
+    assert np.abs(op.schur() - real).max() <= 2e-14 * np.abs(real).max()
     sign, logabs = np.linalg.slogdet(want.astype(complex))
     assert abs(fredholm.det(op).log_value - (np.log(sign) + logabs)) <= 5e-13
 
@@ -322,6 +356,64 @@ def test_cauchy_operator_rejects_non_finite_columns(side, bad, slot):
     s = replace(s, **{side: cols})
     with pytest.raises(ValueError):
         fredholm.cauchy_operator([(s.f, s.g)], s, op.lead)
+
+
+def test_cauchy_operator_rejects_a_rest_node_off_its_mirror():
+    op, terms, s, _ = _iiks_case("airy", False)
+    nodes = s.nodes.copy()
+    nodes[op.lead + 3] += 1e-9
+    with pytest.raises(ValueError):
+        fredholm.cauchy_operator(terms, replace(s, nodes=nodes), op.lead)
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+@pytest.mark.parametrize("side", ["f", "g"])
+@pytest.mark.parametrize("block", ["lead", "rest"])
+def test_cauchy_operator_rejects_a_scaled_generator_column(process, side,
+                                                           block):
+    op, terms, s, diag = _iiks_case(process, False)
+    # the column of the block with the largest folded entry
+    lo, hi = (0, op.lead) if block == "lead" else (op.lead, op.n)
+    slot = lo + np.argmax(np.abs(getattr(op, side)[:, lo:hi]).max(axis=0))
+    cols = getattr(s, side).copy()
+    cols[:, slot] *= 1.5
+    s = replace(s, **{side: cols})
+    with pytest.raises(ValueError):
+        fredholm.cauchy_operator([(s.f, s.g)], s, op.lead, diag=diag)
+
+
+@pytest.mark.parametrize("case", ["airy-odd-m", "airy-radius",
+                                  "airy-no-gauge", "pearcey-delta",
+                                  "pearcey-radius"])
+def test_slot_mirror_is_exact_for_both_processes(case):
+    # build_slots pairs each slot with the one at the conjugate node
+    # (no sort), and the folded generators are exact mirror images:
+    # f[:, sigma] = -i conj(f) and g[:, sigma] = i conj(g) on the rest
+    times = [0.0, 1.0]
+    if case.startswith("airy"):
+        ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
+        kw = {"m": 17} if case == "airy-odd-m" else \
+            {"m": 20, "radius": 7.5} if case == "airy-radius" else {"m": 20}
+        sys_ = contour.build_airy_system(times, endpoint_scale=0.7, **kw)
+        op = airy.iiks_operator(ep, times, sys_,
+                                gauge=case != "airy-no-gauge")
+    else:
+        ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
+        kw = {"delta": 0.25} if case == "pearcey-delta" else {"radius": 4.0}
+        sys_ = contour.build_pearcey_system(times, m=20, endpoint_scale=1.0,
+                                            **kw)
+        op = pearcey.iiks_operator(ep, times, sys_)
+    sigma, k = op.slots.mirror, op.lead
+    # an odd m is bumped to even, so no slot is its own mirror
+    assert all(len(g) == (18 if case == "airy-odd-m" else 20)
+               for g in sys_.grids)
+    assert np.all(np.sort(sigma) == np.arange(op.n))
+    assert np.all(sigma != np.arange(op.n))
+    assert np.array_equal(op.slots.nodes[sigma], op.slots.nodes.conj())
+    assert np.array_equal(op.f[:, sigma][:, k:], -1j * op.f.conj()[:, k:])
+    assert np.array_equal(op.g[:, sigma][:, k:], 1j * op.g.conj()[:, k:])
+    h, t = np.split(op.mirror, 2)
+    assert np.array_equal(sigma[k + h], k + t) and np.all(h < t)
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
@@ -508,21 +600,22 @@ def test_one_lu_per_call_and_matrix_untouched(call, monkeypatch):
     lu_factor = sla.lu_factor
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].shape, args[0].dtype))
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(sla, "lu_factor", counting)
     op = _random_operator(seed=13)
     before = op.matrix.copy()
     call(op)
-    assert calls == [(op.n, op.n)]
+    assert calls == [((op.n, op.n), np.complex128)]
     assert np.array_equal(op.matrix, before)
-    # a contour operator factors S alone and keeps its arrays too
+    # a contour operator factors the real form of S alone and keeps its
+    # arrays too
     op = _iiks_case("pearcey", False)[0]
     before = [a.copy() for a in _contour_arrays(op)]
     calls.clear()
     call(op)
-    assert calls == [(op.n - op.lead, op.n - op.lead)]
+    assert calls == [((op.n - op.lead, op.n - op.lead), np.float64)]
     assert all(np.array_equal(a, b)
                for a, b in zip(_contour_arrays(op), before))
 
@@ -560,6 +653,17 @@ def _schur_case(case):
     op = pearcey.iiks_operator(ep, times, sys_)
     dop = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
     return op, _matrix(op), dop, 2 * n * m  # gamma_R and gamma_L
+
+
+@pytest.mark.parametrize("case", ["airy-2", "pearcey-3"])
+def test_real_form_rcond_is_the_exact_one_norm_rcond(case):
+    # the estimate of ||R^{-1}||_1 a real factorization makes, against
+    # the inverse itself
+    op = _schur_case(case)[0]
+    r = op.schur()
+    exact = 1.0 / (np.linalg.norm(r, 1) * np.linalg.norm(np.linalg.inv(r), 1))
+    assert fredholm.det(op).diagnostics["rcond"] == pytest.approx(exact,
+                                                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["airy-1", "airy-2", "airy-3", "pearcey-1",
