@@ -19,7 +19,6 @@ from .contour import (
     TAIL_LOG,
     TWO_PI_I,
     ContourComponent,
-    ContourError,
     ContourSystem,
     Endpoints,
     build_grids,
@@ -31,7 +30,8 @@ from .contour import (
 from .fredholm import (
     DEFAULT_TAIL_CUT,
     cauchy_operator,
-    interval_grid,
+    double_contour_factors,
+    interval_grids,
     interval_operator,
 )
 
@@ -245,30 +245,14 @@ def physical_contours(times, m=80, radius=None, x_min=0.0):
 
 
 def _physical_factors(phys, times):
-    """(left, right) with A_ij(x, y) = left(i, x)^T right(j, y) - B_ij.
-
-    left(i, x) = e^{theta(x, mu - tau_i)} and right(j, y) = d_j
-    e^{-theta(y, lam)}, with d_j = w_mu w_lam / ((2 pi i)^2 (lam + tau_j
-    - mu)) for mu on gamma_R and lam on the left line: the mu contour of
-    every time is gamma_R shifted, so the Cauchy factor depends on j
-    alone.
-    """
+    """(left, right) with A_ij(x, y) = left(i, x)^T right(j, y) - B_ij:
+    mu on gamma_R, the mu contour of time i shifted by -tau_i, and lam
+    on the left line, with 1 / (lam + tau_j - mu) and theta(y, lam)."""
     t = validate_times(times)
     right_grid, left_grid = phys.grids
-    mu, lam = right_grid.nodes, left_grid.nodes
-    w = right_grid.weights[:, None] * left_grid.weights[None, :] / TWO_PI_I ** 2
-
-    def left(i, xs):
-        return np.exp(theta(xs[None, :], mu[:, None] - t[i]))
-
-    def right(j, ys):
-        den = lam[None, :] + t[j] - mu[:, None]
-        if np.abs(den).min() < 1e-8:
-            raise ContourError(
-                "mu and lam contours collide in the denominator")
-        return (w / den) @ np.exp(-theta(ys[None, :], lam[:, None]))
-
-    return left, right
+    return double_contour_factors(
+        [right_grid], left_grid, t, lambda i, x, mu: theta(x, mu - t[i]),
+        lambda j, y, lam: theta(y, lam))
 
 
 def physical_entry(i, j, x, y, phys, times):
@@ -282,8 +266,7 @@ def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
                       radius=None):
     """Nystrom discretization of the physical operator chi A chi."""
     t = validate_times(times)
-    rules = {}
-    grids = [interval_grid(e, t_cut, rules) for e in endpoints.per_time]
+    grids = interval_grids(endpoints, t_cut)
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
     phys = physical_contours(times, m=m, radius=radius, x_min=x_min)

@@ -345,6 +345,7 @@ def run_sweep(cfg, workers=1):
     """One record per value of a validated job's sweep axis."""
     sweep = cfg["sweep"]
     jobs = [(cfg, sweep["axis"], v) for v in sweep["values"]]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             records = list(pool.map(_sweep_point, jobs))
@@ -438,6 +439,8 @@ def main(argv=None):
         level=os.environ.get("GAPDET_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if args.command == "run":
             cfg = _load_job(args.config)
         elif args.command == "check":

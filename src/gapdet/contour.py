@@ -272,7 +272,6 @@ class Slots:
     g: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    comp_ids: np.ndarray
     vec_ids: np.ndarray
     mirror: np.ndarray
 
@@ -302,12 +301,12 @@ def build_slots(system, active, f_columns, g_columns, *args):
     return the bare columns of vector component b there.
     """
     parts, start = [], 0
-    for cid, grid in enumerate(system.grids):
+    for grid in system.grids:
         label, k = grid.component.label, len(grid)
         for b in active(label):
             parts.append((f_columns(grid.nodes, label, b, *args),
                           g_columns(grid.nodes, label, b, *args), grid.nodes,
-                          grid.weights, np.full(k, cid), np.full(k, b),
+                          grid.weights, np.full(k, b),
                           start + np.arange(k)[::-1]))
             start += k
     return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))

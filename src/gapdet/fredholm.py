@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import TWO_PI_I, Slots, gauss_legendre_panels
+from .contour import TWO_PI_I, ContourError, Slots, gauss_legendre_panels
 
 __all__ = [
     "CauchyOperator",
@@ -57,7 +57,8 @@ __all__ = [
     "DetResult",
     "NearSingularOperatorError",
     "cauchy_operator",
-    "interval_grid",
+    "double_contour_factors",
+    "interval_grids",
     "interval_operator",
     "det",
     "det2",
@@ -386,29 +387,60 @@ def _check_mirror(f, g, z, mirror, lead):
         raise ValueError("kernel vectors are not mirror-symmetric")
 
 
-def interval_grid(ends, t_cut=DEFAULT_TAIL_CUT, rules=None):
-    """Real quadrature nodes/weights on a union of intervals.
+def interval_grids(endpoints, t_cut=DEFAULT_TAIL_CUT):
+    """Real quadrature nodes/weights on the intervals of every time.
 
-    ``ends`` are the sorted endpoints of one time; an odd count makes
-    the last interval semi-infinite, truncated at ``t_cut``.  ``rules``
-    is passed to ``gauss_legendre_panels``: a physical operator shares
-    one dict over its times, so each distinct rule is built once.
+    One (nodes, weights) pair per time of ``endpoints``; an odd endpoint
+    count makes the last interval semi-infinite, truncated at ``t_cut``.
+    The times share one dict of Gauss-Legendre rules, so each distinct
+    rule is built once.
     """
-    ends = list(ends)
-    if not ends:
-        return np.empty(0), np.empty(0)
-    if len(ends) % 2 == 1:
-        ends.append(ends[-1] + t_cut)
-    xs, ws = [], []
-    for a, b in zip(ends[0::2], ends[1::2]):
-        length = b - a
-        n_panels = max(1, int(np.ceil(length / _MAX_PANEL)))
-        n_nodes = max(_MIN_NODES, int(np.ceil(_NODES_PER_UNIT * length)))
-        x, w = gauss_legendre_panels(np.linspace(a, b, n_panels + 1),
-                                     n_nodes, rules)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    rules = {}
+    grids = []
+    for ends in endpoints.per_time:
+        ends = list(ends) + ([ends[-1] + t_cut] if len(ends) % 2 else [])
+        xs, ws = [np.empty(0)], [np.empty(0)]
+        for a, b in zip(ends[0::2], ends[1::2]):
+            length = b - a
+            n_panels = max(1, int(np.ceil(length / _MAX_PANEL)))
+            n_nodes = max(_MIN_NODES, int(np.ceil(_NODES_PER_UNIT * length)))
+            x, w = gauss_legendre_panels(np.linspace(a, b, n_panels + 1),
+                                         n_nodes, rules)
+            xs.append(x)
+            ws.append(w)
+        grids.append((np.concatenate(xs), np.concatenate(ws)))
+    return grids
+
+
+def double_contour_factors(mu_grids, lam_grid, shifts, left_phase,
+                           right_phase):
+    """(left, right) with left(i, x)^T right(j, y) = (2 pi i)^-2 int int
+    e^{left_phase(i, x, mu) - right_phase(j, y, lam)} / (lam + shifts[j]
+    - mu) over mu on ``mu_grids`` and lam on ``lam_grid``.
+
+    right(j, y) carries the Cauchy factor d_j = w_mu w_lam / ((2 pi i)^2
+    (lam + shifts[j] - mu)), formed once per distinct shift; ContourError
+    when the two contours collide in it.
+    """
+    mu = np.concatenate([g.nodes for g in mu_grids])
+    w = np.concatenate([g.weights for g in mu_grids])[:, None] \
+        * lam_grid.weights[None, :] / TWO_PI_I ** 2
+    lam, cauchy = lam_grid.nodes, {}
+    for s in dict.fromkeys(shifts):
+        den = lam[None, :] + s - mu[:, None]
+        if np.abs(den).min() < 1e-8:
+            raise ContourError(
+                "mu and lam contours collide in the denominator")
+        cauchy[s] = np.divide(w, den, out=den)
+
+    def left(i, xs):
+        return np.exp(left_phase(i, xs[None, :], mu[:, None]))
+
+    def right(j, ys):
+        return cauchy[shifts[j]] @ np.exp(-right_phase(j, ys[None, :],
+                                                       lam[:, None]))
+
+    return left, right
 
 
 def interval_operator(grids, left, right, bridge, meta):
@@ -452,20 +484,17 @@ def _factor(a, overwrite=True):
     phase -= 2.0 * np.pi * np.ceil((phase - np.pi) / (2.0 * np.pi))
     log_value = complex(np.sum(np.log(np.abs(d))), phase)
     if not len(d):
-        rcond = 1.0
-    elif np.iscomplexobj(lu):
-        rcond = sla.get_lapack_funcs(("gecon",), (lu,))[0](lu, anorm)[0]
-    else:
-        inv = _inv_norm1(lu, piv)
-        rcond = 1.0 / (anorm * inv) if 0.0 < inv < np.inf else 0.0
+        return lu, piv, log_value, 1.0
+    inv = _inv_norm1(lu, piv)
+    rcond = 1.0 / (anorm * inv) if 0.0 < inv < np.inf else 0.0
     return lu, piv, log_value, float(rcond)
 
 
 def _inv_norm1(lu, piv):
-    """Hager-Higham estimate of ||A^{-1}||_1 (LAPACK's dlacn2) from the
-    LU factors of a real A, with its sums in numpy: dgecon sums with
-    BLAS dasum, whose rounding follows the alignment of its work array,
-    so its rcond does not repeat bit for bit."""
+    """Hager-Higham estimate of ||A^{-1}||_1 (LAPACK's xlacn2) from the
+    LU factors of A, with its sums in numpy: LAPACK's xgecon sums with
+    BLAS, whose rounding follows the alignment of its work array, so its
+    rcond does not repeat bit for bit."""
     getrs, n = sla.get_lapack_funcs(("getrs",), (lu,))[0], len(piv)
     x, est = np.full(n, 1.0 / n), 0.0
     for _ in range(5):
@@ -473,7 +502,8 @@ def _inv_norm1(lu, piv):
         if not np.abs(y).sum() > est:
             break
         est = np.abs(y).sum()
-        z = getrs(lu, piv, np.where(y < 0, -1.0, 1.0), trans=1)[0]
+        sign = np.divide(y, np.abs(y), out=np.ones_like(y), where=y != 0)
+        z = getrs(lu, piv, sign, trans=2)[0]
         x = np.eye(1, n, np.argmax(np.abs(z)))[0]
     alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
     return max(est, 2.0 * np.abs(getrs(lu, piv, alt)[0]).sum() / (3 * n))

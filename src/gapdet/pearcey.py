@@ -14,7 +14,8 @@ import numpy as np
 
 from .contour import (TWO_PI_I, Endpoints, build_slots, fg_matrices,
                       validate_times)
-from .fredholm import cauchy_operator, interval_grid, interval_operator
+from .fredholm import (cauchy_operator, double_contour_factors,
+                       interval_grids, interval_operator)
 
 _X_LABELS = ("gamma_R", "gamma_L")
 
@@ -208,32 +209,15 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
 # physical kernel
 # ---------------------------------------------------------------------------
 
-def _x_nodes(system):
-    gr, gl = system.grid("gamma_R"), system.grid("gamma_L")
-    return (np.concatenate([gr.nodes, gl.nodes]),
-            np.concatenate([gr.weights, gl.weights]))
-
-
 def _physical_factors(system, times):
-    """(left, right) with P_ij(x, y) = left(i, x)^T right(j, y) - Q_ij.
-
-    left(i, x) = e^{Theta_i(x, mu)} for mu on the X contour and
-    right(j, y) = d e^{-Theta_j(y, lam)} for lam on iR, with the Cauchy
-    factor d = w_mu w_lam / ((2 pi i)^2 (lam - mu)) shared by all times.
-    """
-    mu, wmu = _x_nodes(system)
-    line = system.grid("iR")
-    lam = line.nodes
-    d = wmu[:, None] * line.weights[None, :] / TWO_PI_I ** 2 \
-        / (lam[None, :] - mu[:, None])
-
-    def left(i, xs):
-        return np.exp(phase(i, xs[None, :], mu[:, None], times))
-
-    def right(j, ys):
-        return d @ np.exp(-phase(j, ys[None, :], lam[:, None], times))
-
-    return left, right
+    """(left, right) with P_ij(x, y) = left(i, x)^T right(j, y) - Q_ij:
+    mu on the X contour and lam on iR, with the one Cauchy factor 1 /
+    (lam - mu) of all times."""
+    t = validate_times(times)
+    return double_contour_factors(
+        [system.grid(c) for c in _X_LABELS], system.grid("iR"),
+        np.zeros(len(t)), lambda i, x, mu: phase(i, x, mu, t),
+        lambda j, y, lam: phase(j, y, lam, t))
 
 
 def physical_entry(i, j, x, y, system, times):
@@ -246,11 +230,9 @@ def physical_entry(i, j, x, y, system, times):
 def physical_operator(endpoints, times, system):
     """Nystrom discretization of the physical operator chi P chi."""
     t = validate_times(times)
-    rules = {}
-    grids = [interval_grid(e, rules=rules) for e in endpoints.per_time]
     meta = {"process": "pearcey", "representation": "physical",
             "m": system.meta["m"], "delta": system.meta["delta"],
             "radius_capped": system.meta["radius_capped"]}
     return interval_operator(
-        grids, *_physical_factors(system, t),
+        interval_grids(endpoints), *_physical_factors(system, t),
         lambda i, j, xs, ys: heat_kernel(i, j, xs, ys, t), meta)

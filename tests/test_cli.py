@@ -382,3 +382,62 @@ def test_sweep_of_tw_oracle_needs_no_process(tmp_path):
     assert [r["s"] for r in payload["records"]] == [-1.0, 0.0]
     assert all(r["passed"] for r in payload["records"])
 
+
+def _det_sweep(tmp_path, values):
+    cfg = {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+           "task": "sweep", "quadrature": {"m": 24},
+           "sweep": {"axis": "endpoint:0:0", "task": "det", "values": values}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("workers, n_values, size", [
+    (8, 2, 2), (2, 3, 2), (1, 3, None), (4, 1, None)])
+def test_sweep_pool_has_at_most_one_worker_per_point(
+        tmp_path, monkeypatch, workers, n_values, size):
+    # a stand-in pool records its size and maps in this process, so no
+    # process is started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    values = [-1.0, 0.0, 1.0][:n_values]
+    code, payload = _run(tmp_path, ["run", _det_sweep(tmp_path, values),
+                                    "--workers", str(workers)])
+    assert code == 0
+    assert [r["sweep_value"] for r in payload["records"]] == values
+    assert sizes == ([] if size is None else [size])
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    code, payload = _run(tmp_path, ["run", _det_sweep(tmp_path, [0.0, 1.0]),
+                                    "--workers", workers])
+    assert code == 2 and payload is None
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_sweep_over_two_worker_processes_matches_sequential(tmp_path):
+    path = _det_sweep(tmp_path, [-1.0, 0.0])
+    records = []
+    for workers in "1", "2":
+        code, payload = _run(tmp_path, ["run", path, "--workers", workers])
+        assert code == 0
+        for r in payload["records"]:
+            del r["wall_time"]
+        records.append(payload["records"])
+    assert records[0] == records[1]

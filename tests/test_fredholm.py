@@ -127,7 +127,10 @@ def test_assembled_operators_match_pointwise_entries(process):
         s = pearcey.iiks_slots(ep, times, sys_)
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
     assert np.array_equal(op.weights, s.weights)
-    labels = [sys_.labels[c] for c in s.comp_ids]
+    # the component of each slot, from the grid holding its node (the
+    # grids of a system never share a node)
+    label_at = {z: g.component.label for g in sys_.grids for z in g.nodes}
+    labels = [label_at[z] for z in s.nodes]
     # every entry from the generators and the coincident fill; the
     # operator applies B and C through its node-level Cauchy matrix
     m = _matrix(op)
@@ -151,7 +154,7 @@ def test_assembled_operators_match_pointwise_entries(process):
 
     # physical operator against single entries, on sampled slot pairs;
     # slots run time by time over each time's interval grid
-    grids = [fredholm.interval_grid(e) for e in ep.per_time]
+    grids = fredholm.interval_grids(ep)
     nodes = np.concatenate([x for x, _ in grids])
     times_of = np.repeat(np.arange(len(grids)), [len(x) for x, _ in grids])
     if process == "airy":
@@ -237,7 +240,7 @@ def test_cauchy_assembly_matches_dense_reference(process, tangent):
     if diag is not None:  # the L'Hopital fill is among the compared entries
         # one per iR node and pair of times tau_i < tau_j (the tangent
         # in an endpoint of time 0 keeps the pairs with i = 0)
-        n_ir = np.count_nonzero(s.comp_ids == 2) // n
+        n_ir = (op.n - k) // n  # the rest slots: iR, n per node
         pairs = n - 1 if tangent else n * (n - 1) // 2
         assert np.count_nonzero(d[rows, cols]) == pairs * n_ir
     # the real form of the Schur complement from the generators against
@@ -284,8 +287,7 @@ def test_schur_product_identity_on_random_generators():
     mirror = np.concatenate([np.arange(k)[::-1], np.arange(k, n)[::-1]])
     gens = lambda: _mirrored(cplx(p, 15), cplx(p, 44))
     slots = contour.Slots(f=gens(), g=gens(), nodes=nodes, weights=weights,
-                          comp_ids=np.zeros(n, int), vec_ids=np.zeros(n, int),
-                          mirror=mirror)
+                          vec_ids=np.zeros(n, int), mirror=mirror)
     terms, dterms = [(slots.f, slots.g)], [(gens(), gens())]
     op = fredholm.cauchy_operator(terms, slots, k)
     dop = fredholm.cauchy_operator(dterms, slots, k)
@@ -444,7 +446,7 @@ def test_physical_operator_matches_entries_in_every_block(process):
     if process == "airy":
         ep = airy.AiryEndpoints([[-1.0], [-0.5, 0.7], [0.2]])
         op = airy.physical_operator(ep, times, m=40)
-        grids = [fredholm.interval_grid(e) for e in ep.per_time]
+        grids = fredholm.interval_grids(ep)
         x_min = min(x.min() for x, _ in grids)
         sys_ = airy.physical_contours(times, m=40, x_min=float(x_min))
     else:
@@ -452,7 +454,7 @@ def test_physical_operator_matches_entries_in_every_block(process):
                                        [-0.3, 0.3]])
         sys_ = contour.build_pearcey_system(times, m=40, endpoint_scale=1.2)
         op = pearcey.physical_operator(ep, times, sys_)
-        grids = [fredholm.interval_grid(e) for e in ep.per_time]
+        grids = fredholm.interval_grids(ep)
     mod = airy if process == "airy" else pearcey
     starts = np.cumsum([0] + [len(x) for x, _ in grids])
     kmat = _unfolded(op.matrix, op.weights)
@@ -664,6 +666,44 @@ def test_real_form_rcond_is_the_exact_one_norm_rcond(case):
     exact = 1.0 / (np.linalg.norm(r, 1) * np.linalg.norm(np.linalg.inv(r), 1))
     assert fredholm.det(op).diagnostics["rcond"] == pytest.approx(exact,
                                                                   rel=1e-12)
+
+
+def _complex_case(case):
+    """I - M of a physical operator, or a seeded random complex matrix."""
+    if case == "physical-airy":
+        return _schur_case("physical")[0].schur()
+    if case == "physical-pearcey":
+        times = [0.0, 1.0]
+        ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
+        sys_ = contour.build_pearcey_system(times, m=40, endpoint_scale=1.0)
+        return pearcey.physical_operator(ep, times, sys_).schur()
+    seed = int(case.split("-")[1])
+    n = (5, 60, 200)[seed]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.asfortranarray(a)
+
+
+_COMPLEX_CASES = ["physical-airy", "physical-pearcey", "random-0",
+                  "random-1", "random-2"]
+
+
+@pytest.mark.parametrize("case", _COMPLEX_CASES)
+def test_rcond_estimate_matches_zgecon(case):
+    # the numpy estimate serves every LU; LAPACK's on the same factors
+    a = _complex_case(case)
+    anorm = np.abs(a).sum(axis=0).max()
+    lu, piv, _, rcond = fredholm._factor(a.copy(order="F"))
+    assert np.iscomplexobj(lu)
+    gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
+    assert rcond == pytest.approx(gecon(lu, anorm)[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("case", _COMPLEX_CASES)
+def test_rcond_repeats_bit_for_bit(case):
+    a = _complex_case(case)
+    assert len({repr(fredholm._factor(a.copy(order="F"))[3])
+                for _ in range(20)}) == 1
 
 
 @pytest.mark.parametrize("case", ["airy-1", "airy-2", "airy-3", "pearcey-1",

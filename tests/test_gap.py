@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapdet import airy, fredholm, isomono, pearcey
+from gapdet import airy, fredholm, isomono, pearcey, tracy_widom
 from gapdet.gap import (
     airy_gap_probability,
     equivalence_report,
@@ -115,3 +115,14 @@ def test_carleman_bookkeeping_chain_on_physical_operator():
     # the diagonal of the sampled kernel carries no bridge term
     bridge_diag = [airy.gaussian_bridge(i, i, 0.1, 0.1, t) for i in range(2)]
     assert bridge_diag == [0.0, 0.0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("dt, m", [(0.01, 120), (0.01, 200), (2.0, 120)])
+def test_two_time_airy_iiks_lies_within_the_frechet_bounds(dt, m):
+    # P(A(0) <= 0, A(dt) <= 0) lies in [2 F2(0) - 1, F2(0)]; at these
+    # gaps the IIKS value falls below the lower bound (0.906, 0.924 and
+    # 0.921 against 0.939) with an rcond that passes as well-conditioned
+    f2 = tracy_widom.gap_probability(0.0)
+    value = airy_gap_probability([0.0, dt], [[0.0], [0.0]], m=m).value
+    assert 2.0 * f2 - 1.0 <= value.real <= f2
