@@ -189,13 +189,17 @@ def _lead(endpoints, system):
     return endpoints.n * len(system.grid("gamma_R"))
 
 
-def iiks_operator(endpoints, times, system, gauge=True):
-    """Discretized integrable-kernel operator on the contour system."""
+def iiks_operator(endpoints, times, system, gauge=True, geometry=None):
+    """Discretized integrable-kernel operator on the contour system.
+
+    ``geometry`` is the ``fredholm.CauchyGeometry`` of an operator on the
+    same system with the same number of times; it is built by default.
+    """
     s = iiks_slots(endpoints, times, system, gauge)
     meta = dict(system.meta)
     meta.update({"process": "airy", "gauge": gauge, "p": endpoints.p})
     return cauchy_operator([(s.f, s.g)], s, _lead(endpoints, system),
-                           meta=meta)
+                           meta=meta, geometry=geometry)
 
 
 def iiks_tangent_operator(endpoints, times, system, i, ell):

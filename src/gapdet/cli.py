@@ -291,13 +291,14 @@ def run_task(cfg):
         center = tuple(pde.get("center", (1.0, 0.2, 0.1)))
         steps = list(pde.get("steps", (0.04, 0.02)))
         m = int(cfg.get("quadrature", {}).get("m", 120))
-        results = []
+        results, grids = [], []
         for h in steps:
-            grid = pdecheck.build_grid(center, step=h,
-                                       radius=int(pde.get("radius", 2)), m=m)
-            results.append(pdecheck.avm_residual(grid))
+            grids.append(pdecheck.build_grid(
+                center, step=h, radius=int(pde.get("radius", 2)), m=m))
+            results.append(pdecheck.avm_residual(grids[-1]))
         record["residuals"] = _sanitize(
-            [{"step": h, **r} for h, r in zip(steps, results)])
+            [{"step": h, "radii": g.radii, "radius_capped": g.radius_capped,
+              **r} for h, g, r in zip(steps, grids, results)])
         passed = results[-1]["relative_residual"] < tol["pde"]
         if len(results) >= 2:
             ratio = results[0]["relative_residual"] / max(

@@ -157,7 +157,13 @@ def _system(comps, m, radius, meta):
     system = ContourSystem(grids=build_grids(comps, m), meta={
         **meta, "m": m, "eps": DEFAULT_TAIL_EPS, "radii": radii,
         "radius_capped": capped})
-    if len(comps) > 1 and not system.min_pairwise_distance() > 0:
+    # one sort puts equal nodes next to each other: a collision is a
+    # pair of neighbours that are equal and on distinct components
+    nodes = np.concatenate([g.nodes for g in system.grids])
+    comp = np.repeat(np.arange(len(comps)), [len(g) for g in system.grids])
+    order = np.argsort(nodes, kind="stable")
+    z, c = nodes[order], comp[order]
+    if np.any((z[1:] == z[:-1]) & (c[1:] != c[:-1])):
         raise ContourError("contour components collide")
     return system
 

@@ -73,7 +73,11 @@ def gamma_moments(process, endpoints, times, m=80):
     mod, build = (airy, build_airy_system) if process == "airy" \
         else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-    op = mod.iiks_operator(endpoints, t, system)
+    return resolvent_moments(mod.iiks_operator(endpoints, t, system))
+
+
+def resolvent_moments(op):
+    """(Gamma_1, Gamma_2) of the IIKS operator ``op`` from one solve."""
     s = op.slots
     sol = solve_resolvent(op, s.f.T / TWO_PI_I)
     out = []
@@ -86,6 +90,16 @@ def gamma_moments(process, endpoints, times, m=80):
 def log_derivatives(process, endpoints, times, m=80):
     """Every endpoint and time log-derivative of det from one moment solve.
 
+    Returns {"a": {(i, ell): value}, "tau": {i: value}}; see
+    ``moment_log_derivatives``.
+    """
+    moments = gamma_moments(process, endpoints, times, m=m)
+    return moment_log_derivatives(process, endpoints, times, moments)
+
+
+def moment_log_derivatives(process, endpoints, times, moments):
+    """The log-derivatives of det from its moments (Gamma_1, Gamma_2).
+
     d log det / d a_i^(ell) = -(Gamma_1)_qq with q the row of a_i^(ell);
     d log det / d tau_i sums over the rows qs of time i the diagonal of
     2 tau_i Gamma_1 + Gamma_1^2 - 2 Gamma_2 (Airy) or of
@@ -93,7 +107,7 @@ def log_derivatives(process, endpoints, times, m=80):
     {"a": {(i, ell): value}, "tau": {i: value}}.
     """
     t = validate_times(times)
-    g1, g2 = gamma_moments(process, endpoints, t, m=m)
+    g1, g2 = moments
     g1sq = g1 @ g1
     out = {"a": {}, "tau": {}}
     for i, ends in enumerate(endpoints.per_time):

@@ -8,20 +8,22 @@ variables E = (a+b)/2, W = (a-b)/2 satisfies
         = {d2EW G, d2E G}_E,      {f, g}_E := dE(f) g - f dE(g).
 
 The gradient (dTau G, dE G, dW G) at a point comes from one resolvent
-solve (``isomono.log_derivatives``); both sides of the PDE are then
-central differences of the gradient on a 3 x 3 (E, W) grid at the
-center tau.
+solve (``isomono.moment_log_derivatives``); both sides of the PDE are
+then central differences of the gradient on a 3 x 3 (E, W) grid at the
+center tau.  The nine points share one contour system, so the
+differences see no change of discretization between them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import AiryEndpoints
+from .airy import AiryEndpoints, iiks_operator
+from .contour import build_airy_system, validate_times
 from .gap import airy_gap_probability
-from .isomono import log_derivatives
+from .isomono import moment_log_derivatives, resolvent_moments
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,16 @@ class GradientGrid:
     """Gradients of G at the points (tau, E + i step, W + j step).
 
     ``values[i + 1, j + 1]`` holds (dTau G, dE G, dW G) for i, j in
-    {-1, 0, 1}, with tau, E, W the ``center``.
+    {-1, 0, 1}, with tau, E, W the ``center``.  ``radii`` are the
+    truncation radii of the contour system the nine points share, and
+    ``radius_capped`` the components whose radius hit its cap.
     """
 
     center: tuple
     step: float
     values: np.ndarray  # shape (3, 3, 3), axes (E, W, gradient component)
+    radii: dict = field(default_factory=dict)
+    radius_capped: tuple = ()
 
 
 def two_time_logdet(tau, e, w, m=120):
@@ -51,13 +57,10 @@ def two_time_logdet(tau, e, w, m=120):
 def two_time_gradient(tau, e, w, m=120):
     """(dTau G, dE G, dW G) of ``two_time_logdet`` from one solve.
 
-    With a = E + W at time 0 and b = E - W at time tau > 0,
-    dE = da + db and dW = da - db.
+    The one-point case of ``build_grid``: the contour system takes its
+    radii at this point's endpoints.
     """
-    d = log_derivatives("airy", AiryEndpoints([[e + w], [e - w]]),
-                        [0.0, tau], m=m)
-    da, db = d["a"][0, 0], d["a"][1, 0]
-    return d["tau"][1], da + db, da - db
+    return _stencil(tau, [(e, w)], m)[1][0]
 
 
 def build_grid(center, step=0.05, radius=2, m=120):
@@ -69,11 +72,43 @@ def build_grid(center, step=0.05, radius=2, m=120):
     if int(radius) < 2:
         raise ValueError("need radius >= 2")
     tau, e, w = center
-    vals = np.empty((3, 3, 3))
-    for i, j in np.ndindex(3, 3):
-        vals[i, j] = two_time_gradient(
-            tau, e + step * (i - 1), w + step * (j - 1), m=m)
-    return GradientGrid(center=tuple(center), step=float(step), values=vals)
+    system, grads = _stencil(tau, [(e + step * (i - 1), w + step * (j - 1))
+                                   for i, j in np.ndindex(3, 3)], m)
+    return GradientGrid(center=tuple(center), step=float(step),
+                        values=np.reshape(grads, (3, 3, 3)),
+                        radii=dict(system.meta["radii"]),
+                        radius_capped=system.meta["radius_capped"])
+
+
+def _stencil(tau, points, m):
+    """(system, gradients) at the (E, W) ``points``, all at time gap tau.
+
+    The points share one contour system and one Cauchy geometry.  Its
+    truncation radii are taken at the largest |endpoint| of all points;
+    the truncation rule is monotone in it, so every point meets it.
+    """
+    times = validate_times([0.0, tau])  # ContourError unless tau > 0
+    eps = [AiryEndpoints([[e + w], [e - w]]) for e, w in points]
+    system = build_airy_system(
+        times, m=m, endpoint_scale=max(ep.max_abs_endpoint() for ep in eps))
+    grads, geometry = [], None
+    for ep in eps:
+        op = iiks_operator(ep, times, system, geometry=geometry)
+        geometry = op.geometry
+        grads.append(_gradient(op, ep, times))
+    return system, grads
+
+
+def _gradient(op, endpoints, times):
+    """(dTau G, dE G, dW G) from one solve with the operator ``op`` of
+    the intervals [a, inf), [b, inf) at times (0, tau).
+
+    With a = E + W and b = E - W, dE = da + db and dW = da - db.
+    """
+    d = moment_log_derivatives("airy", endpoints, times,
+                               resolvent_moments(op))
+    da, db = d["a"][0, 0], d["a"][1, 0]
+    return d["tau"][1], da + db, da - db
 
 
 def derivatives(grid):

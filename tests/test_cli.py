@@ -332,6 +332,20 @@ def test_run_pde_task_with_tolerance_override(tmp_path):
     assert rec["residuals"][0]["relative_residual"] < 0.05
 
 
+def test_run_pde_reports_the_radii_of_each_step(tmp_path):
+    cfg = {"task": "pde", "pde": {"steps": [0.08, 0.04]},
+           "quadrature": {"m": 24}, "tolerances": {"pde": 1.0}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    _, rec = _run(tmp_path, ["run", str(path)])
+    coarse, fine = rec["residuals"]
+    for step in coarse, fine:
+        assert step["radius_capped"] == []
+        assert set(step["radii"]) == {"gamma_R", "line_1", "line_2"}
+    # the wider stencil reaches larger endpoints
+    assert all(coarse["radii"][k] > fine["radii"][k] for k in fine["radii"])
+
+
 def test_sweep_emits_one_record_per_point_and_csv(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     cfg = {

@@ -60,6 +60,26 @@ def test_airy_system_rejects_bad_parameters():
         contour.build_airy_system([0.0, 0.0])
 
 
+@pytest.mark.parametrize("angles, collide", [
+    ((-np.pi / 2, np.pi / 2), True),    # the same nodes in the same order
+    ((np.pi / 2, -np.pi / 2), True),    # and in reverse order
+    ((-np.pi / 3, np.pi / 3), False),   # only the apex, which is no node
+])
+def test_system_rejects_components_that_share_a_node(angles, collide):
+    line = contour.ContourComponent(0j, (-np.pi / 2, np.pi / 2), 5.0, "a")
+    other = contour.ContourComponent(0j, angles, 5.0, "b")
+    system = contour.ContourSystem(grids=contour.build_grids([line, other],
+                                                             16))
+    # the distance check is the reference
+    assert (system.min_pairwise_distance() == 0) == collide
+    if collide:
+        with pytest.raises(contour.ContourError, match="collide"):
+            contour._system([line, other], 16, None, {})
+    else:
+        assert contour._system([line, other], 16, None, {}).labels == \
+            ("a", "b")
+
+
 def test_pearcey_system_geometry():
     sys_ = contour.build_pearcey_system([0.0], delta=0.5, m=40)
     gr, gl, ir = (sys_.grid(k) for k in ("gamma_R", "gamma_L", "iR"))

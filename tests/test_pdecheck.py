@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapdet import gap, pdecheck
+from gapdet import airy, contour, gap, pdecheck
 from gapdet.gap import airy_gap_probability
 
 
@@ -53,11 +53,30 @@ def test_two_time_logdet_matches_driver():
     assert via == pytest.approx(direct, rel=1e-12)
 
 
+def _stencil_system(center, step, m):
+    """The contour system of the stencil around ``center``: radii at the
+    largest |endpoint| of its nine points."""
+    tau, e, w = center
+    scale = max(abs(e + i * step + s * (w + j * step))
+                for i in (-1, 0, 1) for j in (-1, 0, 1) for s in (1, -1))
+    return contour.build_airy_system([0.0, tau], m=m, endpoint_scale=scale)
+
+
 def test_grid_center_matches_two_time_logdet():
     # the moment gradient against central differences of the log det
     center, h = (1.0, 0.2, 0.1), 1e-3
-    grad = pdecheck.build_grid(center, step=0.04, m=120).values[1, 1]
-    assert np.array_equal(grad, pdecheck.two_time_gradient(*center, m=120))
+    grid = pdecheck.build_grid(center, step=0.04, m=120)
+    grad = grid.values[1, 1]
+    # bit for bit the gradient of the center on the stencil's system
+    system = _stencil_system(center, 0.04, 120)
+    assert grid.radii == system.meta["radii"]
+    ep = airy.AiryEndpoints([[0.2 + 0.1], [0.2 - 0.1]])
+    times = np.array([0.0, 1.0])
+    op = airy.iiks_operator(ep, times, system)
+    assert np.array_equal(grad, pdecheck._gradient(op, ep, times))
+    # and close to the gradient on the center's own system
+    own = np.array(pdecheck.two_time_gradient(*center, m=120))
+    assert np.all(np.abs(grad - own) <= 1e-7 * np.abs(own))
     for k in range(3):
         up, dn = list(center), list(center)
         up[k] += h
@@ -65,6 +84,23 @@ def test_grid_center_matches_two_time_logdet():
         fd = (pdecheck.two_time_logdet(*up, m=120)
               - pdecheck.two_time_logdet(*dn, m=120)) / (2 * h)
         assert abs(grad[k] - fd) <= 1e-5 * abs(fd), k
+
+
+@pytest.mark.parametrize("step", [0.04, 0.02])
+def test_stencil_system_radii_cover_every_point(step):
+    # the truncation rule is monotone in the endpoint scale: a system
+    # built at one point's own endpoints needs no larger radius
+    center = (1.0, 0.2, 0.1)
+    grid = pdecheck.build_grid(center, step=step, m=48)
+    tau, e, w = center
+    for i, j in np.ndindex(3, 3):
+        a, b = e + step * (i - 1) + w + step * (j - 1), \
+            e + step * (i - 1) - (w + step * (j - 1))
+        own = contour.build_airy_system([0.0, tau], m=48,
+                                        endpoint_scale=max(abs(a), abs(b)))
+        assert own.meta["radii"].keys() == grid.radii.keys()
+        assert all(r <= grid.radii[k] for k, r in own.meta["radii"].items())
+    assert grid.radius_capped == ()
 
 
 def test_grid_is_w_symmetric(monkeypatch):
@@ -81,25 +117,44 @@ def test_grid_is_w_symmetric(monkeypatch):
 
 
 def _fake_gradient(calls):
-    def fake(tau, e, w, m=120):
-        calls.append((tau, e, w, m))
-        return (tau + e, e * w, w - tau)
+    # records each point's intervals [a, inf), [b, inf), its times, its
+    # node count and the operator's geometry, and returns (tau + E, E W,
+    # W - tau) at E = (a + b) / 2, W = (a - b) / 2
+    def fake(op, endpoints, times):
+        (a,), (b,) = endpoints.per_time
+        calls.append(((a, b), tuple(times), len(op.slots.nodes) // 4,
+                      op.geometry))
+        e, w = (a + b) / 2, (a - b) / 2
+        return (times[1] + e, e * w, w - times[1])
     return fake
+
+
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
 
 
 @pytest.mark.parametrize("radius", [2, 3])
 def test_build_grid_evaluates_exactly_the_stencil_points(monkeypatch, radius):
-    calls = []
-    monkeypatch.setattr(pdecheck, "two_time_gradient", _fake_gradient(calls))
+    calls, systems = [], []
+    monkeypatch.setattr(pdecheck, "_gradient", _fake_gradient(calls))
+    monkeypatch.setattr(pdecheck, "build_airy_system",
+                        _counting(systems, contour.build_airy_system))
     center, h = (1.0, 0.2, 0.1), 0.05
     g = pdecheck.build_grid(center, step=h, radius=radius, m=48)
-    assert len(calls) == 9
-    assert {c[0] for c in calls} == {1.0} and {c[3] for c in calls} == {48}
+    # one contour system, one Cauchy geometry and one tau and m for all
+    assert len(systems) == 1 and len(calls) == 9
+    assert len({id(c[3]) for c in calls}) == 1
+    assert {c[1] for c in calls} == {(0.0, 1.0)}
+    assert {c[2] for c in calls} == {48}  # 4 slots per node at n = 2
+    assert len({c[0] for c in calls}) == 9
     assert g.values.shape == (3, 3, 3)
     # each entry holds the gradient at its own (E, W) point
-    for i, j in np.ndindex(3, 3):
+    for (i, j), (ends, _, _, _) in zip(np.ndindex(3, 3), calls):
         e, w = 0.2 + h * (i - 1), 0.1 + h * (j - 1)
-        assert (1.0, e, w, 48) in calls
+        assert ends == pytest.approx((e + w, e - w), rel=1e-12)
         assert g.values[i, j] == pytest.approx((1.0 + e, e * w, w - 1.0),
                                                rel=1e-12)
 
@@ -107,7 +162,7 @@ def test_build_grid_evaluates_exactly_the_stencil_points(monkeypatch, radius):
 @pytest.mark.parametrize("radius", [0, 1])
 def test_build_grid_rejects_radius_below_two(monkeypatch, radius):
     calls = []
-    monkeypatch.setattr(pdecheck, "two_time_gradient", _fake_gradient(calls))
+    monkeypatch.setattr(pdecheck, "_gradient", _fake_gradient(calls))
     with pytest.raises(ValueError, match="radius"):
         pdecheck.build_grid((1.0, 0.2, 0.1), radius=radius, m=48)
     assert calls == []
