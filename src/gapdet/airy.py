@@ -15,13 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import (
-    RADIUS_CAP,
     TAIL_LOG,
     TWO_PI_I,
     ContourComponent,
-    ContourSystem,
     Endpoints,
-    build_grids,
+    _system,
     build_slots,
     fg_matrices,
     solve_radius,
@@ -196,8 +194,8 @@ def iiks_operator(endpoints, times, system, gauge=True, geometry=None):
     same system with the same number of times; it is built by default.
     """
     s = iiks_slots(endpoints, times, system, gauge)
-    meta = dict(system.meta)
-    meta.update({"process": "airy", "gauge": gauge, "p": endpoints.p})
+    meta = {**system.meta, "process": "airy", "gauge": gauge,
+            "p": endpoints.p}
     return cauchy_operator([(s.f, s.g)], s, _lead(endpoints, system),
                            meta=meta, geometry=geometry)
 
@@ -226,26 +224,21 @@ def physical_contours(times, m=80, radius=None, x_min=0.0):
     contour of time i is gamma_R - tau_i.  "left_line" is the lam
     contour, the vertical line deformed to left rays (apex c_L, angles
     +-2pi/3) for cubic decay.  ``x_min`` is the most negative argument
-    the kernel will see; it slows the decay linearly.
-    ``meta["radius_capped"]`` names both contours when the solved radius
-    hit ``RADIUS_CAP``.
+    the kernel will see; it slows the decay linearly.  Both contours
+    share one radius, the solved one plus a pad of 1; ``meta`` is that
+    of ``contour._system`` plus ``C``.
     """
     t = validate_times(times)
     C = float(t.max()) + 1.0
-    capped = ()
-    if not radius:
-        lin = max(0.0, -x_min) / 2.0
-        radius = solve_radius(lambda r: r ** 3 / 3 - lin * r, TAIL_LOG)
-        if radius == RADIUS_CAP:
-            capped = ("gamma_R", "left_line")
-        radius += 1.0
+    lin = max(0.0, -x_min) / 2.0
+    rad = radius or solve_radius(
+        lambda r: r ** 3 / 3 - lin * r, TAIL_LOG) + 1.0
     c_left = min(0.0, float(t.min())) - 0.5
-    grids = build_grids([
-        ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), radius,
-                         "gamma_R"),
-        ContourComponent(complex(c_left), (-2 * np.pi / 3, 2 * np.pi / 3),
-                         radius, "left_line")], m)
-    return ContourSystem(grids=grids, meta={"C": C, "radius_capped": capped})
+    comps = [ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), rad,
+                              "gamma_R"),
+             ContourComponent(complex(c_left), (-2 * np.pi / 3, 2 * np.pi / 3),
+                              rad, "left_line")]
+    return _system(comps, m, radius, {"C": C})
 
 
 def _physical_factors(phys, times):
@@ -274,11 +267,8 @@ def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
     phys = physical_contours(times, m=m, radius=radius, x_min=x_min)
-    meta = {"process": "airy", "representation": "physical", "m": m,
-            "t_cut": t_cut, "C": phys.meta["C"],
-            "radii": {"right": phys.grids[0].component.truncation_radius,
-                      "left": phys.grids[-1].component.truncation_radius},
-            "radius_capped": phys.meta["radius_capped"]}
+    meta = {**phys.meta, "process": "airy", "representation": "physical",
+            "t_cut": t_cut}
     return interval_operator(
         grids, *_physical_factors(phys, t),
         lambda i, j, xs, ys: gaussian_bridge(i, j, xs, ys, t), meta)

@@ -38,6 +38,10 @@ _DEFAULT_TOL = {
     "imag": 1e-8,
 }
 
+#: the top-level keys of a job
+_KEYS = {"task", "process", "times", "intervals", "s", "quadrature",
+         "tolerances", "sweep", "pde", "csv"}
+
 _PRESETS = {
     "equivalence": {
         "airy-two-time": {
@@ -100,6 +104,8 @@ def validate_config(cfg):
     """Field-level validation; returns a normalized copy."""
     cfg = copy.deepcopy(cfg)
     _require(isinstance(cfg, dict), "config must be a JSON object")
+    unknown = sorted(set(cfg) - _KEYS)
+    _require(not unknown, f"unknown keys {unknown}")
     task = cfg.get("task", "det")
     _require(task in _TASKS, f"task: expected one of {_TASKS}, got {task!r}")
     cfg["task"] = task
@@ -134,8 +140,11 @@ def validate_config(cfg):
             raise ConfigError(f"intervals: {exc}") from exc
     if task == "sweep":
         _validate_axis(cfg["sweep"]["axis"], job, cfg)
-    _require(not cfg.get("csv") or (task, job) == ("sweep", "det"),
-             "csv: only a det sweep writes one")
+    if "csv" in cfg:
+        _require(isinstance(cfg["csv"], str) and cfg["csv"],
+                 f"csv: need a non-empty path, got {cfg['csv']!r}")
+        _require((task, job) == ("sweep", "det"),
+                 "csv: only a det sweep writes one")
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
     unknown = sorted(set(quad) - {"m", "truncation_radius", "delta", "t_cut"})
@@ -149,7 +158,13 @@ def validate_config(cfg):
                      f"quadrature.{key}: must be positive")
     ignored = sorted(set(quad) - _read_keys(job, cfg.get("process")))
     _require(not ignored, f"quadrature: this job ignores keys {ignored}")
-    cfg.setdefault("tolerances", {})
+    tol = cfg.setdefault("tolerances", {})
+    _require(isinstance(tol, dict), "tolerances: must be an object")
+    unknown = sorted(set(tol) - set(_DEFAULT_TOL))
+    _require(not unknown, f"tolerances: unknown keys {unknown}")
+    for key, value in tol.items():
+        _require(_real(value, f"tolerances.{key}") > 0,
+                 f"tolerances.{key}: must be positive")
     return cfg
 
 
@@ -270,6 +285,7 @@ def run_task(cfg):
         record["det_physical"] = _complex_fields(rep["det_physical"])
         record["det_iiks"] = _complex_fields(rep["det_iiks"])
         record["abs_difference"] = rep["abs_difference"]
+        record["diagnostics"] = _sanitize(rep["diagnostics"])
         passed = rep["abs_difference"] < tol["equivalence"] and all(
             _is_probability(rep[f"det_{r}"], rep["diagnostics"][r], tol)
             for r in ("physical", "iiks"))
@@ -458,15 +474,14 @@ def main(argv=None):
             records = run_sweep(cfg, workers=args.workers)
             payload = {"records": records,
                        "passed": all(r.get("passed") for r in records)}
-            out = cfg.get("output") or args.out
-            _write_output(payload, out)
+            _write_output(payload, args.out)
             csv_path = cfg.get("csv")
             if csv_path:
                 _write_csv(records, csv_path)
             ok = payload["passed"]
         else:
             record = run_task(cfg)
-            _write_output(record, cfg.get("output") or args.out)
+            _write_output(record, args.out)
             ok = record["passed"]
     except ConfigError as exc:
         log.error("invalid configuration: %s", exc)

@@ -149,11 +149,12 @@ def _system(comps, m, radius, meta):
     """Disjoint system of ``comps`` with ``m`` nodes each.
 
     ``meta["radius_capped"]`` lists the components whose solved radius
-    is ``RADIUS_CAP``; a ``radius`` given by the caller caps nothing.
+    reached ``RADIUS_CAP`` (a padded radius may exceed it); a ``radius``
+    given by the caller caps nothing.
     """
     radii = {c.label: c.truncation_radius for c in comps}
     capped = () if radius else tuple(
-        label for label, r in radii.items() if r == RADIUS_CAP)
+        label for label, r in radii.items() if r >= RADIUS_CAP)
     system = ContourSystem(grids=build_grids(comps, m), meta={
         **meta, "m": m, "eps": DEFAULT_TAIL_EPS, "radii": radii,
         "radius_capped": capped})

@@ -129,20 +129,9 @@ def _log_det(process, times, endpoints, m):
     return fn(times, endpoints, m=m).log_value.real
 
 
-def _fd_endpoint(process, endpoints, times, i, ell, h, m):
-    up = _log_det(process, times, endpoints.shifted(i, ell, h), m)
-    dn = _log_det(process, times, endpoints.shifted(i, ell, -h), m)
-    return (up - dn) / (2.0 * h)
-
-
-def _fd_time(process, endpoints, times, i, h, m):
-    t = np.asarray(times, dtype=float)
-    tp, tm = t.copy(), t.copy()
-    tp[i] += h
-    tm[i] -= h
-    up = _log_det(process, tp, endpoints, m)
-    dn = _log_det(process, tm, endpoints, m)
-    return (up - dn) / (2.0 * h)
+def _central(f, h):
+    """Central difference (f(h) - f(-h)) / 2h of f at 0."""
+    return (f(h) - f(-h)) / (2.0 * h)
 
 
 def _entry(fd, formula):
@@ -156,11 +145,12 @@ def _derivative_report(process, endpoints, times, m, step, tau_step):
     t = validate_times(times)
     formulas = log_derivatives(process, endpoints, t, m=m)
     report = {
-        "a": {(i, ell): _entry(_fd_endpoint(process, endpoints, t, i, ell,
-                                            step, m), f)
+        "a": {(i, ell): _entry(_central(lambda h: _log_det(
+            process, t, endpoints.shifted(i, ell, h), m), step), f)
               for (i, ell), f in formulas["a"].items()},
-        "tau": {i: _entry(_fd_time(process, endpoints, t, i, tau_step, m), f)
-                for i, f in formulas["tau"].items()}}
+        "tau": {i: _entry(_central(lambda h: _log_det(
+            process, t + h * (np.arange(len(t)) == i), endpoints, m),
+            tau_step), f) for i, f in formulas["tau"].items()}}
     report["max_rel_mismatch"] = max(
         v["rel_mismatch"] for part in report.values() for v in part.values())
     return report

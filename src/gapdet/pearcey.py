@@ -184,8 +184,7 @@ def iiks_operator(endpoints, times, system):
     """Discretized integrable Pearcey operator."""
     s = iiks_slots(endpoints, times, system)
     coef = _alternating_sums(endpoints)
-    meta = dict(system.meta)
-    meta.update({"process": "pearcey", "p": endpoints.p})
+    meta = {**system.meta, "process": "pearcey", "p": endpoints.p}
     return cauchy_operator(
         [(s.f, s.g)], s, _lead(endpoints, system),
         diag=lambda i, j, lam: _diag_limit(i, j, lam, times, coef), meta=meta)
@@ -230,9 +229,8 @@ def physical_entry(i, j, x, y, system, times):
 def physical_operator(endpoints, times, system):
     """Nystrom discretization of the physical operator chi P chi."""
     t = validate_times(times)
-    meta = {"process": "pearcey", "representation": "physical",
-            "m": system.meta["m"], "delta": system.meta["delta"],
-            "radius_capped": system.meta["radius_capped"]}
+    meta = {**system.meta, "process": "pearcey",
+            "representation": "physical"}
     return interval_operator(
         interval_grids(endpoints), *_physical_factors(system, t),
         lambda i, j, xs, ys: heat_kernel(i, j, xs, ys, t), meta)

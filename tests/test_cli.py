@@ -123,7 +123,7 @@ NAN, INF = float("nan"), float("inf")
 _PDE_JOB = {"task": "pde", "quadrature": {"m": 24}}
 
 
-def test_config_validation_errors(tmp_path):
+def test_config_validation_errors(tmp_path, capsys):
     bad = [
         {"process": "airy", "times": [1.0, 0.0], "intervals": [[0.0], [0.0]]},
         {"process": "pearcey", "times": [0.0], "intervals": [[0.0]]},
@@ -229,12 +229,38 @@ def test_config_validation_errors(tmp_path):
                    "values": [0.0]}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "det", "csv": str(tmp_path / "j1.csv")},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "csv": 98,
+         "sweep": {"axis": "endpoint:0:0", "values": [0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "csv": "",
+         "sweep": {"axis": "endpoint:0:0", "values": [0.0]}},
+        # unknown top-level keys, among them a misspelt one and the
+        # output path, which only --out sets
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "tolerance": {"imag": 1e-3}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "output": 99},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "output": str(tmp_path / "elsewhere.json")},
+        # tolerances: an object of known keys with positive finite values
+        {"task": "tw-oracle", "s": 0.0, "tolerances": {"tw-oracle": "big"}},
+        {"task": "tw-oracle", "s": 0.0, "tolerances": {"tw_oracle": 1e-6}},
+        {"task": "tw-oracle", "s": 0.0, "tolerances": {"imag": -1e-8}},
+        {"task": "tw-oracle", "s": 0.0, "tolerances": {"imag": 0}},
+        {"task": "tw-oracle", "s": 0.0, "tolerances": {"imag": NAN}},
+        {"task": "tw-oracle", "s": 0.0, "tolerances": {"imag": True}},
+        {"task": "tw-oracle", "s": 0.0, "tolerances": [1e-8]},
     ]
     for cfg in bad:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
+        capsys.readouterr()
         code, _ = _run(tmp_path, ["run", str(path)])
-        assert code == 2
+        err = capsys.readouterr().err
+        assert code == 2, cfg
+        assert err.startswith("error: ") and "Traceback" not in err, cfg
+    assert not (tmp_path / "elsewhere.json").exists()
 
 
 def test_pde_center_tau_must_be_positive(tmp_path):
@@ -297,6 +323,24 @@ def test_check_equivalence_preset_flag_override(tmp_path):
                                 "--preset", "airy-two-time", "--m", "120"])
     assert code == 0
     assert rec["abs_difference"] < 1e-6
+
+
+@pytest.mark.parametrize("preset, physical, iiks", [
+    ("airy-two-time", {"gamma_R", "left_line"},
+     {"gamma_R", "line_1", "line_2"}),
+    ("pearcey-two-time", {"gamma_R", "gamma_L", "iR"},
+     {"gamma_R", "gamma_L", "iR"})])
+def test_check_equivalence_record_carries_both_diagnostics(
+        tmp_path, preset, physical, iiks):
+    code, rec = _run(tmp_path, ["check", "equivalence", "--preset", preset])
+    assert code == 0
+    diag = rec["diagnostics"]
+    assert set(diag["physical"]["radii"]) == physical
+    assert set(diag["iiks"]["radii"]) == iiks
+    m = cli._PRESETS["equivalence"][preset]["quadrature"]["m"]
+    for route in ("physical", "iiks"):
+        assert diag[route]["m"] == m and diag[route]["radius_capped"] == []
+        assert diag[route]["rcond"] >= fredholm._RCOND_MIN
 
 
 def test_check_unknown_preset(tmp_path):

@@ -55,6 +55,37 @@ def test_capped_physical_radius_is_reported():
     assert op.meta["radius_capped"] == ()
 
 
+@pytest.mark.parametrize("fn, intervals", [
+    (gap.airy_gap_probability, [[-1.0], [0.5]]),
+    (gap.pearcey_gap_probability, [[-1.0, 1.0]] * 2)])
+@pytest.mark.parametrize("representation", ["physical", "iiks"])
+def test_every_route_reports_the_radii_of_its_system(
+        monkeypatch, fn, intervals, representation):
+    built, build = [], contour._system
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(contour, "_system", spy)
+    monkeypatch.setattr(airy, "_system", spy)
+    diag = fn([0.0, 1.0], intervals, representation=representation,
+              m=20).diagnostics
+    [system] = built
+    assert diag["radii"] == {g.component.label: g.component.truncation_radius
+                             for g in system.grids}
+    assert diag["radius_capped"] == system.meta["radius_capped"]
+    assert (diag["m"], diag["eps"]) == (20, contour.DEFAULT_TAIL_EPS)
+
+
+def test_physical_contours_meta_is_the_system_meta_plus_apex():
+    phys = airy.physical_contours([0.0, 1.0], m=8, x_min=-2.0)
+    own = contour._system([g.component for g in phys.grids], 8, None, {})
+    assert set(phys.meta) == set(own.meta) | {"C"}
+    assert phys.meta["radii"] == own.meta["radii"]
+    assert set(phys.meta["radii"]) == {"gamma_R", "left_line"}
+
+
 def test_airy_system_rejects_bad_parameters():
     with pytest.raises(contour.ContourError):
         contour.build_airy_system([0.0, 0.0])
