@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import (
-    TAIL_LOG,
     TWO_PI_I,
     ContourComponent,
     Endpoints,
+    _radius,
     _system,
     build_slots,
     fg_matrices,
-    solve_radius,
     validate_times,
 )
 from .fredholm import (
@@ -217,7 +216,7 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
 # physical kernel
 # ---------------------------------------------------------------------------
 
-def physical_contours(times, m=80, radius=None, x_min=0.0):
+def physical_contours(times, m=80, x_min=0.0):
     """Contours for the physical Airy kernel entries, as a ContourSystem.
 
     "gamma_R" has apex C = max(times) + 1 and angles +-pi/3; the mu
@@ -230,15 +229,13 @@ def physical_contours(times, m=80, radius=None, x_min=0.0):
     """
     t = validate_times(times)
     C = float(t.max()) + 1.0
-    lin = max(0.0, -x_min) / 2.0
-    rad = radius or solve_radius(
-        lambda r: r ** 3 / 3 - lin * r, TAIL_LOG) + 1.0
+    rad = _radius(lambda r: r ** 3 / 3, max(0.0, -x_min) / 2.0) + 1.0
     c_left = min(0.0, float(t.min())) - 0.5
     comps = [ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), rad,
                               "gamma_R"),
              ContourComponent(complex(c_left), (-2 * np.pi / 3, 2 * np.pi / 3),
                               rad, "left_line")]
-    return _system(comps, m, radius, {"C": C})
+    return _system(comps, m, {"C": C})
 
 
 def _physical_factors(phys, times):
@@ -259,14 +256,13 @@ def physical_entry(i, j, x, y, phys, times):
     return complex((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, times))
 
 
-def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT,
-                      radius=None):
+def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT):
     """Nystrom discretization of the physical operator chi A chi."""
     t = validate_times(times)
     grids = interval_grids(endpoints, t_cut)
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
-    phys = physical_contours(times, m=m, radius=radius, x_min=x_min)
+    phys = physical_contours(times, m=m, x_min=x_min)
     meta = {**phys.meta, "process": "airy", "representation": "physical",
             "t_cut": t_cut}
     return interval_operator(

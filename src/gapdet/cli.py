@@ -147,12 +147,12 @@ def validate_config(cfg):
                  "csv: only a det sweep writes one")
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
-    unknown = sorted(set(quad) - {"m", "truncation_radius", "delta", "t_cut"})
+    unknown = sorted(set(quad) - {"m", "delta", "t_cut"})
     _require(not unknown, f"quadrature: unknown keys {unknown}")
     if "m" in quad:
         _require(_real(quad["m"], "quadrature.m") >= 4,
                  "quadrature.m: must be >= 4")
-    for key in ("truncation_radius", "delta", "t_cut"):
+    for key in ("delta", "t_cut"):
         if key in quad:
             _require(_real(quad[key], f"quadrature.{key}") > 0,
                      f"quadrature.{key}: must be positive")
@@ -171,6 +171,8 @@ def validate_config(cfg):
 def _validate_sweep(sweep):
     """Check a ``sweep`` block; returns the task run at each point."""
     _require(isinstance(sweep, dict), "sweep: missing sweep description")
+    unknown = sorted(set(sweep) - {"axis", "values", "task"})
+    _require(not unknown, f"sweep: unknown keys {unknown}")
     _require(isinstance(sweep.get("axis"), str), "sweep.axis: must be a string")
     values = sweep.get("values")
     _require(isinstance(values, list) and values,
@@ -199,6 +201,8 @@ def _validate_axis(axis, job, cfg):
 def _validate_pde(pde):
     """Check a ``pde`` block against what ``pdecheck`` accepts."""
     _require(isinstance(pde, dict), "pde: must be an object")
+    unknown = sorted(set(pde) - {"center", "steps", "radius"})
+    _require(not unknown, f"pde: unknown keys {unknown}")
     if "radius" in pde:
         radius = pde["radius"]
         _require(isinstance(radius, int) and not isinstance(radius, bool)
@@ -223,15 +227,12 @@ def _read_keys(task, process):
     """The quadrature keys a job of ``task`` reads."""
     if task in ("derivatives", "pde", "tw-oracle"):
         return {"m"}
-    return {"m", "truncation_radius",
-            "t_cut" if process == "airy" else "delta"}
+    return {"m", "t_cut" if process == "airy" else "delta"}
 
 
 def _quad_kwargs(cfg):
     quad = cfg.get("quadrature", {})
     kw = {"m": int(quad.get("m", 80))}
-    if "truncation_radius" in quad:
-        kw["radius"] = float(quad["truncation_radius"])
     for key in ("t_cut", "delta"):
         if key in quad:
             kw[key] = float(quad[key])
@@ -402,7 +403,6 @@ def _write_csv(records, path):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--m", type=int, help="nodes per contour component")
-    common.add_argument("--radius", type=float, help="truncation radius")
     common.add_argument("--workers", type=int, default=1,
                         help="worker processes for sweeps")
     common.add_argument("--out", help="output JSON path (default stdout)")
@@ -430,13 +430,11 @@ def build_parser():
 
 
 def _apply_flag_overrides(cfg, args):
-    """``--m`` and ``--radius`` written into the job's quadrature object."""
-    flags = {"m": args.m, "truncation_radius": args.radius}
-    flags = {k: v for k, v in flags.items() if v is not None}
-    if flags and isinstance(cfg, dict):
+    """``--m`` written into the job's quadrature object."""
+    if args.m is not None and isinstance(cfg, dict):
         quad = cfg.setdefault("quadrature", {})
         if isinstance(quad, dict):
-            quad.update(flags)
+            quad["m"] = args.m
     return cfg
 
 

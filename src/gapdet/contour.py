@@ -145,16 +145,14 @@ class ContourSystem:
         return best
 
 
-def _system(comps, m, radius, meta):
+def _system(comps, m, meta):
     """Disjoint system of ``comps`` with ``m`` nodes each.
 
-    ``meta["radius_capped"]`` lists the components whose solved radius
-    reached ``RADIUS_CAP`` (a padded radius may exceed it); a ``radius``
-    given by the caller caps nothing.
+    ``meta["radius_capped"]`` lists the components whose radius is at
+    least ``RADIUS_CAP`` (a padded radius may exceed it).
     """
     radii = {c.label: c.truncation_radius for c in comps}
-    capped = () if radius else tuple(
-        label for label, r in radii.items() if r >= RADIUS_CAP)
+    capped = tuple(label for label, r in radii.items() if r >= RADIUS_CAP)
     system = ContourSystem(grids=build_grids(comps, m), meta={
         **meta, "m": m, "eps": DEFAULT_TAIL_EPS, "radii": radii,
         "radius_capped": capped})
@@ -178,9 +176,9 @@ def solve_radius(exponent, target, r_max=RADIUS_CAP):
     """
     lo, hi = 1e-3, 2.0
     while exponent(hi) < target:
-        hi *= 2.0
-        if hi > r_max:
+        if hi >= r_max:
             return r_max
+        hi = min(2.0 * hi, r_max)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if exponent(mid) >= target:
@@ -188,6 +186,21 @@ def solve_radius(exponent, target, r_max=RADIUS_CAP):
         else:
             lo = mid
     return hi
+
+
+def _radius(decay, a, times=()):
+    """Smallest radius at which decay(r) - a*r reaches ``TAIL_LOG``.
+
+    ``decay`` is the decay exponent of the slowest weight, ``a`` its
+    linear growth.  Where two or more ``times`` cross the component,
+    the Gaussian dt_min*r^2/2 - a*r of the smallest time gap must too.
+    """
+    rad = solve_radius(lambda r: decay(r) - a * r, TAIL_LOG)
+    if len(times) > 1:
+        dt_min = np.diff(times).min()
+        rad = max(rad, solve_radius(lambda r: dt_min * r ** 2 / 2 - a * r,
+                                    TAIL_LOG))
+    return rad
 
 
 def validate_times(times):
@@ -329,7 +342,7 @@ def fg_matrices(f_columns, g_columns, lam, label, endpoints, times):
     return f, g
 
 
-def build_airy_system(times, radius=None, m=80, endpoint_scale=0.0):
+def build_airy_system(times, m=80, endpoint_scale=0.0):
     """Contour system for the Airy integrable kernel.
 
     One right component gamma_R (rays from apex C = max(times) + 1 at
@@ -337,32 +350,24 @@ def build_airy_system(times, radius=None, m=80, endpoint_scale=0.0):
     left ray pair at apex tau_j with angles +-2pi/3, the vertical line
     through tau_j deformed so that every kernel factor decays cubically.
     ``endpoint_scale`` feeds the slowest linear growth (from interval
-    endpoints) into the truncation rule; ``radius`` overrides the rule
-    for every component.
+    endpoints) into the truncation rule.
     """
     t = validate_times(times)
     C = float(t.max()) + 1.0
     a = abs(endpoint_scale)
-    dt_min = np.diff(t).min() if len(t) > 1 else None
-
-    r_right = radius or solve_radius(
-        lambda r: r ** 3 / 6 - a * r / 2, TAIL_LOG)
+    r_right = _radius(lambda r: r ** 3 / 6, a / 2)
     # cubic decay of the slowest row-1 factor, Gaussian from the
     # cross-time blocks when n >= 2
-    r_left = solve_radius(lambda r: r ** 3 / 3 - a * r, TAIL_LOG)
-    if dt_min is not None:
-        r_left = max(r_left, solve_radius(
-            lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
+    r_left = _radius(lambda r: r ** 3 / 3, a, t)
     comps = [ContourComponent(complex(C), (np.pi / 3, -np.pi / 3), r_right,
                               "gamma_R")]
     comps += [ContourComponent(complex(tau), (-2 * np.pi / 3, 2 * np.pi / 3),
-                               radius or r_left, f"line_{j + 1}")
+                               r_left, f"line_{j + 1}")
               for j, tau in enumerate(t)]
-    return _system(comps, m, radius, {"C": C})
+    return _system(comps, m, {"C": C})
 
 
-def build_pearcey_system(times, delta=0.5, radius=None, m=80,
-                         endpoint_scale=0.0):
+def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
     """Contour system for the Pearcey kernel.
 
     gamma_R: rays at apex +delta, angles +-pi/4, traversed downward
@@ -379,17 +384,9 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
         raise ContourError("need delta > 0")
     a = abs(endpoint_scale)
     tmax = abs(t).max()
-    dt_min = np.diff(t).min() if len(t) > 1 else None
-
-    r_x = radius or solve_radius(
-        lambda r: r ** 4 / 8 - tmax * r ** 2 / 2 - a * r, TAIL_LOG)
+    r_x = _radius(lambda r: r ** 4 / 8 - tmax * r ** 2 / 2, a)
     # quartic phase on iR, Gaussian heat factors across time pairs
-    r_line = radius or solve_radius(
-        lambda r: r ** 4 / 4 - tmax * r ** 2 / 2 - a * r, TAIL_LOG)
-    if radius is None and dt_min is not None:
-        r_line = max(r_line, solve_radius(
-            lambda r: dt_min * r ** 2 / 2 - a * r, TAIL_LOG))
-
+    r_line = _radius(lambda r: r ** 4 / 4 - tmax * r ** 2 / 2, a, t)
     comps = [
         ContourComponent(complex(delta), (np.pi / 4, -np.pi / 4), r_x,
                          "gamma_R"),
@@ -397,4 +394,4 @@ def build_pearcey_system(times, delta=0.5, radius=None, m=80,
                          r_x, "gamma_L"),
         ContourComponent(0j, (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
-    return _system(comps, m, radius, {"delta": delta})
+    return _system(comps, m, {"delta": delta})

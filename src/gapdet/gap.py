@@ -14,9 +14,16 @@ from .contour import build_airy_system, build_pearcey_system, validate_times
 from .fredholm import det
 
 
+def is_airy(process):
+    """True for ``"airy"``, False for ``"pearcey"``; else ValueError."""
+    if process not in ("airy", "pearcey"):
+        raise ValueError(
+            f"process: expected 'airy' or 'pearcey', got {process!r}")
+    return process == "airy"
+
+
 def airy_gap_probability(times, intervals, representation="iiks", m=80,
-                         gauge=True, radius=None,
-                         t_cut=airy.DEFAULT_TAIL_CUT):
+                         gauge=True, t_cut=airy.DEFAULT_TAIL_CUT):
     """Gap probability of the multi-time Airy process.
 
     ``intervals`` holds one sorted endpoint list per time; an odd count
@@ -28,18 +35,18 @@ def airy_gap_probability(times, intervals, representation="iiks", m=80,
         else airy.AiryEndpoints(intervals)
     ep.check_times(t)
     if representation == "iiks":
-        system = build_airy_system(t, radius=radius, m=m,
+        system = build_airy_system(t, m=m,
                                    endpoint_scale=ep.max_abs_endpoint())
         op = airy.iiks_operator(ep, t, system, gauge=gauge)
     elif representation == "physical":
-        op = airy.physical_operator(ep, t, m=m, t_cut=t_cut, radius=radius)
+        op = airy.physical_operator(ep, t, m=m, t_cut=t_cut)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)
 
 
 def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
-                            delta=0.5, radius=None):
+                            delta=0.5):
     """Gap probability of the multi-time Pearcey process.
 
     One endpoint list per time, each of even count (finite intervals).
@@ -48,9 +55,8 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
     ep = intervals if isinstance(intervals, pearcey.PearceyEndpoints) \
         else pearcey.PearceyEndpoints(intervals)
     ep.check_times(t)
-    system = build_pearcey_system(
-        t, delta=delta, m=m, radius=radius,
-        endpoint_scale=ep.max_abs_endpoint())
+    system = build_pearcey_system(t, delta=delta, m=m,
+                                  endpoint_scale=ep.max_abs_endpoint())
     if representation == "iiks":
         op = pearcey.iiks_operator(ep, t, system)
     elif representation == "physical":
@@ -62,7 +68,7 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
 
 def equivalence_report(process, times, intervals, m=80, **kw):
     """Both representations of one configuration and their difference."""
-    fn = airy_gap_probability if process == "airy" else pearcey_gap_probability
+    fn = airy_gap_probability if is_airy(process) else pearcey_gap_probability
     phys = fn(times, intervals, representation="physical", m=m, **kw)
     iiks = fn(times, intervals, representation="iiks", m=m, **kw)
     return {

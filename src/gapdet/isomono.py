@@ -16,7 +16,7 @@ from . import airy, pearcey
 from .contour import (TWO_PI_I, build_airy_system, build_pearcey_system,
                       fg_matrices, validate_times)
 from .fredholm import solve_resolvent
-from .gap import airy_gap_probability, pearcey_gap_probability
+from .gap import airy_gap_probability, is_airy, pearcey_gap_probability
 
 
 def jump_matrix(process, lam, comp_label, endpoints, times):
@@ -25,7 +25,7 @@ def jump_matrix(process, lam, comp_label, endpoints, times):
     The Riemann-Hilbert jump is I minus this matrix (the 1/(2 pi i)
     normalization of f cancels the 2 pi i of the jump formula).
     """
-    mod = airy if process == "airy" else pearcey
+    mod = airy if is_airy(process) else pearcey
     f, g = fg_matrices(mod.f_columns, mod.g_columns, lam, comp_label,
                        endpoints, times)
     return f @ g.T
@@ -37,7 +37,7 @@ def exponent_diagonal(process, lam, endpoints, times):
     Row 0 holds the mean of all phase values; block row (i, ell) holds
     the mean minus its own phase, so the trace vanishes identically.
     """
-    mod = airy if process == "airy" else pearcey
+    mod = airy if is_airy(process) else pearcey
     phases = [mod.phase(i, a, lam, times)
               for i, ends in enumerate(endpoints.per_time) for a in ends]
     mean = sum(phases) / endpoints.p if phases else 0.0
@@ -70,7 +70,7 @@ def gamma_moments(process, endpoints, times, m=80):
     """
     t = validate_times(times)
     endpoints.check_times(t)
-    mod, build = (airy, build_airy_system) if process == "airy" \
+    mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
     return resolvent_moments(mod.iiks_operator(endpoints, t, system))
@@ -114,7 +114,7 @@ def moment_log_derivatives(process, endpoints, times, moments):
         qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
         for ell, q in enumerate(qs):
             out["a"][i, ell] = -g1[q, q].real
-        if process == "airy":
+        if is_airy(process):
             out["tau"][i] = sum((2.0 * t[i] * g1 + g1sq - 2.0 * g2)[q, q].real
                                 for q in qs)
         else:
@@ -124,8 +124,7 @@ def moment_log_derivatives(process, endpoints, times, moments):
 
 
 def _log_det(process, times, endpoints, m):
-    fn = airy_gap_probability if process == "airy" \
-        else pearcey_gap_probability
+    fn = airy_gap_probability if is_airy(process) else pearcey_gap_probability
     return fn(times, endpoints, m=m).log_value.real
 
 

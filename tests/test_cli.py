@@ -176,6 +176,14 @@ def test_config_validation_errors(tmp_path, capsys):
         {**_PDE_JOB, "pde": [1.0, 0.2, 0.1]},
         {**_PDE_JOB, "task": "sweep", "pde": {"radius": 1},
          "sweep": {"axis": "tau:1", "task": "pde", "values": [1.0]}},
+        # misspelt keys, which would run the defaults
+        {**_PDE_JOB, "pde": {"centre": [0.5, 0.0, 0.0]}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "sweep": {"axis": "endpoint:0:0",
+                                    "taks": "equivalence", "values": [0.0]}},
+        # no key sets a contour radius: the truncation rule sets each one
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"m": 120, "truncation_radius": 400.0}},
         # a pde job computes the two-time Airy grid of pde.center only
         {**_PDE_JOB, "process": "pearcey"},
         {**_PDE_JOB, "process": "airy", "times": [0.0, 5.0],
@@ -301,13 +309,16 @@ def test_run_rejects_unreadable_job_file(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("flags", [["--m", "2"], ["--radius", "-1"]])
+@pytest.mark.parametrize("flags", [["--m", "2"], ["--radius", "400"]])
 def test_run_validates_flag_overrides(tmp_path, flags):
     cfg = {"process": "airy", "times": [0.0], "intervals": [[0.0]],
            "task": "det", "quadrature": {"m": 24}}
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
-    code, rec = _run(tmp_path, ["run", str(path)] + flags)
+    try:
+        code, rec = _run(tmp_path, ["run", str(path)] + flags)
+    except SystemExit as exc:  # argparse rejects --radius: no flag sets one
+        code, rec = exc.code, None
     assert code == 2
     assert rec is None
 

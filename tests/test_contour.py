@@ -1,5 +1,6 @@
 """Contour geometry and quadrature tests."""
 
+import inspect
 import math
 
 import numpy as np
@@ -37,9 +38,6 @@ def test_capped_radius_is_reported(dt, capped):
     assert all(sys_.meta["radii"][c] == contour.RADIUS_CAP for c in capped)
     res = gap.airy_gap_probability([0.0, dt], [[0.0], [0.0]], m=8)
     assert res.diagnostics["radius_capped"] == capped
-    # a radius the caller gives is no cap
-    assert contour.build_airy_system(
-        [0.0, dt], m=8, radius=contour.RADIUS_CAP).meta["radius_capped"] == ()
 
 
 def test_capped_physical_radius_is_reported():
@@ -53,6 +51,34 @@ def test_capped_physical_radius_is_reported():
     op = pearcey.physical_operator(
         pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2), [0.0, 1.0], sys_)
     assert op.meta["radius_capped"] == ()
+
+
+@pytest.mark.parametrize("fn", [
+    gap.airy_gap_probability, gap.pearcey_gap_probability,
+    contour.build_airy_system, contour.build_pearcey_system,
+    airy.physical_contours, airy.physical_operator, contour._system])
+def test_no_route_takes_a_contour_radius(fn):
+    # every radius comes from the truncation rule, so every cap is seen
+    assert not any("radius" in p for p in inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("build, label, radius", [
+    # the Gaussian of two close times
+    (lambda: contour.build_airy_system([0.0, 0.01], m=8,
+                                       endpoint_scale=0.7),
+     "line_1", 180.7622331735007),
+    # the linear growth of far endpoints
+    (lambda: contour.build_pearcey_system([-0.3, 0.4], m=8,
+                                          endpoint_scale=50.0),
+     "iR", 143.5902083913588),
+    # the linear slowdown of a far physical argument, plus the pad of 1
+    (lambda: airy.physical_contours([0.0], m=8, x_min=-1.2e4),
+     "left_line", 135.16714865806978),
+], ids=["airy-gaussian", "pearcey-linear", "physical"])
+def test_radius_between_128_and_the_cap_is_not_capped(build, label, radius):
+    meta = build().meta
+    assert meta["radii"][label] == pytest.approx(radius, rel=1e-12)
+    assert meta["radius_capped"] == ()
 
 
 @pytest.mark.parametrize("fn, intervals", [
@@ -80,7 +106,7 @@ def test_every_route_reports_the_radii_of_its_system(
 
 def test_physical_contours_meta_is_the_system_meta_plus_apex():
     phys = airy.physical_contours([0.0, 1.0], m=8, x_min=-2.0)
-    own = contour._system([g.component for g in phys.grids], 8, None, {})
+    own = contour._system([g.component for g in phys.grids], 8, {})
     assert set(phys.meta) == set(own.meta) | {"C"}
     assert phys.meta["radii"] == own.meta["radii"]
     assert set(phys.meta["radii"]) == {"gamma_R", "left_line"}
@@ -105,9 +131,9 @@ def test_system_rejects_components_that_share_a_node(angles, collide):
     assert (system.min_pairwise_distance() == 0) == collide
     if collide:
         with pytest.raises(contour.ContourError, match="collide"):
-            contour._system([line, other], 16, None, {})
+            contour._system([line, other], 16, {})
     else:
-        assert contour._system([line, other], 16, None, {}).labels == \
+        assert contour._system([line, other], 16, {}).labels == \
             ("a", "b")
 
 
@@ -162,7 +188,8 @@ def test_integrate_airy_contour_against_series_oracle():
 
 
 def test_integrate_gaussian_on_vertical_line():
-    g = contour.build_pearcey_system([0.0], m=100, radius=9.0).grid("iR")
+    [g] = contour.build_grids([contour.ContourComponent(
+        0j, (-np.pi / 2, np.pi / 2), 9.0, "iR")], 100)
     z = g.nodes
     val = np.sum(g.weights * np.exp(z ** 2 / 2.0 + 0.3 * z)) / (2j * np.pi)
     exact = np.exp(-0.3 ** 2 / 2.0) / np.sqrt(2.0 * np.pi)

@@ -387,9 +387,8 @@ def test_cauchy_operator_rejects_a_scaled_generator_column(process, side,
         fredholm.cauchy_operator([(s.f, s.g)], s, op.lead, diag=diag)
 
 
-@pytest.mark.parametrize("case", ["airy-odd-m", "airy-radius",
-                                  "airy-no-gauge", "pearcey-delta",
-                                  "pearcey-radius"])
+@pytest.mark.parametrize("case", ["airy-odd-m", "airy-no-gauge",
+                                  "pearcey", "pearcey-delta"])
 def test_slot_mirror_is_exact_for_both_processes(case):
     # build_slots pairs each slot with the one at the conjugate node
     # (no sort), and the folded generators are exact mirror images:
@@ -397,16 +396,15 @@ def test_slot_mirror_is_exact_for_both_processes(case):
     times = [0.0, 1.0]
     if case.startswith("airy"):
         ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
-        kw = {"m": 17} if case == "airy-odd-m" else \
-            {"m": 20, "radius": 7.5} if case == "airy-radius" else {"m": 20}
-        sys_ = contour.build_airy_system(times, endpoint_scale=0.7, **kw)
+        m = 17 if case == "airy-odd-m" else 20
+        sys_ = contour.build_airy_system(times, m=m, endpoint_scale=0.7)
         op = airy.iiks_operator(ep, times, sys_,
                                 gauge=case != "airy-no-gauge")
     else:
         ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
-        kw = {"delta": 0.25} if case == "pearcey-delta" else {"radius": 4.0}
-        sys_ = contour.build_pearcey_system(times, m=20, endpoint_scale=1.0,
-                                            **kw)
+        delta = 0.25 if case == "pearcey-delta" else 0.5
+        sys_ = contour.build_pearcey_system(times, delta=delta, m=20,
+                                            endpoint_scale=1.0)
         op = pearcey.iiks_operator(ep, times, sys_)
     sigma, k = op.slots.mirror, op.lead
     # an odd m is bumped to even, so no slot is its own mirror

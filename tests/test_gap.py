@@ -58,6 +58,25 @@ def test_times_and_intervals_counts_must_match(call):
         call()
 
 
+_PEARCEY_EP = pearcey.PearceyEndpoints([[-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: equivalence_report("Airy", [0.0], [[-1.0, 1.0]], m=20),
+    lambda: isomono.jump_matrix("Airy", 0.5j, "iR", _PEARCEY_EP, [0.0]),
+    lambda: isomono.exponent_diagonal("Airy", 0.5j, _PEARCEY_EP, [0.0]),
+    lambda: isomono.gamma_moments("Airy", _PEARCEY_EP, [0.0], m=20),
+    lambda: isomono.moment_log_derivatives(
+        "Airy", _PEARCEY_EP, [0.0], (np.zeros((3, 3)),) * 2),
+    lambda: isomono._log_det("Airy", [0.0], _PEARCEY_EP, 20),
+], ids=["equivalence_report", "jump_matrix", "exponent_diagonal",
+        "gamma_moments", "moment_log_derivatives", "log_det"])
+def test_unknown_process_raises(call):
+    # a misspelt process must not run the Pearcey kernel
+    with pytest.raises(ValueError, match="process"):
+        call()
+
+
 def test_airy_single_time_against_physical():
     rep = equivalence_report("airy", [0.0], [[0.0]], m=100)
     assert rep["abs_difference"] < 1e-7

@@ -27,7 +27,8 @@ def test_heat_kernel_values_and_contour_form():
     assert pearcey.heat_kernel(0, 0, 0.2, 0.4, times) == 0
     assert pearcey.heat_kernel(0, 1, 0.3, 0.3, times) == pytest.approx(
         1.0 / np.sqrt(2.0 * np.pi))
-    grid = contour.build_pearcey_system([0.0], m=100, radius=9.0).grid("iR")
+    [grid] = contour.build_grids([contour.ContourComponent(
+        0j, (-np.pi / 2, np.pi / 2), 9.0, "iR")], 100)
     closed = pearcey.heat_kernel(0, 1, 0.7, 0.0, times)
     quad = pearcey.heat_kernel_contour(1.0, 0.7, 0.0, grid)
     assert quad.real == pytest.approx(closed, abs=1e-10)
