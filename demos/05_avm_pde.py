@@ -15,7 +15,7 @@ print(f"center (tau, E, W) = {center}")
 print(f"{'h':>7} {'lhs':>15} {'rhs':>15} {'|residual|':>12} {'rel':>10}")
 prev = None
 for h in (0.08, 0.04, 0.02):
-    grid = pdecheck.build_grid(center, step=h, radius=2, m=120)
+    grid = pdecheck.build_grid(center, step=h, m=120)
     r = pdecheck.avm_residual(grid)
     ratio = "" if prev is None else f"  (x{prev / r['relative_residual']:.2f})"
     print(f"{h:7.3f} {r['lhs']:15.8e} {r['rhs']:15.8e} "

@@ -25,7 +25,6 @@ from .contour import (
     validate_times,
 )
 from .fredholm import (
-    DEFAULT_TAIL_CUT,
     cauchy_operator,
     double_contour_factors,
     interval_grids,
@@ -256,15 +255,14 @@ def physical_entry(i, j, x, y, phys, times):
     return complex((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, times))
 
 
-def physical_operator(endpoints, times, m=80, t_cut=DEFAULT_TAIL_CUT):
+def physical_operator(endpoints, times, m=80):
     """Nystrom discretization of the physical operator chi A chi."""
     t = validate_times(times)
-    grids = interval_grids(endpoints, t_cut)
+    grids = interval_grids(endpoints)
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
     phys = physical_contours(times, m=m, x_min=x_min)
-    meta = {**phys.meta, "process": "airy", "representation": "physical",
-            "t_cut": t_cut}
+    meta = {**phys.meta, "process": "airy", "representation": "physical"}
     return interval_operator(
         grids, *_physical_factors(phys, t),
         lambda i, j, xs, ys: gaussian_bridge(i, j, xs, ys, t), meta)

@@ -26,8 +26,6 @@ from .airy import AiryEndpoints
 from .gap import airy_gap_probability, equivalence_report, pearcey_gap_probability
 from .pearcey import PearceyEndpoints
 
-log = logging.getLogger("gapdet")
-
 _TASKS = ("det", "equivalence", "derivatives", "pde", "tw-oracle", "sweep")
 
 _DEFAULT_TOL = {
@@ -75,8 +73,7 @@ _PRESETS = {
     "pde": {
         "avm-center": {
             "task": "pde",
-            "pde": {"center": [1.0, 0.2, 0.1], "steps": [0.04, 0.02],
-                    "radius": 2},
+            "pde": {"center": [1.0, 0.2, 0.1], "steps": [0.04, 0.02]},
             "quadrature": {"m": 120},
         },
     },
@@ -147,15 +144,14 @@ def validate_config(cfg):
                  "csv: only a det sweep writes one")
     quad = cfg.setdefault("quadrature", {})
     _require(isinstance(quad, dict), "quadrature: must be an object")
-    unknown = sorted(set(quad) - {"m", "delta", "t_cut"})
+    unknown = sorted(set(quad) - {"m", "delta"})
     _require(not unknown, f"quadrature: unknown keys {unknown}")
     if "m" in quad:
         _require(_real(quad["m"], "quadrature.m") >= 4,
                  "quadrature.m: must be >= 4")
-    for key in ("delta", "t_cut"):
-        if key in quad:
-            _require(_real(quad[key], f"quadrature.{key}") > 0,
-                     f"quadrature.{key}: must be positive")
+    if "delta" in quad:
+        _require(_real(quad["delta"], "quadrature.delta") > 0,
+                 "quadrature.delta: must be positive")
     ignored = sorted(set(quad) - _read_keys(job, cfg.get("process")))
     _require(not ignored, f"quadrature: this job ignores keys {ignored}")
     tol = cfg.setdefault("tolerances", {})
@@ -201,13 +197,8 @@ def _validate_axis(axis, job, cfg):
 def _validate_pde(pde):
     """Check a ``pde`` block against what ``pdecheck`` accepts."""
     _require(isinstance(pde, dict), "pde: must be an object")
-    unknown = sorted(set(pde) - {"center", "steps", "radius"})
+    unknown = sorted(set(pde) - {"center", "steps"})
     _require(not unknown, f"pde: unknown keys {unknown}")
-    if "radius" in pde:
-        radius = pde["radius"]
-        _require(isinstance(radius, int) and not isinstance(radius, bool)
-                 and radius >= 2,
-                 f"pde.radius: need an integer >= 2, got {radius!r}")
     if "steps" in pde:
         steps = pde["steps"]
         _require(isinstance(steps, list) and steps,
@@ -225,17 +216,16 @@ def _validate_pde(pde):
 
 def _read_keys(task, process):
     """The quadrature keys a job of ``task`` reads."""
-    if task in ("derivatives", "pde", "tw-oracle"):
+    if task in ("derivatives", "pde", "tw-oracle") or process == "airy":
         return {"m"}
-    return {"m", "t_cut" if process == "airy" else "delta"}
+    return {"m", "delta"}
 
 
 def _quad_kwargs(cfg):
     quad = cfg.get("quadrature", {})
     kw = {"m": int(quad.get("m", 80))}
-    for key in ("t_cut", "delta"):
-        if key in quad:
-            kw[key] = float(quad[key])
+    if "delta" in quad:
+        kw["delta"] = float(quad["delta"])
     return kw
 
 
@@ -310,8 +300,7 @@ def run_task(cfg):
         m = int(cfg.get("quadrature", {}).get("m", 120))
         results, grids = [], []
         for h in steps:
-            grids.append(pdecheck.build_grid(
-                center, step=h, radius=int(pde.get("radius", 2)), m=m))
+            grids.append(pdecheck.build_grid(center, step=h, m=m))
             results.append(pdecheck.avm_residual(grids[-1]))
         record["residuals"] = _sanitize(
             [{"step": h, "radii": g.radii, "radius_capped": g.radius_capped,
@@ -482,7 +471,6 @@ def main(argv=None):
             _write_output(record, args.out)
             ok = record["passed"]
     except ConfigError as exc:
-        log.error("invalid configuration: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -70,11 +70,10 @@ __all__ = [
     "logdet_derivative",
 ]
 
-#: truncation length of a semi-infinite interval [a, inf)
-DEFAULT_TAIL_CUT = 12.0
-
-# interval quadrature: nodes per unit length, nodes per interval at
-# least, longest Gauss-Legendre panel
+# interval quadrature: truncation length of a semi-infinite interval
+# [a, inf), nodes per unit length, nodes per interval at least, longest
+# Gauss-Legendre panel
+_TAIL_CUT = 12.0
 _NODES_PER_UNIT = 7.0
 _MIN_NODES = 16
 _MAX_PANEL = 3.0
@@ -435,18 +434,18 @@ def _check_mirror(f, g, mirror, lead):
         raise ValueError("kernel vectors are not mirror-symmetric")
 
 
-def interval_grids(endpoints, t_cut=DEFAULT_TAIL_CUT):
+def interval_grids(endpoints):
     """Real quadrature nodes/weights on the intervals of every time.
 
     One (nodes, weights) pair per time of ``endpoints``; an odd endpoint
-    count makes the last interval semi-infinite, truncated at ``t_cut``.
-    The times share one dict of Gauss-Legendre rules, so each distinct
-    rule is built once.
+    count makes the last interval semi-infinite, cut ``_TAIL_CUT`` past
+    its left end.  The times share one dict of Gauss-Legendre rules, so
+    each distinct rule is built once.
     """
     rules = {}
     grids = []
     for ends in endpoints.per_time:
-        ends = list(ends) + ([ends[-1] + t_cut] if len(ends) % 2 else [])
+        ends = list(ends) + ([ends[-1] + _TAIL_CUT] if len(ends) % 2 else [])
         xs, ws = [np.empty(0)], [np.empty(0)]
         for a, b in zip(ends[0::2], ends[1::2]):
             length = b - a

@@ -23,7 +23,7 @@ def is_airy(process):
 
 
 def airy_gap_probability(times, intervals, representation="iiks", m=80,
-                         gauge=True, t_cut=airy.DEFAULT_TAIL_CUT):
+                         gauge=True):
     """Gap probability of the multi-time Airy process.
 
     ``intervals`` holds one sorted endpoint list per time; an odd count
@@ -39,7 +39,7 @@ def airy_gap_probability(times, intervals, representation="iiks", m=80,
                                    endpoint_scale=ep.max_abs_endpoint())
         op = airy.iiks_operator(ep, t, system, gauge=gauge)
     elif representation == "physical":
-        op = airy.physical_operator(ep, t, m=m, t_cut=t_cut)
+        op = airy.physical_operator(ep, t, m=m)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)

@@ -139,29 +139,31 @@ def _entry(fd, formula):
             "rel_mismatch": abs(fd - formula) / scale}
 
 
-def _derivative_report(process, endpoints, times, m, step, tau_step):
+#: the central-difference step in every endpoint and every time
+_FD_STEP = 1e-3
+
+
+def _derivative_report(process, endpoints, times, m):
     """Central differences of log det against ``log_derivatives``."""
     t = validate_times(times)
     formulas = log_derivatives(process, endpoints, t, m=m)
     report = {
         "a": {(i, ell): _entry(_central(lambda h: _log_det(
-            process, t, endpoints.shifted(i, ell, h), m), step), f)
+            process, t, endpoints.shifted(i, ell, h), m), _FD_STEP), f)
               for (i, ell), f in formulas["a"].items()},
         "tau": {i: _entry(_central(lambda h: _log_det(
             process, t + h * (np.arange(len(t)) == i), endpoints, m),
-            tau_step), f) for i, f in formulas["tau"].items()}}
+            _FD_STEP), f) for i, f in formulas["tau"].items()}}
     report["max_rel_mismatch"] = max(
         v["rel_mismatch"] for part in report.values() for v in part.values())
     return report
 
 
-def airy_derivative_report(endpoints, times, m=80, step=1e-3,
-                           tau_step=1e-3):
+def airy_derivative_report(endpoints, times, m=80):
     """Finite differences of log det against the Airy moment formulas."""
-    return _derivative_report("airy", endpoints, times, m, step, tau_step)
+    return _derivative_report("airy", endpoints, times, m)
 
 
-def pearcey_derivative_report(endpoints, times, m=80, step=1e-3,
-                              tau_step=1e-3):
+def pearcey_derivative_report(endpoints, times, m=80):
     """Finite differences against the Pearcey moment formulas."""
-    return _derivative_report("pearcey", endpoints, times, m, step, tau_step)
+    return _derivative_report("pearcey", endpoints, times, m)

@@ -225,7 +225,7 @@ def test_criterion_8_avm_pde_residual():
     t0 = time.time()
     rels = []
     for h in (0.04, 0.02):
-        grid = pdecheck.build_grid((1.0, 0.2, 0.1), step=h, radius=2, m=120)
+        grid = pdecheck.build_grid((1.0, 0.2, 0.1), step=h, m=120)
         rels.append(pdecheck.avm_residual(grid)["relative_residual"])
     wall = time.time() - t0
     ratio = rels[0] / rels[1]

@@ -143,18 +143,27 @@ def test_config_validation_errors(tmp_path, capsys):
         # keys the job would silently ignore
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "det", "quadrature": {"delta": 0.3}},
-        {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
-         "quadrature": {"t_cut": 10.0}},
         {"process": "airy", "times": [0.0, 1.0], "intervals": [[0.0], [0.0]],
          "task": "derivatives", "quadrature": {"truncation_radius": 9.0}},
         {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
          "task": "derivatives", "quadrature": {"delta": 0.3}},
-        {**_PDE_JOB, "quadrature": {"t_cut": 10.0}},
         {"task": "tw-oracle", "s": 0.0,
          "quadrature": {"truncation_radius": 9.0}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "sweep", "quadrature": {"delta": 0.3},
          "sweep": {"axis": "endpoint:0:0", "values": [0.0]}},
+        # no job reads a tail cut: each semi-infinite interval is cut
+        # at a fixed length
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "det", "quadrature": {"t_cut": 0.5}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "equivalence", "quadrature": {"t_cut": 12.0}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "task": "sweep", "quadrature": {"t_cut": 12.0},
+         "sweep": {"axis": "endpoint:0:0", "values": [0.0]}},
+        {"process": "pearcey", "times": [0.0], "intervals": [[-1.0, 1.0]],
+         "quadrature": {"t_cut": 10.0}},
+        {**_PDE_JOB, "quadrature": {"t_cut": 10.0}},
         # sweep blocks
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "sweep",
@@ -164,10 +173,8 @@ def test_config_validation_errors(tmp_path, capsys):
          "sweep": {"axis": "endpoint:0:0", "task": "sweep", "values": [0.0]}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "task": "sweep", "sweep": {"axis": "endpoint:0:0", "values": []}},
-        # pde blocks
-        {**_PDE_JOB, "pde": {"radius": 1}},
-        {**_PDE_JOB, "pde": {"radius": 2.5}},
-        {**_PDE_JOB, "pde": {"radius": True}},
+        # pde blocks (no key sets a stencil radius)
+        {**_PDE_JOB, "pde": {"radius": 2}},
         {**_PDE_JOB, "pde": {"steps": []}},
         {**_PDE_JOB, "pde": {"steps": [0.04, -0.02]}},
         {**_PDE_JOB, "pde": {"steps": 0.04}},
@@ -269,6 +276,20 @@ def test_config_validation_errors(tmp_path, capsys):
         assert code == 2, cfg
         assert err.startswith("error: ") and "Traceback" not in err, cfg
     assert not (tmp_path / "elsewhere.json").exists()
+
+
+def test_invalid_configuration_writes_one_stderr_line(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(
+        {"task": "pde", "pde": {"centre": [1.0, 0.2, 0.1]}}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapdet.cli", "run", str(path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: pde: unknown keys ['centre']\n"
+    assert proc.stdout == ""
 
 
 def test_pde_center_tau_must_be_positive(tmp_path):
@@ -376,7 +397,7 @@ def test_check_derivatives_preset(tmp_path):
 def test_run_pde_task_with_tolerance_override(tmp_path):
     cfg = {
         "task": "pde",
-        "pde": {"center": [1.0, 0.2, 0.1], "steps": [0.08], "radius": 2},
+        "pde": {"center": [1.0, 0.2, 0.1], "steps": [0.08]},
         "quadrature": {"m": 100},
         "tolerances": {"pde": 0.05},
     }

@@ -106,12 +106,28 @@ def test_rerun_is_bit_stable():
     assert c == d
 
 
-def test_airy_semi_infinite_tail_cut_insensitive():
-    a = airy_gap_probability([0.0], [[0.0]], m=100,
-                             representation="physical", t_cut=12.0).value
-    b = airy_gap_probability([0.0], [[0.0]], m=100,
-                             representation="physical", t_cut=16.0).value
-    assert abs(a - b) < 1e-9
+def test_airy_semi_infinite_interval_is_cut_at_twelve():
+    # the physical route cuts [a, inf) at a + 12; the weight of the Airy
+    # kernel past that cut is below rounding, so a longer cut moves the
+    # value by rounding only
+    def phys(ends):
+        return airy_gap_probability([0.0], [ends], m=100,
+                                    representation="physical").value
+    assert phys([0.0]) == phys([0.0, 12.0])
+    assert abs(phys([0.0]) - phys([0.0, 16.0])) < 1e-12
+
+
+def test_no_option_moves_the_tail_cut_or_the_difference_steps():
+    with pytest.raises(TypeError):
+        airy_gap_probability([0.0], [[0.0]], representation="physical",
+                             m=120, t_cut=12.0)
+    with pytest.raises(TypeError):
+        isomono.airy_derivative_report(airy.AiryEndpoints([[0.0]]), [0.0],
+                                       m=40, step=1e-3)
+    with pytest.raises(TypeError):
+        isomono.pearcey_derivative_report(
+            pearcey.PearceyEndpoints([[-1.0, 1.0]]), [0.0], m=40,
+            tau_step=1e-3)
 
 
 def test_multi_interval_airy_runs():
