@@ -5,7 +5,7 @@ give every endpoint and time derivative of log det in closed form.
 Central finite differences of the determinant serve as the oracle.
 """
 
-from gapdet import airy, isomono, pearcey
+from gapdet import isomono
 
 
 def show(name, rep):
@@ -20,14 +20,11 @@ def show(name, rep):
 
 
 show("Airy, two times, intervals [0,inf) x [0,inf), tau = (0, 1):",
-     isomono.airy_derivative_report(
-         airy.AiryEndpoints([[0.0], [0.0]]), [0.0, 1.0], m=160))
+     isomono.airy_derivative_report([[0.0], [0.0]], [0.0, 1.0], m=160))
 
 show("Pearcey, one time, interval [-1, 1]:",
-     isomono.pearcey_derivative_report(
-         pearcey.PearceyEndpoints([[-1.0, 1.0]]), [0.0], m=120))
+     isomono.pearcey_derivative_report([[-1.0, 1.0]], [0.0], m=120))
 
 show("Pearcey, two times, intervals [-1, 1] x [-1, 1], tau = (0, 1):",
-     isomono.pearcey_derivative_report(
-         pearcey.PearceyEndpoints([[-1.0, 1.0], [-1.0, 1.0]]),
-         [0.0, 1.0], m=110))
+     isomono.pearcey_derivative_report([[-1.0, 1.0], [-1.0, 1.0]],
+                                       [0.0, 1.0], m=110))

@@ -14,7 +14,6 @@ import concurrent.futures
 import copy
 import csv
 import json
-import logging
 import os
 import sys
 import time
@@ -22,9 +21,8 @@ import time
 import numpy as np
 
 from . import fredholm, isomono, pdecheck, tracy_widom
-from .airy import AiryEndpoints
-from .gap import airy_gap_probability, equivalence_report, pearcey_gap_probability
-from .pearcey import PearceyEndpoints
+from .gap import (airy_gap_probability, as_endpoints, equivalence_report,
+                  pearcey_gap_probability)
 
 _TASKS = ("det", "equivalence", "derivatives", "pde", "tw-oracle", "sweep")
 
@@ -114,27 +112,23 @@ def validate_config(cfg):
     if task == "tw-oracle":
         _real(cfg.get("s"), "s")
     elif job not in ("tw-oracle", "pde"):  # a tw-oracle sweep sets s
-        process = cfg.get("process")
-        _require(process in ("airy", "pearcey"),
-                 f"process: expected 'airy' or 'pearcey', got {process!r}")
-        times = cfg.get("times")
+        times, intervals = cfg.get("times"), cfg.get("intervals")
         _require(isinstance(times, list) and times,
                  "times: need a non-empty list of reals")
         for tau in times:
             _real(tau, "times")
-        _require(all(b > a for a, b in zip(times, times[1:])),
-                 "times: must be strictly increasing")
-        intervals = cfg.get("intervals")
-        _require(isinstance(intervals, list) and len(intervals) == len(times),
+        _require(isinstance(intervals, list)
+                 and all(isinstance(ends, list) for ends in intervals),
                  "intervals: need one endpoint list per time")
-        # endpoint parity/sorting is enforced by the endpoint classes
+        for ends in intervals:
+            for a in ends:
+                _real(a, "intervals")
+        # the process name, time order, one list per time and the
+        # endpoint parity and order are the library's own checks
         try:
-            if process == "airy":
-                AiryEndpoints(intervals)
-            else:
-                PearceyEndpoints(intervals)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"intervals: {exc}") from exc
+            as_endpoints(cfg.get("process"), times, intervals)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if task == "sweep":
         _validate_axis(cfg["sweep"]["axis"], job, cfg)
     if "csv" in cfg:
@@ -147,8 +141,9 @@ def validate_config(cfg):
     unknown = sorted(set(quad) - {"m", "delta"})
     _require(not unknown, f"quadrature: unknown keys {unknown}")
     if "m" in quad:
-        _require(_real(quad["m"], "quadrature.m") >= 4,
-                 "quadrature.m: must be >= 4")
+        m = quad["m"]
+        _require(isinstance(m, int) and not isinstance(m, bool) and m >= 4,
+                 f"quadrature.m: need an integer >= 4, got {m!r}")
     if "delta" in quad:
         _require(_real(quad["delta"], "quadrature.delta") > 0,
                  "quadrature.delta: must be positive")
@@ -223,7 +218,7 @@ def _read_keys(task, process):
 
 def _quad_kwargs(cfg):
     quad = cfg.get("quadrature", {})
-    kw = {"m": int(quad.get("m", 80))}
+    kw = {"m": quad.get("m", 80)}
     if "delta" in quad:
         kw["delta"] = float(quad["delta"])
     return kw
@@ -281,23 +276,19 @@ def run_task(cfg):
             _is_probability(rep[f"det_{r}"], rep["diagnostics"][r], tol)
             for r in ("physical", "iiks"))
     elif task == "derivatives":
-        process = cfg["process"]
-        m = int(cfg.get("quadrature", {}).get("m", 160))
-        if process == "airy":
-            rep = isomono.airy_derivative_report(
-                AiryEndpoints(cfg["intervals"]), cfg["times"], m=m)
-        else:
-            rep = isomono.pearcey_derivative_report(
-                PearceyEndpoints(cfg["intervals"]), cfg["times"], m=m)
+        report = isomono.airy_derivative_report if cfg["process"] == "airy" \
+            else isomono.pearcey_derivative_report
+        rep = report(cfg["intervals"], cfg["times"],
+                     m=cfg.get("quadrature", {}).get("m", 160))
         record["identities"] = _sanitize(
             {"a": rep["a"], "tau": rep["tau"]})
         record["max_rel_mismatch"] = rep["max_rel_mismatch"]
         passed = rep["max_rel_mismatch"] < tol["derivatives"]
     elif task == "pde":
-        pde = cfg.get("pde", {})
-        center = tuple(pde.get("center", (1.0, 0.2, 0.1)))
-        steps = list(pde.get("steps", (0.04, 0.02)))
-        m = int(cfg.get("quadrature", {}).get("m", 120))
+        preset = _PRESETS["pde"]["avm-center"]
+        pde = {**preset["pde"], **cfg.get("pde", {})}
+        center, steps = tuple(pde["center"]), list(pde["steps"])
+        m = cfg.get("quadrature", {}).get("m", preset["quadrature"]["m"])
         results, grids = [], []
         for h in steps:
             grids.append(pdecheck.build_grid(center, step=h, m=m))
@@ -312,7 +303,7 @@ def run_task(cfg):
             record["richardson_ratio"] = ratio
     elif task == "tw-oracle":
         s = float(cfg["s"])
-        m = int(cfg.get("quadrature", {}).get("m", 140))
+        m = cfg.get("quadrature", {}).get("m", 140)
         det_iiks = airy_gap_probability([0.0], [[s]], m=m).value
         oracle = tracy_widom.gap_probability(s)
         record["s"] = s
@@ -439,8 +430,6 @@ def _load_job(path):
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("GAPDET_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
         if args.workers < 1:

@@ -148,13 +148,15 @@ class ContourSystem:
 def _system(comps, m, meta):
     """Disjoint system of ``comps`` with ``m`` nodes each.
 
-    ``meta["radius_capped"]`` lists the components whose radius is at
-    least ``RADIUS_CAP`` (a padded radius may exceed it).
+    ``meta["m"]`` is the node count ``build_grids`` lays down (an odd m
+    is rounded up), and ``meta["radius_capped"]`` lists the components
+    whose radius is at least ``RADIUS_CAP`` (a padded radius may exceed
+    it).
     """
     radii = {c.label: c.truncation_radius for c in comps}
     capped = tuple(label for label, r in radii.items() if r >= RADIUS_CAP)
     system = ContourSystem(grids=build_grids(comps, m), meta={
-        **meta, "m": m, "eps": DEFAULT_TAIL_EPS, "radii": radii,
+        **meta, "m": m + m % 2, "eps": DEFAULT_TAIL_EPS, "radii": radii,
         "radius_capped": capped})
     # one sort puts equal nodes next to each other: a collision is a
     # pair of neighbours that are equal and on distinct components
@@ -254,12 +256,6 @@ class Endpoints:
             offs.append(pos)
             pos += k
         return tuple(offs)
-
-    def check_times(self, times):
-        """Raise ValueError unless there is one endpoint list per time."""
-        if len(times) != self.n:
-            raise ValueError(f"{len(times)} times but {self.n} endpoint "
-                             "lists: need one endpoint list per time")
 
     def row_index(self, i, ell):
         """0-based row of endpoint ell (0-based) of time i in the p-space."""

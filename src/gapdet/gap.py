@@ -22,6 +22,21 @@ def is_airy(process):
     return process == "airy"
 
 
+def as_endpoints(process, times, intervals):
+    """Validated ``(times, endpoints)`` of one gap question.
+
+    ``intervals`` holds one endpoint list per time, or is already an
+    endpoint object of the process's class.
+    """
+    t = validate_times(times)
+    cls = airy.AiryEndpoints if is_airy(process) else pearcey.PearceyEndpoints
+    ep = intervals if isinstance(intervals, cls) else cls(intervals)
+    if len(t) != ep.n:
+        raise ValueError(f"{len(t)} times but {ep.n} endpoint lists: "
+                         "need one endpoint list per time")
+    return t, ep
+
+
 def airy_gap_probability(times, intervals, representation="iiks", m=80,
                          gauge=True):
     """Gap probability of the multi-time Airy process.
@@ -30,10 +45,7 @@ def airy_gap_probability(times, intervals, representation="iiks", m=80,
     makes the last interval semi-infinite.  Returns a DetResult whose
     value is real up to quadrature error.
     """
-    t = validate_times(times)
-    ep = intervals if isinstance(intervals, airy.AiryEndpoints) \
-        else airy.AiryEndpoints(intervals)
-    ep.check_times(t)
+    t, ep = as_endpoints("airy", times, intervals)
     if representation == "iiks":
         system = build_airy_system(t, m=m,
                                    endpoint_scale=ep.max_abs_endpoint())
@@ -51,10 +63,7 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
 
     One endpoint list per time, each of even count (finite intervals).
     """
-    t = validate_times(times)
-    ep = intervals if isinstance(intervals, pearcey.PearceyEndpoints) \
-        else pearcey.PearceyEndpoints(intervals)
-    ep.check_times(t)
+    t, ep = as_endpoints("pearcey", times, intervals)
     system = build_pearcey_system(t, delta=delta, m=m,
                                   endpoint_scale=ep.max_abs_endpoint())
     if representation == "iiks":

@@ -16,7 +16,8 @@ from . import airy, pearcey
 from .contour import (TWO_PI_I, build_airy_system, build_pearcey_system,
                       fg_matrices, validate_times)
 from .fredholm import solve_resolvent
-from .gap import airy_gap_probability, is_airy, pearcey_gap_probability
+from .gap import (airy_gap_probability, as_endpoints, is_airy,
+                  pearcey_gap_probability)
 
 
 def jump_matrix(process, lam, comp_label, endpoints, times):
@@ -67,13 +68,13 @@ def gamma_moments(process, endpoints, times, m=80):
 
     Gamma_k = int_gamma F(mu) g^T(mu) mu^{k-1} d mu with F the resolvent
     image of f; the diagonal gauge drops out of the product F g^T.
+    ``endpoints`` is an endpoint object or one endpoint list per time.
     """
-    t = validate_times(times)
-    endpoints.check_times(t)
+    t, ep = as_endpoints(process, times, endpoints)
     mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
-    system = build(t, m=m, endpoint_scale=endpoints.max_abs_endpoint())
-    return resolvent_moments(mod.iiks_operator(endpoints, t, system))
+    system = build(t, m=m, endpoint_scale=ep.max_abs_endpoint())
+    return resolvent_moments(mod.iiks_operator(ep, t, system))
 
 
 def resolvent_moments(op):
@@ -85,16 +86,6 @@ def resolvent_moments(op):
         wxi = s.weights * s.nodes ** (k - 1)
         out.append(np.einsum("s,sp,qs->pq", wxi, sol, s.g))
     return tuple(out)
-
-
-def log_derivatives(process, endpoints, times, m=80):
-    """Every endpoint and time log-derivative of det from one moment solve.
-
-    Returns {"a": {(i, ell): value}, "tau": {i: value}}; see
-    ``moment_log_derivatives``.
-    """
-    moments = gamma_moments(process, endpoints, times, m=m)
-    return moment_log_derivatives(process, endpoints, times, moments)
 
 
 def moment_log_derivatives(process, endpoints, times, moments):
@@ -144,15 +135,16 @@ _FD_STEP = 1e-3
 
 
 def _derivative_report(process, endpoints, times, m):
-    """Central differences of log det against ``log_derivatives``."""
-    t = validate_times(times)
-    formulas = log_derivatives(process, endpoints, t, m=m)
+    """Central differences of log det against the moment formulas."""
+    t, ep = as_endpoints(process, times, endpoints)
+    formulas = moment_log_derivatives(process, ep, t,
+                                      gamma_moments(process, ep, t, m=m))
     report = {
         "a": {(i, ell): _entry(_central(lambda h: _log_det(
-            process, t, endpoints.shifted(i, ell, h), m), _FD_STEP), f)
+            process, t, ep.shifted(i, ell, h), m), _FD_STEP), f)
               for (i, ell), f in formulas["a"].items()},
         "tau": {i: _entry(_central(lambda h: _log_det(
-            process, t + h * (np.arange(len(t)) == i), endpoints, m),
+            process, t + h * (np.arange(len(t)) == i), ep, m),
             _FD_STEP), f) for i, f in formulas["tau"].items()}}
     report["max_rel_mismatch"] = max(
         v["rel_mismatch"] for part in report.values() for v in part.values())
@@ -160,10 +152,16 @@ def _derivative_report(process, endpoints, times, m):
 
 
 def airy_derivative_report(endpoints, times, m=80):
-    """Finite differences of log det against the Airy moment formulas."""
+    """Finite differences of log det against the Airy moment formulas.
+
+    ``endpoints`` is an endpoint object or one endpoint list per time.
+    """
     return _derivative_report("airy", endpoints, times, m)
 
 
 def pearcey_derivative_report(endpoints, times, m=80):
-    """Finite differences against the Pearcey moment formulas."""
+    """Finite differences against the Pearcey moment formulas.
+
+    ``endpoints`` is an endpoint object or one endpoint list per time.
+    """
     return _derivative_report("pearcey", endpoints, times, m)

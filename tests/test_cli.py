@@ -213,6 +213,14 @@ def test_config_validation_errors(tmp_path, capsys):
          "quadrature": {"truncation_radius": INF}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
          "quadrature": {"m": INF}},
+        # an endpoint is a number, not a bool or a numeral string
+        {"process": "airy", "times": [0.0], "intervals": [[True]]},
+        {"process": "airy", "times": [0.0], "intervals": [["0.5"]]},
+        # a node count is an integer: 80.7 would run at m = 80
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"m": 80.7}},
+        {"process": "airy", "times": [0.0], "intervals": [[0.0]],
+         "quadrature": {"m": True}},
         {"task": "tw-oracle", "s": NAN},
         {**_PDE_JOB, "pde": {"center": [1.0, INF, 0.1]}},
         {"process": "airy", "times": [0.0], "intervals": [[0.0]],
@@ -290,6 +298,18 @@ def test_invalid_configuration_writes_one_stderr_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: pde: unknown keys ['centre']\n"
     assert proc.stdout == ""
+
+
+def test_environment_sets_no_log_level():
+    # no module logs a record, so no GAPDET_LOG value changes a run
+    env = {**os.environ, "GAPDET_LOG": "verbose",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapdet.cli", "tw-oracle", "--s", "0.0"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_pde_center_tau_must_be_positive(tmp_path):

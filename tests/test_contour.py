@@ -104,6 +104,18 @@ def test_every_route_reports_the_radii_of_its_system(
     assert (diag["m"], diag["eps"]) == (20, contour.DEFAULT_TAIL_EPS)
 
 
+@pytest.mark.parametrize("fn, intervals", [
+    (gap.airy_gap_probability, [[0.0]]),
+    (gap.pearcey_gap_probability, [[-1.0, 1.0]])])
+@pytest.mark.parametrize("representation", ["physical", "iiks"])
+def test_odd_m_reports_the_nodes_it_lays_down(fn, intervals, representation):
+    # build_grids rounds an odd m up to the next even count
+    odd, even = (fn([0.0], intervals, representation=representation, m=m)
+                 for m in (81, 82))
+    assert odd.diagnostics["m"] == even.diagnostics["m"] == 82
+    assert odd.value == even.value
+
+
 def test_physical_contours_meta_is_the_system_meta_plus_apex():
     phys = airy.physical_contours([0.0, 1.0], m=8, x_min=-2.0)
     own = contour._system([g.component for g in phys.grids], 8, {})

@@ -6,6 +6,7 @@ import pytest
 from gapdet import airy, fredholm, isomono, pearcey, tracy_widom
 from gapdet.gap import (
     airy_gap_probability,
+    as_endpoints,
     equivalence_report,
     pearcey_gap_probability,
 )
@@ -49,9 +50,14 @@ _MISMATCHED = [
         "airy", airy.AiryEndpoints([[0.0]]), [0.0, 1.0], m=24),
     lambda: isomono.gamma_moments(
         "pearcey", pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2), [0.0], m=24),
+    lambda: isomono.gamma_moments("airy", [[0.0]], [0.0, 1.0], m=24),
+    lambda: isomono.airy_derivative_report([[0.0]], [0.0, 1.0], m=24),
+    lambda: isomono.pearcey_derivative_report([[-1.0, 1.0]] * 2, [0.0],
+                                              m=24),
 ], ids=[f"{fn.__name__.split('_')[0]}-{len(t)}-{len(iv)}-{rep}"
         for fn, t, iv in _MISMATCHED for rep in ("iiks", "physical")]
-    + ["moments-airy-2-1", "moments-pearcey-1-2"])
+    + ["moments-airy-2-1", "moments-pearcey-1-2", "moments-list-airy-2-1",
+       "report-list-airy-2-1", "report-list-pearcey-1-2"])
 def test_times_and_intervals_counts_must_match(call):
     # a one-time answer to a two-time question must not come back
     with pytest.raises(ValueError, match="one endpoint list per time"):
@@ -69,8 +75,12 @@ _PEARCEY_EP = pearcey.PearceyEndpoints([[-1.0, 1.0]])
     lambda: isomono.moment_log_derivatives(
         "Airy", _PEARCEY_EP, [0.0], (np.zeros((3, 3)),) * 2),
     lambda: isomono._log_det("Airy", [0.0], _PEARCEY_EP, 20),
+    lambda: isomono.gamma_moments("Airy", [[-1.0, 1.0]], [0.0], m=20),
+    lambda: isomono._derivative_report("Airy", [[-1.0, 1.0]], [0.0], 20),
+    lambda: as_endpoints("Airy", [0.0], [[-1.0, 1.0]]),
 ], ids=["equivalence_report", "jump_matrix", "exponent_diagonal",
-        "gamma_moments", "moment_log_derivatives", "log_det"])
+        "gamma_moments", "moment_log_derivatives", "log_det",
+        "gamma_moments-list", "derivative_report-list", "as_endpoints"])
 def test_unknown_process_raises(call):
     # a misspelt process must not run the Pearcey kernel
     with pytest.raises(ValueError, match="process"):

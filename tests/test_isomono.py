@@ -90,6 +90,19 @@ def test_gamma_moments_assembles_through_iiks_operator(process, monkeypatch):
     assert ops[0].slots.f.shape[1] == ops[0].n
 
 
+@pytest.mark.parametrize("process, ep, t, report", [
+    ("airy", AIRY_EP, AIRY_T, isomono.airy_derivative_report),
+    ("pearcey", PEARCEY_EP, PEARCEY_T, isomono.pearcey_derivative_report)])
+def test_interval_lists_and_endpoint_objects_give_the_same_numbers(
+        process, ep, t, report):
+    lists = [list(ends) for ends in ep.per_time]
+    by_list, by_object = (isomono.gamma_moments(process, e, t, m=24)
+                          for e in (lists, ep))
+    assert repr([g.tolist() for g in by_list]) \
+        == repr([g.tolist() for g in by_object])
+    assert repr(report(lists, t, m=24)) == repr(report(ep, t, m=24))
+
+
 def test_gamma_moments_empty_intervals_vanish():
     ep = airy.AiryEndpoints([[], []])
     g1, g2 = isomono.gamma_moments("airy", ep, AIRY_T, m=24)
