@@ -15,13 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import (
-    TWO_PI_I,
     ContourComponent,
     Endpoints,
     _radius,
     _system,
     build_slots,
-    fg_matrices,
     validate_times,
 )
 from .fredholm import (
@@ -40,13 +38,12 @@ def theta(x, mu):
 
 def phase(i, x, mu, times):
     """Cubic phase of time i, theta(x, mu - tau_i)."""
-    return theta(x, mu - validate_times(times)[i])
+    return theta(x, mu - times[i])
 
 
 def gaussian_bridge(i, j, x, y, times):
     """Gaussian bridge entry B_ij(x, y); zero unless tau_i < tau_j."""
-    t = validate_times(times)
-    dt = t[j] - t[i]
+    dt = times[j] - times[i]
     if dt <= 0:
         return np.zeros(np.broadcast(x, y).shape) if not (
             np.isscalar(x) and np.isscalar(y)) else 0.0
@@ -79,105 +76,53 @@ def _gauge_exponent(endpoints, i, lam_i, gauge):
     return -endpoints.per_time[i][0] * lam_i
 
 
-def f_columns(lam, comp_label, i, endpoints, times, gauge=False):
-    """Column f_i (bare, without the 1/(2 pi i) prefactor) at nodes ``lam``.
+def exponents(z, comp_label, endpoints, times, gauge=False):
+    """Exponents of the bare columns f_b and g_b (without the 1/(2 pi i)
+    prefactor) of every vector component b at nodes ``z``: two (p, n, k)
+    arrays, -inf where a column vanishes (``contour.exp_columns``).
 
     ``comp_label`` is "gamma_R" or "line_<j>" (1-based j); the chi
     factors select which rows are populated.
     """
-    t = validate_times(times)
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    out = np.zeros((endpoints.p, len(lam)), dtype=complex)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    t = np.asarray(times, dtype=float)
+    ef = np.full((endpoints.p, endpoints.n, len(z)), -np.inf, dtype=complex)
+    eg = ef.copy()
     if comp_label == "gamma_R":
-        out[0] = np.exp(0.5 * theta(0.0, lam - t[i]))
-        return out
-    j = int(comp_label.split("_")[1]) - 1
-    if j != i:
-        return out
-    lam_i = lam - t[i]
-    gexp = _gauge_exponent(endpoints, i, lam_i, gauge)
-    for ell, a in enumerate(endpoints.per_time[i]):
-        out[endpoints.row_index(i, ell)] = np.exp(a * lam_i + gexp)
-    return out
-
-
-def g_columns(mu, comp_label, j, endpoints, times, gauge=False):
-    """Column g_j (bare) at nodes ``mu`` on the given component."""
-    t = validate_times(times)
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-    out = np.zeros((endpoints.p, len(mu)), dtype=complex)
-    if comp_label == "gamma_R":
-        mu_j = mu - t[j]
-        half = 0.5 * theta(0.0, mu_j)
-        for ell, a in enumerate(endpoints.per_time[j]):
-            out[endpoints.row_index(j, ell)] = \
-                (-1.0) ** ell * np.exp(half - a * mu_j)
-        return out
-    c = int(comp_label.split("_")[1]) - 1
-    if c != j:
-        return out
-    mu_j = mu - t[j]
-    gexp = -_gauge_exponent(endpoints, j, mu_j, gauge)  # columns carry 1/d
-    out[0] = np.exp(-theta(0.0, mu_j) + gexp)
-    for i in range(j):
-        mu_i = mu - t[i]
+        z_t = z - t[:, None]
+        half = 0.5 * theta(0.0, z_t)
+        ef[0] = half
+        for b, ends in enumerate(endpoints.per_time):
+            for ell, a in enumerate(ends):
+                eg[endpoints.row_index(b, ell), b] = half[b] - a * z_t[b]
+        return ef, eg
+    b = int(comp_label.split("_")[1]) - 1  # the one component line b+1 carries
+    z_b = z - t[b]
+    gexp = _gauge_exponent(endpoints, b, z_b, gauge)
+    for ell, a in enumerate(endpoints.per_time[b]):
+        ef[endpoints.row_index(b, ell), b] = a * z_b + gexp
+    gexp, th = -gexp, theta(0.0, z_b)  # g's columns carry 1/d
+    eg[0, b] = -th + gexp
+    for i in range(b):
+        z_i = z - t[i]
         for ell, a in enumerate(endpoints.per_time[i]):
-            out[endpoints.row_index(i, ell)] = (-1.0) ** ell * np.exp(
-                theta(a, mu_i) - theta(0.0, mu_j) + gexp)
-    return out
-
-
-def iiks_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
-    """n x n matrix kernel value K(lam, mu); zero on a shared component."""
-    if comp_lam == comp_mu:
-        return np.zeros((endpoints.n, endpoints.n), dtype=complex)
-    f, _ = fg_matrices(f_columns, g_columns, lam, comp_lam, endpoints, times)
-    _, g = fg_matrices(f_columns, g_columns, mu, comp_mu, endpoints, times)
-    return (f.T @ g) / (lam - mu) / TWO_PI_I
-
-
-def block_entry(block, i, j, z_out, z_in, endpoints, times):
-    """Bare block-kernel formulas (F, G, H) used for consistency checks.
-
-    The full kernel equals block / (2 pi i) on the matching component
-    pair; arguments are (output variable, input variable).
-    """
-    t = validate_times(times)
-    if block == "F":
-        return np.exp(0.5 * theta(0.0, z_out - t[i])
-                      - theta(0.0, z_in - t[j])) / (z_out - z_in)
-    if block == "G":
-        if i != j:
-            return 0.0
-        mu_i = z_in - t[i]
-        xi_i = z_out - t[i]
-        acc = 0.0
-        for ell, a in enumerate(endpoints.per_time[i]):
-            acc += (-1.0) ** ell * np.exp(0.5 * theta(0.0, mu_i)
-                                          - a * (mu_i - xi_i))
-        return acc / (z_out - z_in)
-    if block == "H":
-        if t[i] >= t[j]:
-            return 0.0
-        lam_i, lam_j = z_in - t[i], z_in - t[j]
-        xi_i = z_out - t[i]
-        acc = 0.0
-        for ell, a in enumerate(endpoints.per_time[i]):
-            acc += (-1.0) ** ell * np.exp(theta(a, lam_i)
-                                          - theta(0.0, lam_j) + a * xi_i)
-        return acc / (z_out - z_in)
-    raise ValueError(f"unknown block {block!r}")
+            eg[endpoints.row_index(i, ell), b] = theta(a, z_i) - th + gexp
+    return ef, eg
 
 
 def iiks_slots(endpoints, times, system, gauge=True):
     """Slots with bare f/g data; line j carries only vector component j."""
+    return _slots(endpoints, validate_times(times), system, gauge)
+
+
+def _slots(endpoints, t, system, gauge=True):
+    """``iiks_slots`` at the validated times ``t``."""
     def active(label):
         if label == "gamma_R":
             return range(endpoints.n)
         return (int(label.split("_")[1]) - 1,)
 
-    return build_slots(system, active, f_columns, g_columns,
-                       endpoints, times, gauge)
+    return build_slots(system, endpoints, active, exponents, t, gauge)
 
 
 def _lead(endpoints, system):
@@ -205,7 +150,7 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
     generate is traceless and drops out of Jacobi's formula.
     """
     t = validate_times(times)
-    s = iiks_slots(endpoints, times, system)
+    s = _slots(endpoints, t, system)
     lead = _lead(endpoints, system)
     terms = s.endpoint_terms(endpoints.row_index(i, ell), i, lead, t[i])
     return cauchy_operator(terms, s, lead, meta={"tangent": ("a", i, ell)})
@@ -237,11 +182,10 @@ def physical_contours(times, m=80, x_min=0.0):
     return _system(comps, m, {"C": C})
 
 
-def _physical_factors(phys, times):
+def _physical_factors(phys, t):
     """(left, right) with A_ij(x, y) = left(i, x)^T right(j, y) - B_ij:
     mu on gamma_R, the mu contour of time i shifted by -tau_i, and lam
     on the left line, with 1 / (lam + tau_j - mu) and theta(y, lam)."""
-    t = validate_times(times)
     right_grid, left_grid = phys.grids
     return double_contour_factors(
         [right_grid], left_grid, t, lambda i, x, mu: theta(x, mu - t[i]),
@@ -250,9 +194,10 @@ def _physical_factors(phys, times):
 
 def physical_entry(i, j, x, y, phys, times):
     """Single kernel entry A_ij(x, y)."""
-    left, right = _physical_factors(phys, times)
+    t = validate_times(times)
+    left, right = _physical_factors(phys, t)
     u, v = left(i, np.array([float(x)])), right(j, np.array([float(y)]))
-    return complex((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, times))
+    return complex((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, t))
 
 
 def physical_operator(endpoints, times, m=80):
@@ -261,7 +206,7 @@ def physical_operator(endpoints, times, m=80):
     grids = interval_grids(endpoints)
     all_x = np.concatenate([x for x, _ in grids])
     x_min = float(all_x.min()) if len(all_x) else 0.0
-    phys = physical_contours(times, m=m, x_min=x_min)
+    phys = physical_contours(t, m=m, x_min=x_min)
     meta = {**phys.meta, "process": "airy", "representation": "physical"}
     return interval_operator(
         grids, *_physical_factors(phys, t),

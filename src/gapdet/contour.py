@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 #: decay weights smaller than this at the truncation point are neglected
 DEFAULT_TAIL_EPS = 1e-16
@@ -33,14 +34,29 @@ class ContourError(ValueError):
     """Invalid contour geometry or parameters."""
 
 
+def gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1], by Golub & Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    polynomials, whose off-diagonal is k / sqrt(4k^2 - 1); the weights
+    are twice the squared first components of its eigenvectors.  Both
+    are symmetrized about 0.
+    """
+    k = np.arange(1.0, n)
+    x, v = sla.eigh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0),
+                                check_finite=False)
+    w = 2.0 * v[0] ** 2
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
 def gauss_legendre_panels(breaks, n_nodes, rules=None):
     """Composite Gauss-Legendre rule on the panels defined by ``breaks``.
 
     ``n_nodes`` nodes are distributed over the panels as evenly as an
     exact total allows.  Returns real nodes and positive weights.
-    ``rules`` maps a node count to its Gauss-Legendre rule; the rules
-    built here are added to it, so one dict shared by several calls
-    builds each rule once.
+    ``rules`` maps a node count to its ``gauss_legendre`` rule; the
+    rules built here are added to it, so one dict shared by several
+    calls builds each rule once.
     """
     breaks = np.asarray(breaks, dtype=float)
     n_panels = len(breaks) - 1
@@ -50,7 +66,7 @@ def gauss_legendre_panels(breaks, n_nodes, rules=None):
     counts[: n_nodes - counts.sum()] += 1
     rules = {} if rules is None else rules
     for cnt in set(counts.tolist()) - {0} - set(rules):
-        rules[cnt] = np.polynomial.legendre.leggauss(cnt)
+        rules[cnt] = gauss_legendre(cnt)
     xs, ws = [], []
     for (a, b), cnt in zip(zip(breaks[:-1], breaks[1:]), counts):
         if cnt == 0:
@@ -135,15 +151,6 @@ class ContourSystem:
                 return g
         raise KeyError(label)
 
-    def min_pairwise_distance(self):
-        """Smallest distance between nodes of distinct components."""
-        best = np.inf
-        for i, gi in enumerate(self.grids):
-            for gj in self.grids[i + 1:]:
-                d = np.abs(gi.nodes[:, None] - gj.nodes[None, :]).min()
-                best = min(best, d)
-        return best
-
 
 def _system(comps, m, meta):
     """Disjoint system of ``comps`` with ``m`` nodes each.
@@ -181,12 +188,13 @@ def solve_radius(exponent, target, r_max=RADIUS_CAP):
         if hi >= r_max:
             return r_max
         hi = min(2.0 * hi, r_max)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # until no float lies between lo and hi
         if exponent(mid) >= target:
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     return hi
 
 
@@ -309,33 +317,49 @@ class Slots:
         return [(df, self.g), (self.f, dg)]
 
 
-def build_slots(system, active, f_columns, g_columns, *args):
+def exp_columns(ef, eg, endpoints):
+    """The bare columns (f, g) from their exponents ``ef`` and ``eg``.
+
+    An exponent of -inf gives an exact zero, and only the others are
+    exponentiated.  In g the row of endpoint ell of a time carries the
+    sign (-1)^ell.
+    """
+    f, g = np.zeros_like(ef), np.zeros_like(eg)
+    np.exp(ef, out=f, where=ef != -np.inf)
+    live = eg != -np.inf
+    np.exp(eg, out=g, where=live)
+    sign = np.array([(-1.0) ** ell for k in endpoints.counts
+                     for ell in range(k)])
+    np.multiply(sign[:, None], g[1:], out=g[1:], where=live[1:])
+    return f, g
+
+
+def build_slots(system, endpoints, active, exponents, *args):
     """Slots of ``system``: component by component, then vector component.
 
-    ``active(label)`` lists the vector components a contour component
-    carries; ``f_columns(nodes, label, b, *args)`` and ``g_columns``
-    return the bare columns of vector component b there.
+    ``exponents(nodes, label, endpoints, *args)`` returns the exponents
+    of the bare f and g columns of every vector component on a contour
+    component, two (p, n, k) arrays with -inf where a column vanishes;
+    ``active(label)`` lists the vector components the contour component
+    carries.  One exponential of each table gives all columns
+    (``exp_columns``).
     """
     parts, start = [], 0
     for grid in system.grids:
         label, k = grid.component.label, len(grid)
+        ef, eg = exponents(grid.nodes, label, endpoints, *args)
         for b in active(label):
-            parts.append((f_columns(grid.nodes, label, b, *args),
-                          g_columns(grid.nodes, label, b, *args), grid.nodes,
-                          grid.weights, np.full(k, b),
-                          start + np.arange(k)[::-1]))
+            parts.append((ef[:, b], eg[:, b], grid.nodes, grid.weights,
+                          np.full(k, b), start + np.arange(k)[::-1]))
             start += k
-    return Slots(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
+    ef, eg, *rest = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    return Slots(*exp_columns(ef, eg, endpoints), *rest)
 
 
-def fg_matrices(f_columns, g_columns, lam, label, endpoints, times):
+def fg_matrices(exponents, lam, label, endpoints, times):
     """All n columns of f and g at one point: two (p, n) arrays."""
-    n = endpoints.n
-    f = np.hstack([f_columns(lam, label, i, endpoints, times)
-                   for i in range(n)])
-    g = np.hstack([g_columns(lam, label, j, endpoints, times)
-                   for j in range(n)])
-    return f, g
+    ef, eg = exponents(lam, label, endpoints, times)
+    return exp_columns(ef[..., 0], eg[..., 0], endpoints)
 
 
 def build_airy_system(times, m=80, endpoint_scale=0.0):

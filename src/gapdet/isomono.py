@@ -27,8 +27,8 @@ def jump_matrix(process, lam, comp_label, endpoints, times):
     normalization of f cancels the 2 pi i of the jump formula).
     """
     mod = airy if is_airy(process) else pearcey
-    f, g = fg_matrices(mod.f_columns, mod.g_columns, lam, comp_label,
-                       endpoints, times)
+    f, g = fg_matrices(mod.exponents, lam, comp_label, endpoints,
+                       validate_times(times))
     return f @ g.T
 
 
@@ -39,7 +39,8 @@ def exponent_diagonal(process, lam, endpoints, times):
     the mean minus its own phase, so the trace vanishes identically.
     """
     mod = airy if is_airy(process) else pearcey
-    phases = [mod.phase(i, a, lam, times)
+    t = validate_times(times)
+    phases = [mod.phase(i, a, lam, t)
               for i, ends in enumerate(endpoints.per_time) for a in ends]
     mean = sum(phases) / endpoints.p if phases else 0.0
     diag = np.empty(endpoints.p, dtype=complex)

@@ -1,0 +1,129 @@
+"""Pointwise reference kernels that the tests check the assembled
+operators and contour systems against.
+
+Each function evaluates one entry straight from its formula, slowly and
+without the slot machinery of ``gapdet``: the bare block formulas (F, G,
+H) of both integrable kernels, the n x n kernel value at one node pair,
+the contour form of the Pearcey heat kernel, and the smallest distance
+between the nodes of distinct contour components.
+"""
+
+import numpy as np
+
+from gapdet import airy, pearcey
+from gapdet.contour import TWO_PI_I, fg_matrices, validate_times
+
+
+def min_pairwise_distance(system):
+    """Smallest distance between nodes of distinct components."""
+    best = np.inf
+    for i, gi in enumerate(system.grids):
+        for gj in system.grids[i + 1:]:
+            d = np.abs(gi.nodes[:, None] - gj.nodes[None, :]).min()
+            best = min(best, d)
+    return best
+
+
+def _kernel_entry(mod, lam, mu, comp_lam, comp_mu, endpoints, t):
+    f, _ = fg_matrices(mod.exponents, lam, comp_lam, endpoints, t)
+    _, g = fg_matrices(mod.exponents, mu, comp_mu, endpoints, t)
+    return (f.T @ g) / (lam - mu) / TWO_PI_I
+
+
+def airy_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
+    """n x n matrix kernel value K(lam, mu); zero on a shared component."""
+    if comp_lam == comp_mu:
+        return np.zeros((endpoints.n, endpoints.n), dtype=complex)
+    return _kernel_entry(airy, lam, mu, comp_lam, comp_mu, endpoints,
+                         validate_times(times))
+
+
+def airy_block_entry(block, i, j, z_out, z_in, endpoints, times):
+    """Bare Airy block-kernel formulas (F, G, H).
+
+    The full kernel equals block / (2 pi i) on the matching component
+    pair; arguments are (output variable, input variable).
+    """
+    t, theta = validate_times(times), airy.theta
+    if block == "F":
+        return np.exp(0.5 * theta(0.0, z_out - t[i])
+                      - theta(0.0, z_in - t[j])) / (z_out - z_in)
+    if block == "G":
+        if i != j:
+            return 0.0
+        mu_i = z_in - t[i]
+        xi_i = z_out - t[i]
+        acc = 0.0
+        for ell, a in enumerate(endpoints.per_time[i]):
+            acc += (-1.0) ** ell * np.exp(0.5 * theta(0.0, mu_i)
+                                          - a * (mu_i - xi_i))
+        return acc / (z_out - z_in)
+    if block == "H":
+        if t[i] >= t[j]:
+            return 0.0
+        lam_i, lam_j = z_in - t[i], z_in - t[j]
+        xi_i = z_out - t[i]
+        acc = 0.0
+        for ell, a in enumerate(endpoints.per_time[i]):
+            acc += (-1.0) ** ell * np.exp(theta(a, lam_i)
+                                          - theta(0.0, lam_j) + a * xi_i)
+        return acc / (z_out - z_in)
+    raise ValueError(f"unknown block {block!r}")
+
+
+def pearcey_kernel_entry(lam, mu, comp_lam, comp_mu, endpoints, times):
+    """n x n kernel value K(lam, mu) with the removable diagonal filled."""
+    n, t, x_labels = endpoints.n, validate_times(times), ("gamma_R",
+                                                          "gamma_L")
+    if comp_lam in x_labels and comp_mu in x_labels:
+        return np.zeros((n, n), dtype=complex)
+    if comp_lam == comp_mu == "iR" and lam == mu:
+        i, j = np.indices((n, n))
+        return pearcey._diag_limit(i, j, lam, t, pearcey._alternating_sums(
+            endpoints)) / TWO_PI_I
+    return _kernel_entry(pearcey, lam, mu, comp_lam, comp_mu, endpoints, t)
+
+
+def pearcey_block_entry(block, i, j, z_out, z_in, endpoints, times):
+    """Bare Pearcey block-kernel formulas (F, G, H); kernel = block /
+    (2 pi i).
+
+    H carries the sign pattern of the outer product f g^T (leading +),
+    which is also what the determinant identity requires; its removable
+    diagonal is evaluated by the analytic limit.
+    """
+    t, phase = validate_times(times), pearcey.phase
+    if block == "F":
+        return np.exp(0.5 * phase(i, 0.0, z_out, t)
+                      - phase(j, 0.0, z_in, t)) / (z_out - z_in)
+    if block == "G":
+        if i != j:
+            return 0.0
+        acc = 0.0
+        for ell, a in enumerate(endpoints.per_time[i]):
+            acc += (-1.0) ** ell * np.exp(
+                0.5 * phase(i, 0.0, z_in, t) - a * (z_in - z_out))
+        return acc / (z_out - z_in)
+    if block == "H":
+        if t[i] >= t[j]:
+            return 0.0
+        if z_out == z_in:
+            return complex(pearcey._diag_limit(
+                i, j, z_in, t, pearcey._alternating_sums(endpoints)))
+        dt = t[j] - t[i]
+        acc = 0.0
+        for ell, a in enumerate(endpoints.per_time[i]):
+            acc += (-1.0) ** ell * np.exp(
+                a * (z_out - z_in) + dt * z_in ** 2 / 2.0)
+        return acc / (z_out - z_in)
+    raise ValueError(f"unknown block {block!r}")
+
+
+def heat_kernel_contour(dt, x, y, grid):
+    """Contour form of the Pearcey heat kernel.
+
+    (1/2 pi i) * int_{iR} e^{dt lam^2/2 + (y-x) lam} d lam on the given
+    vertical-line grid.
+    """
+    vals = np.exp(dt * grid.nodes ** 2 / 2.0 + (y - x) * grid.nodes)
+    return complex(np.sum(grid.weights * vals)) / TWO_PI_I

@@ -177,10 +177,10 @@ def test_criterion_6_jump_algebra():
             # same-contour orthogonality of the kernel data
             for lam in grid.nodes[order[:10]]:
                 for mu in grid.nodes[order[:10]]:
-                    f, _ = contour.fg_matrices(mod.f_columns, mod.g_columns,
-                                               lam, label, ep, t)
-                    _, gv = contour.fg_matrices(mod.f_columns, mod.g_columns,
-                                                mu, label, ep, t)
+                    f, _ = contour.fg_matrices(mod.exponents, lam, label,
+                                               ep, t)
+                    _, gv = contour.fg_matrices(mod.exponents, mu, label,
+                                                ep, t)
                     prod = f.T @ gv
                     if process == "airy":
                         assert np.all(prod == 0)

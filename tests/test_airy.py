@@ -6,10 +6,11 @@ import pytest
 from gapdet import airy, contour
 from gapdet.tracy_widom import airy_kernel_matrix
 
+from reference_kernels import airy_block_entry, airy_kernel_entry
+
 
 def _fg(lam, label, ep, times):
-    return contour.fg_matrices(airy.f_columns, airy.g_columns, lam,
-                               label, ep, times)
+    return contour.fg_matrices(airy.exponents, lam, label, ep, times)
 
 
 def test_theta_values():
@@ -100,10 +101,10 @@ def test_same_contour_orthogonality_is_structural(comp):
 def test_kernel_zero_on_gamma_R_pairs_and_diagonal():
     ep = airy.AiryEndpoints([[0.0], [0.5]])
     times = [0.0, 1.0]
-    k = airy.iiks_kernel_entry(2.0 + 1j, 2.0 - 1j, "gamma_R", "gamma_R",
-                               ep, times)
+    k = airy_kernel_entry(2.0 + 1j, 2.0 - 1j, "gamma_R", "gamma_R",
+                          ep, times)
     assert np.all(k == 0)
-    k2 = airy.iiks_kernel_entry(0.5j, 0.5j, "line_1", "line_1", ep, times)
+    k2 = airy_kernel_entry(0.5j, 0.5j, "line_1", "line_1", ep, times)
     assert np.all(k2 == 0)
 
 
@@ -123,26 +124,26 @@ def test_kernel_block_consistency_at_random_nodes():
         # upper-right block: output on gamma_R, input on a line
         j = rng.integers(2)
         lam, mu = draw("gamma_R"), draw(f"line_{j + 1}")
-        k = airy.iiks_kernel_entry(lam, mu, "gamma_R", f"line_{j + 1}",
-                                   ep, times)
+        k = airy_kernel_entry(lam, mu, "gamma_R", f"line_{j + 1}",
+                              ep, times)
         for i in range(2):
-            blk = airy.block_entry("F", i, j, lam, mu, ep, times)
+            blk = airy_block_entry("F", i, j, lam, mu, ep, times)
             assert k[i, j] * two_pi_i == pytest.approx(blk, rel=1e-13)
         # lower-left: output on line i, input on gamma_R
         i = rng.integers(2)
         xi, mu2 = draw(f"line_{i + 1}"), draw("gamma_R")
-        k = airy.iiks_kernel_entry(xi, mu2, f"line_{i + 1}", "gamma_R",
-                                   ep, times)
+        k = airy_kernel_entry(xi, mu2, f"line_{i + 1}", "gamma_R",
+                              ep, times)
         for j2 in range(2):
-            blk = airy.block_entry("G", i, j2, xi, mu2, ep, times)
+            blk = airy_block_entry("G", i, j2, xi, mu2, ep, times)
             assert k[i, j2] * two_pi_i == pytest.approx(blk, rel=1e-13)
     # cross-time block: line_1 output, line_2 input
     xi, lam = draw("line_1"), draw("line_2")
-    k = airy.iiks_kernel_entry(xi, lam, "line_1", "line_2", ep, times)
-    blk = airy.block_entry("H", 0, 1, xi, lam, ep, times)
+    k = airy_kernel_entry(xi, lam, "line_1", "line_2", ep, times)
+    blk = airy_block_entry("H", 0, 1, xi, lam, ep, times)
     assert k[0, 1] * two_pi_i == pytest.approx(blk, rel=1e-13)
-    assert airy.block_entry("H", 1, 0, xi, lam, ep, times) == 0
-    assert airy.block_entry("G", 0, 1, xi, lam, ep, times) == 0
+    assert airy_block_entry("H", 1, 0, xi, lam, ep, times) == 0
+    assert airy_block_entry("G", 0, 1, xi, lam, ep, times) == 0
 
 
 def test_f_subscript_resolution_reproduces_F_block():
@@ -151,7 +152,7 @@ def test_f_subscript_resolution_reproduces_F_block():
     ep = airy.AiryEndpoints([[0.2], [0.6]])
     times = [0.0, 1.0]
     lam, mu = 2.0 + 0.8j, 1.0 + 1.4j
-    k = airy.iiks_kernel_entry(lam, mu, "gamma_R", "line_2", ep, times)
+    k = airy_kernel_entry(lam, mu, "gamma_R", "line_2", ep, times)
     expected01 = np.exp(0.5 * airy.theta(0.0, lam - 0.0)
                         - airy.theta(0.0, mu - 1.0)) / (lam - mu)
     assert k[0, 1] * 2j * np.pi == pytest.approx(expected01, rel=1e-13)
@@ -161,6 +162,6 @@ def test_trivial_F_substitution_example():
     ep = airy.AiryEndpoints([[0.0]])
     times = [0.0]
     c, lam = 1.0, 1j + 0.0
-    val = airy.block_entry("F", 0, 0, c, lam, ep, times)
+    val = airy_block_entry("F", 0, 0, c, lam, ep, times)
     assert val == pytest.approx(
         np.exp(0.5 * airy.theta(0.0, c) - airy.theta(0.0, lam)) / (c - lam))

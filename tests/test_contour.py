@@ -10,6 +10,8 @@ from gapdet import airy, contour, fredholm, gap, pearcey
 from gapdet.airy import theta
 from gapdet.tracy_widom import airy_ai
 
+from reference_kernels import min_pairwise_distance
+
 
 def test_airy_system_single_time_geometry():
     sys_ = contour.build_airy_system([0.0], m=40)
@@ -26,7 +28,7 @@ def test_airy_system_two_time_gap_and_disjoint():
     nearest = max(g.component.apex.real for g in sys_.grids
                   if g.component.label != "gamma_R")
     assert right - nearest == pytest.approx(1.0)
-    assert sys_.min_pairwise_distance() > 0
+    assert min_pairwise_distance(sys_) > 0
 
 
 @pytest.mark.parametrize("dt, capped", [(1e-3, ("line_1", "line_2")),
@@ -140,7 +142,7 @@ def test_system_rejects_components_that_share_a_node(angles, collide):
     system = contour.ContourSystem(grids=contour.build_grids([line, other],
                                                              16))
     # the distance check is the reference
-    assert (system.min_pairwise_distance() == 0) == collide
+    assert (min_pairwise_distance(system) == 0) == collide
     if collide:
         with pytest.raises(contour.ContourError, match="collide"):
             contour._system([line, other], 16, {})
@@ -159,9 +161,71 @@ def test_pearcey_system_geometry():
     for g in (gr, gl):
         far = g.nodes[np.abs(g.nodes - g.component.apex) > 1.5]
         assert np.all((far ** 4).real < 0)
-    assert sys_.min_pairwise_distance() > 0
+    assert min_pairwise_distance(sys_) > 0
     with pytest.raises(contour.ContourError):
         contour.build_pearcey_system([0.0], delta=0.0)
+
+
+def test_exp_columns_zeroes_only_the_empty_entries():
+    # -inf marks an empty entry; an exponent that overflowed or is nan
+    # must stay non-finite, so that cauchy_operator rejects it
+    ep = airy.AiryEndpoints([[0.0, 1.0]])
+    ef = np.full((3, 3), -np.inf, dtype=complex)
+    eg = ef.copy()
+    ef[0] = [0.5j, 800.0, np.nan]
+    eg[2] = [0.5j, 800.0, np.nan]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = contour.exp_columns(ef, eg, ep)
+    assert f[0, 0] == np.exp(0.5j) and g[2, 0] == -np.exp(0.5j)
+    assert np.isinf(f[0, 1]) and np.isinf(g[2, 1])
+    assert np.isnan(f[0, 2]) and np.isnan(g[2, 2])
+    zeros = np.concatenate([f[1:].ravel(), g[:2].ravel()])
+    assert not np.any(zeros) and not np.any(np.signbit(zeros.real))
+
+
+# the nodes per panel of the contour grids (m = 80 to 200), of the
+# interval grids (10 to 21) and of the Tracy-Widom oracle (50 and 60)
+_RULE_COUNTS = list(range(1, 22)) + [50, 60]
+
+
+@pytest.mark.parametrize("n", _RULE_COUNTS)
+def test_gauss_legendre_rule_matches_leggauss(n):
+    x, w = contour.gauss_legendre(n)
+    k = np.arange(2 * n)
+    moments = (x[None, :] ** k[:, None]) @ w
+    assert np.all(np.abs(moments - np.where(k % 2, 0.0, 2.0 / (k + 1)))
+                  <= 5e-15)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    # eigenvalues to a few ulp; leggauss polishes its nodes by Newton
+    assert np.all(np.abs(x - x_ref) <= 1e-15)
+    # against a 40-digit rule, leggauss's weights are off by up to 8.4e-14
+    # (at 18 and 20 nodes) and 1.8e-12 (at 60), this rule's by 1.5e-14
+    # and 2.3e-14
+    assert np.all(np.abs(w - w_ref) <= (1e-13 if n <= 21 else 5e-12) * w_ref)
+
+
+@pytest.mark.parametrize("process, m, rule", [("airy", 120, 12),
+                                              ("pearcey", 100, 10)])
+def test_one_iiks_determinant_checks_times_per_entry(process, m, rule,
+                                                     monkeypatch):
+    # one check in each public entry on the way (as_endpoints, the
+    # builder, the operator), not one in every column and phase
+    # function, and one unit rule for the whole system
+    checks, rules = [], []
+    check, build_rule = contour.validate_times, contour.gauss_legendre
+    for mod in (airy, contour, gap, pearcey):
+        if getattr(mod, "validate_times", None) is check:
+            monkeypatch.setattr(mod, "validate_times",
+                                lambda t: (checks.append(1), check(t))[1])
+    monkeypatch.setattr(contour, "gauss_legendre",
+                        lambda n: (rules.append(n), build_rule(n))[1])
+    if process == "airy":
+        gap.airy_gap_probability([0.0, 1.0], [[0.0], [0.5]], m=m)
+    else:
+        gap.pearcey_gap_probability([0.0, 1.0], [[-1.0, 1.0]] * 2, m=m)
+    assert len(checks) == 3
+    assert rules == [rule]
 
 
 def test_grid_node_count_and_conjugation_symmetry():

@@ -8,6 +8,8 @@ import scipy.linalg as sla
 
 from gapdet import airy, contour, fredholm, pearcey
 
+from reference_kernels import airy_kernel_entry, pearcey_kernel_entry
+
 RNG = np.random.default_rng(20240817)
 
 
@@ -122,12 +124,14 @@ def test_assembled_operators_match_pointwise_entries(process):
         sys_ = contour.build_airy_system(times, m=8)
         op = airy.iiks_operator(ep, times, sys_, gauge=False)
         s = airy.iiks_slots(ep, times, sys_, gauge=False)
+        kernel_entry = airy_kernel_entry
         vanishes = lambda a, b: a == b  # same-component blocks
     else:
         mod, ep = pearcey, pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
         sys_ = contour.build_pearcey_system(times, m=8)
         op = pearcey.iiks_operator(ep, times, sys_)
         s = pearcey.iiks_slots(ep, times, sys_)
+        kernel_entry = pearcey_kernel_entry
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
     assert np.array_equal(op.weights, s.weights)
     # the component of each slot, from the grid holding its node (the
@@ -143,14 +147,13 @@ def test_assembled_operators_match_pointwise_entries(process):
     coincident = 0
     for r in range(op.n):
         for c in range(op.n):
-            ref = mod.iiks_kernel_entry(s.nodes[r], s.nodes[c], labels[r],
-                                        labels[c], ep, times)
-            ref = ref[s.vec_ids[r], s.vec_ids[c]]
+            val = kernel_entry(s.nodes[r], s.nodes[c], labels[r], labels[c],
+                               ep, times)[s.vec_ids[r], s.vec_ids[c]]
             if vanishes(labels[r], labels[c]):
-                assert m[r, c] == 0 and ref == 0
+                assert m[r, c] == 0 and val == 0
             coincident += labels[r] == labels[c] == "iR" and \
-                s.nodes[r] == s.nodes[c] and ref != 0
-            assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
+                s.nodes[r] == s.nodes[c] and val != 0
+            assert abs(kmat[r, c] - val) <= 1e-12 * max(abs(val), 1.0)
     # the L'Hopital limit fills the coincident (tau_1, tau_2) iR slots
     assert coincident == (len(sys_.grid("iR")) if process == "pearcey" else 0)
     assert np.count_nonzero(op.fill) == coincident
@@ -203,7 +206,8 @@ def _iiks_case(process, tangent, n=2, m=16):
         op, terms = pearcey.iiks_operator(ep, times, sys_), [(s.f, s.g)]
         coef = pearcey._alternating_sums(ep)
     return op, terms, s, \
-        lambda i, j, lam: pearcey._diag_limit(i, j, lam, times, coef)
+        lambda i, j, lam: pearcey._diag_limit(i, j, lam, np.array(times),
+                                             coef)
 
 
 def _dense_reference(terms, slots, lead, diag):
@@ -473,9 +477,9 @@ def test_physical_operator_matches_entries_in_every_block(process):
 def test_physical_operator_builds_each_gauss_legendre_rule_once(monkeypatch):
     # three intervals over two times, each of 16 nodes on one panel
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda n: (calls.append(n), leggauss(n))[1])
+    rule = contour.gauss_legendre
+    monkeypatch.setattr(contour, "gauss_legendre",
+                        lambda n: (calls.append(n), rule(n))[1])
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5, 0.8, 1.2]])
     sys_ = contour.build_pearcey_system([0.0, 1.0], m=40, endpoint_scale=1.2)
     calls.clear()
@@ -722,6 +726,24 @@ def test_rcond_repeats_bit_for_bit(case):
     a = _complex_case(case)
     assert len({repr(fredholm._factor(a.copy(order="F"))[3])
                 for _ in range(20)}) == 1
+
+
+def test_subnormal_entries_are_flushed_before_the_lu():
+    # row 0 leads column 0, so it is the first row of U unchanged: the
+    # subnormal entry would stay in the factors unless it is flushed
+    rng = np.random.default_rng(41)
+    a = np.asfortranarray(rng.standard_normal((40, 40)))
+    a[0, 0] = 100.0
+    a[0, 5] = 5e-310
+    zeroed = a.copy(order="F")
+    zeroed[0, 5] = 0.0
+    lu, _, log_value, rcond = fredholm._factor(a.copy(order="F"))
+    ref = fredholm._factor(zeroed)
+    assert lu[0, 5] == 0.0 and np.array_equal(lu, ref[0])
+    assert repr((log_value, rcond)) == repr(ref[2:])
+    # without overwrite the caller's matrix keeps its entry
+    fredholm._factor(a, overwrite=False)
+    assert a[0, 5] == 5e-310
 
 
 @pytest.mark.parametrize("case", ["airy-1", "airy-2", "airy-3", "pearcey-1",

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gapdet import airy, fredholm, isomono, pearcey, tracy_widom
+from gapdet import (airy, contour, fredholm, isomono, pdecheck, pearcey,
+                    tracy_widom)
 from gapdet.gap import (
     airy_gap_probability,
     as_endpoints,
@@ -85,6 +86,58 @@ def test_unknown_process_raises(call):
     # a misspelt process must not run the Pearcey kernel
     with pytest.raises(ValueError, match="process"):
         call()
+
+
+_AIRY_EP2 = airy.AiryEndpoints([[0.0], [0.5]])
+_PEARCEY_EP2 = pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2)
+_AIRY_SYS2 = contour.build_airy_system([0.0, 1.0], m=16)
+_PEARCEY_SYS2 = contour.build_pearcey_system([0.0, 1.0], m=16)
+_TIMED = {
+    "airy_gap_probability": lambda t: airy_gap_probability(
+        t, [[0.0], [0.5]], m=16),
+    "pearcey_gap_probability": lambda t: pearcey_gap_probability(
+        t, [[-1.0, 1.0]] * 2, m=16),
+    "equivalence_report": lambda t: equivalence_report(
+        "airy", t, [[0.0], [0.5]], m=16),
+    "gamma_moments": lambda t: isomono.gamma_moments(
+        "pearcey", [[-1.0, 1.0]] * 2, t, m=16),
+    "jump_matrix": lambda t: isomono.jump_matrix(
+        "airy", 0.3 + 0.5j, "line_1", _AIRY_EP2, t),
+    "exponent_diagonal": lambda t: isomono.exponent_diagonal(
+        "pearcey", 0.5j, _PEARCEY_EP2, t),
+    "conjugated_jump": lambda t: isomono.conjugated_jump(
+        "pearcey", 0.5j, "iR", _PEARCEY_EP2, t),
+    "airy.iiks_operator": lambda t: airy.iiks_operator(
+        _AIRY_EP2, t, _AIRY_SYS2),
+    "airy.iiks_tangent_operator": lambda t: airy.iiks_tangent_operator(
+        _AIRY_EP2, t, _AIRY_SYS2, 0, 0),
+    "airy.physical_operator": lambda t: airy.physical_operator(
+        _AIRY_EP2, t, m=16),
+    "pearcey.iiks_operator": lambda t: pearcey.iiks_operator(
+        _PEARCEY_EP2, t, _PEARCEY_SYS2),
+    "pearcey.iiks_tangent_operator": lambda t: pearcey.iiks_tangent_operator(
+        _PEARCEY_EP2, t, _PEARCEY_SYS2, 0, 1),
+    "pearcey.physical_operator": lambda t: pearcey.physical_operator(
+        _PEARCEY_EP2, t, _PEARCEY_SYS2),
+    "build_airy_system": lambda t: contour.build_airy_system(t, m=16),
+    "build_pearcey_system": lambda t: contour.build_pearcey_system(t, m=16),
+    "two_time_logdet": lambda t: pdecheck.two_time_logdet(t[1], 0.2, 0.1,
+                                                          m=16),
+}
+_BAD_TIMES = {"decreasing": [1.0, 0.0], "nan": [0.0, np.nan], "empty": [],
+              "inf": [0.0, np.inf]}
+
+
+@pytest.mark.parametrize("name, times", [
+    pytest.param(name, times, id=f"{name}-{kind}")
+    for name in sorted(_TIMED) for kind, times in _BAD_TIMES.items()
+    # the times of two_time_logdet are [0, tau]
+    if name != "two_time_logdet" or kind in ("nan", "inf")])
+def test_every_entry_rejects_bad_times(name, times):
+    # the column and phase functions take the times their caller
+    # checked, so every public entry must check them itself
+    with pytest.raises(contour.ContourError):
+        _TIMED[name](times)
 
 
 def test_airy_single_time_against_physical():
