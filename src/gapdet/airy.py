@@ -112,35 +112,16 @@ def exponents(z, comp_label, endpoints, times, gauge=False):
 
 def iiks_slots(endpoints, times, system, gauge=True):
     """Slots with bare f/g data; line j carries only vector component j."""
-    return _slots(endpoints, validate_times(times), system, gauge)
+    return build_slots(system, endpoints, exponents, validate_times(times),
+                       gauge)
 
 
-def _slots(endpoints, t, system, gauge=True):
-    """``iiks_slots`` at the validated times ``t``."""
-    def active(label):
-        if label == "gamma_R":
-            return range(endpoints.n)
-        return (int(label.split("_")[1]) - 1,)
-
-    return build_slots(system, endpoints, active, exponents, t, gauge)
-
-
-def _lead(endpoints, system):
-    """Slots on gamma_R, where K vanishes: the first grid, n per node."""
-    return endpoints.n * len(system.grid("gamma_R"))
-
-
-def iiks_operator(endpoints, times, system, gauge=True, geometry=None):
-    """Discretized integrable-kernel operator on the contour system.
-
-    ``geometry`` is the ``fredholm.CauchyGeometry`` of an operator on the
-    same system with the same number of times; it is built by default.
-    """
+def iiks_operator(endpoints, times, system, gauge=True):
+    """Discretized integrable-kernel operator on the contour system."""
     s = iiks_slots(endpoints, times, system, gauge)
     meta = {**system.meta, "process": "airy", "gauge": gauge,
             "p": endpoints.p}
-    return cauchy_operator([(s.f, s.g)], s, _lead(endpoints, system),
-                           meta=meta, geometry=geometry)
+    return cauchy_operator([(s.f, s.g)], s, system.geometry, meta=meta)
 
 
 def iiks_tangent_operator(endpoints, times, system, i, ell):
@@ -149,11 +130,10 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
     The gauge factors are held fixed; the similarity commutator they
     generate is traceless and drops out of Jacobi's formula.
     """
-    t = validate_times(times)
-    s = _slots(endpoints, t, system)
-    lead = _lead(endpoints, system)
-    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, lead, t[i])
-    return cauchy_operator(terms, s, lead, meta={"tangent": ("a", i, ell)})
+    t, geo = validate_times(times), system.geometry
+    s = build_slots(system, endpoints, exponents, t, True)
+    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, geo.lead, t[i])
+    return cauchy_operator(terms, s, geo, meta={"tangent": ("a", i, ell)})
 
 
 # ---------------------------------------------------------------------------

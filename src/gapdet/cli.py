@@ -301,6 +301,9 @@ def run_task(cfg):
             ratio = results[0]["relative_residual"] / max(
                 results[-1]["relative_residual"], 1e-300)
             record["richardson_ratio"] = ratio
+            # a second-order residual falls by (h_0 / h_last)^2
+            order2 = (steps[0] / steps[-1]) ** 2
+            passed = passed and 0.75 * order2 <= ratio <= 1.25 * order2
     elif task == "tw-oracle":
         s = float(cfg["s"])
         m = cfg.get("quadrature", {}).get("m", 140)

@@ -6,7 +6,9 @@ vertical line.  Each component carries a composite Gauss-Legendre grid
 whose complex weights include the local unit direction, so that a plain
 weighted sum realizes the oriented line integral.  Both processes also
 share the interval endpoints and the slot layout that pairs contour
-nodes with the vector components of the integrable kernel.
+nodes with the vector components of the integrable kernel: a system
+declares which components each contour carries, and builds from that
+the one ``CauchyGeometry`` every operator on it shares.
 """
 
 from __future__ import annotations
@@ -134,12 +136,109 @@ def build_grids(components, m):
     return tuple(grids)
 
 
+class NodeSet:
+    """The distinct nodes of consecutive grids and the slots at them.
+
+    The slots run grid by grid, then over the vector components a grid
+    carries, each over all nodes of the grid.  ``values`` are the grids'
+    nodes in order, ``ids`` the node of each slot, and ``ranks[j]`` the
+    nodes with more than j slots with the j-th of those slots.
+    """
+
+    def __init__(self, nodes, counts):
+        sizes = [len(z) for z in nodes]
+        first = np.cumsum([0] + sizes[:-1])
+        self.values = np.concatenate(nodes)
+        self.ids = np.concatenate([np.tile(i + np.arange(k), c) for i, k, c
+                                   in zip(first, sizes, counts)])
+        rank = np.concatenate([np.repeat(np.arange(c), k)
+                               for k, c in zip(sizes, counts)])
+        self.ranks = [(self.ids[rank == j], np.flatnonzero(rank == j))
+                      for j in range(max(counts))]
+
+    def sum(self, a):
+        """Rows of ``a``, one per slot, summed over the slots of each node."""
+        out = a[self.ranks[0][1]]
+        for nodes, slots in self.ranks[1:]:
+            out[nodes] += a[slots]
+        return out
+
+    def pairs(self):
+        """Slot pairs (r, c) at one node, the diagonal included, sorted."""
+        group = np.full((len(self.values), len(self.ranks)), -1)
+        for j, (nodes, slots) in enumerate(self.ranks):
+            group[nodes, j] = slots
+        cols = group[self.ids]
+        rows = np.indices(cols.shape)[0]
+        return rows[cols >= 0], cols[cols >= 0]
+
+
+class CauchyGeometry:
+    """The part of a contour operator that its slot layout fixes.
+
+    The slots on the grid with nodes ``nodes[i]`` carry the vector
+    components ``carries[i]``, grid by grid, then component by
+    component; the first ``lead_grids`` grids hold the leading slots X,
+    where the kernel vanishes.  Every grid is a half and its mirror
+    image in reverse order (``build_grids``), so the mirror of a slot is
+    the one at the conjugate node of its block; ValueError unless it
+    pairs each slot with another at the exact conjugate, lead with lead.
+
+    ``nodes`` and ``vec_ids`` give the node and component of each slot,
+    ``slot_mirror`` its mirror and ``lead`` the size of X.
+    ``lead_nodes`` and ``rest_nodes`` are the ``NodeSet`` of X and of
+    the rest L, ``cauchy`` = 1 / (zeta - xi) over their nodes, ``pairs``
+    the coincident rest slots (indices into L, the diagonal included),
+    and ``mirror`` lists L as [h, sigma h].  ``fill_at`` = (columns,
+    rows, pairs) places the pairs that lie in the rows h in the
+    transposed numerator of the real form.
+    """
+
+    def __init__(self, nodes, carries, lead_grids):
+        self.carries = tuple(tuple(c) for c in carries)
+        counts = [len(c) for c in self.carries]
+        self.lead_nodes = NodeSet(nodes[:lead_grids], counts[:lead_grids])
+        self.rest_nodes = NodeSet(nodes[lead_grids:], counts[lead_grids:])
+        k = self.lead = len(self.lead_nodes.ids)
+        self.nodes = z = np.concatenate(
+            [s.values[s.ids] for s in (self.lead_nodes, self.rest_nodes)])
+        self.vec_ids = np.concatenate([np.repeat(c, len(zg)) for zg, c
+                                       in zip(nodes, self.carries)])
+        ends = np.cumsum([len(zg) for zg, c in zip(nodes, counts)
+                          for _ in range(c)])
+        sigma = np.concatenate([np.arange(e - 1, s - 1, -1)
+                                for s, e in zip([0, *ends[:-1]], ends)])
+        idx = np.arange(len(z))
+        if not (np.array_equal(sigma[sigma], idx) and np.all(sigma != idx)
+                and np.array_equal(sigma < k, idx < k)
+                and np.array_equal(z[sigma], z.conj())):
+            raise ValueError("slots are not paired with their conjugate nodes")
+        self.slot_mirror = sigma
+        rest = sigma[k:] - k
+        half = np.flatnonzero(rest > np.arange(len(rest)))  # h, in L
+        self.mirror = np.concatenate([half, rest[half]])
+        # the grids of a system never share a node
+        self.cauchy = 1.0 / np.subtract.outer(self.rest_nodes.values,
+                                              self.lead_nodes.values)
+        self.pairs = self.rest_nodes.pairs()
+        pos = np.empty_like(self.mirror)  # the place of each slot of L
+        pos[self.mirror] = np.arange(len(pos))
+        rows, cols = pos[self.pairs[0]], pos[self.pairs[1]]
+        keep = np.flatnonzero(rows < len(half))
+        self.fill_at = (cols[keep], rows[keep], keep)
+
+
 @dataclass(frozen=True)
 class ContourSystem:
-    """A family of pairwise disjoint contour components with grids."""
+    """A family of pairwise disjoint contour components with grids.
+
+    ``geometry`` is the ``CauchyGeometry`` of the slots the system
+    carries, shared by every operator on it; None when it carries none.
+    """
 
     grids: tuple  # of QuadratureGrid
     meta: dict = field(default_factory=dict)
+    geometry: CauchyGeometry | None = None
 
     @property
     def labels(self):
@@ -152,28 +251,28 @@ class ContourSystem:
         raise KeyError(label)
 
 
-def _system(comps, m, meta):
+def _system(comps, m, meta, carries=None, lead_grids=0):
     """Disjoint system of ``comps`` with ``m`` nodes each.
 
     ``meta["m"]`` is the node count ``build_grids`` lays down (an odd m
     is rounded up), and ``meta["radius_capped"]`` lists the components
     whose radius is at least ``RADIUS_CAP`` (a padded radius may exceed
-    it).
+    it).  ``carries`` lists the vector components the slots of each
+    component carry, and the first ``lead_grids`` components form X (see
+    ``CauchyGeometry``); without it the system carries no slots.
     """
     radii = {c.label: c.truncation_radius for c in comps}
     capped = tuple(label for label, r in radii.items() if r >= RADIUS_CAP)
-    system = ContourSystem(grids=build_grids(comps, m), meta={
+    grids = build_grids(comps, m)
+    # one sort puts equal nodes next to each other: no two may be equal
+    z = np.sort(np.concatenate([g.nodes for g in grids]))
+    if np.any(z[1:] == z[:-1]):
+        raise ContourError("contour nodes collide")
+    geometry = None if carries is None else \
+        CauchyGeometry([g.nodes for g in grids], carries, lead_grids)
+    return ContourSystem(grids=grids, meta={
         **meta, "m": m + m % 2, "eps": DEFAULT_TAIL_EPS, "radii": radii,
-        "radius_capped": capped})
-    # one sort puts equal nodes next to each other: a collision is a
-    # pair of neighbours that are equal and on distinct components
-    nodes = np.concatenate([g.nodes for g in system.grids])
-    comp = np.repeat(np.arange(len(comps)), [len(g) for g in system.grids])
-    order = np.argsort(nodes, kind="stable")
-    z, c = nodes[order], comp[order]
-    if np.any((z[1:] == z[:-1]) & (c[1:] != c[:-1])):
-        raise ContourError("contour components collide")
-    return system
+        "radius_capped": capped}, geometry=geometry)
 
 
 def solve_radius(exponent, target, r_max=RADIUS_CAP):
@@ -285,11 +384,8 @@ class Slots:
     """Assembly slots, one per (quadrature node, carried vector component).
 
     ``f`` and ``g`` hold the bare integrable-kernel vectors, one column
-    per slot.  The grids of a system never share a node, so two slots
-    sit at the same point exactly when their nodes are equal.
-    ``mirror`` is the slot at the conjugate node of each slot: every
-    component has a real apex and legs at +-theta, laid out by
-    ``build_grids`` as mirror images.
+    per slot, in the slot order of the system's ``CauchyGeometry``, whose
+    ``nodes`` and ``vec_ids`` these are.
     """
 
     f: np.ndarray
@@ -297,7 +393,6 @@ class Slots:
     nodes: np.ndarray
     weights: np.ndarray
     vec_ids: np.ndarray
-    mirror: np.ndarray
 
     def endpoint_terms(self, row, i, lead, shift):
         """(f, g) terms of dK/da for the endpoint a at ``row``, of time i.
@@ -334,26 +429,21 @@ def exp_columns(ef, eg, endpoints):
     return f, g
 
 
-def build_slots(system, endpoints, active, exponents, *args):
-    """Slots of ``system``: component by component, then vector component.
+def build_slots(system, endpoints, exponents, *args):
+    """Slots of ``system`` in the order of its ``CauchyGeometry``.
 
     ``exponents(nodes, label, endpoints, *args)`` returns the exponents
     of the bare f and g columns of every vector component on a contour
-    component, two (p, n, k) arrays with -inf where a column vanishes;
-    ``active(label)`` lists the vector components the contour component
-    carries.  One exponential of each table gives all columns
-    (``exp_columns``).
+    component, two (p, n, k) arrays with -inf where a column vanishes.
+    One exponential of each table gives all columns (``exp_columns``).
     """
-    parts, start = [], 0
-    for grid in system.grids:
-        label, k = grid.component.label, len(grid)
-        ef, eg = exponents(grid.nodes, label, endpoints, *args)
-        for b in active(label):
-            parts.append((ef[:, b], eg[:, b], grid.nodes, grid.weights,
-                          np.full(k, b), start + np.arange(k)[::-1]))
-            start += k
-    ef, eg, *rest = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    return Slots(*exp_columns(ef, eg, endpoints), *rest)
+    geo, parts = system.geometry, []
+    for grid, comps in zip(system.grids, geo.carries):
+        ef, eg = exponents(grid.nodes, grid.component.label, endpoints, *args)
+        parts += [(ef[:, b], eg[:, b], grid.weights) for b in comps]
+    ef, eg, weights = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    return Slots(*exp_columns(ef, eg, endpoints), geo.nodes, weights,
+                 geo.vec_ids)
 
 
 def fg_matrices(exponents, lam, label, endpoints, times):
@@ -370,7 +460,8 @@ def build_airy_system(times, m=80, endpoint_scale=0.0):
     left ray pair at apex tau_j with angles +-2pi/3, the vertical line
     through tau_j deformed so that every kernel factor decays cubically.
     ``endpoint_scale`` feeds the slowest linear growth (from interval
-    endpoints) into the truncation rule.
+    endpoints) into the truncation rule.  gamma_R carries every time and
+    forms X, and line j carries time j.
     """
     t = validate_times(times)
     C = float(t.max()) + 1.0
@@ -384,7 +475,8 @@ def build_airy_system(times, m=80, endpoint_scale=0.0):
     comps += [ContourComponent(complex(tau), (-2 * np.pi / 3, 2 * np.pi / 3),
                                r_left, f"line_{j + 1}")
               for j, tau in enumerate(t)]
-    return _system(comps, m, {"C": C})
+    carries = [range(len(t))] + [(j,) for j in range(len(t))]
+    return _system(comps, m, {"C": C}, carries, 1)
 
 
 def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
@@ -397,7 +489,8 @@ def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
     contour.  iR: the vertical line through 0, traversed upward.  No
     deformation is needed; every weight already decays.  This is the
     orientation for which determinants are probabilities in (0, 1] and
-    the one-point density is positive.
+    the one-point density is positive.  Every component carries every
+    time, and gamma_R and gamma_L form X.
     """
     t = validate_times(times)
     if not delta > 0:
@@ -414,4 +507,4 @@ def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
                          r_x, "gamma_L"),
         ContourComponent(0j, (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
-    return _system(comps, m, {"delta": delta})
+    return _system(comps, m, {"delta": delta}, [range(len(t))] * 3, 2)

@@ -12,9 +12,9 @@ A contour operator holds neither M nor a block of it.  M vanishes on
 its ``lead`` leading slots X, M = [[0, B], [C, D]], and det(I - M) =
 det(S) with S = I - D - C B.  With the folded generators f, g, X enters
 S only through 1 / (z - xi) at its distinct nodes xi and through P_xi
-= sum f_l g_l^T over the slots at xi: the operator keeps one matrix K
-= 1 / (zeta - xi) over the distinct rest nodes zeta, in a
-``CauchyGeometry`` that operators on the same nodes share.  With T =
+= sum f_l g_l^T over the slots at xi: the operator reads one matrix K
+= 1 / (zeta - xi) over the distinct rest nodes zeta from the
+``contour.CauchyGeometry`` of its contour system.  With T =
 K P, the partial fractions of 1 / ((z_r - xi)(xi - z_c)) give, for
 z_r != z_c,
 
@@ -29,7 +29,7 @@ of f and g that are non-zero on some lead slot.
 
 S is factored as a real matrix.  The contours have real apexes and
 mirrored legs, and the phases real coefficients, so S[sigma, sigma] =
-conj(S) for the slot mirror sigma of ``contour.Slots``.  With h the
+conj(S) for the slot mirror sigma of the geometry.  With h the
 first slot of each mirrored pair, A11 = S[h, h], A12 = S[h, sigma h]
 and Q = [[I, I], [-iI, iI]] / sqrt(2) on [h, sigma h], R = Q S Q^H =
 [[Re(A11 + A12), -Im(A11 - A12)], [Im(A11 + A12), Re(A11 - A12)]] is
@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import TWO_PI_I, ContourError, Slots, gauss_legendre_panels
+from .contour import (TWO_PI_I, CauchyGeometry, ContourError, Slots,
+                      gauss_legendre_panels)
 
 __all__ = [
-    "CauchyGeometry",
     "CauchyOperator",
     "DiscreteOperator",
     "DetResult",
@@ -133,93 +133,6 @@ class DiscreteOperator:
         return complex(np.trace(self.matrix))
 
 
-class _Nodes:
-    """The distinct nodes of a slot set, from one exact sort: ``values``
-    in sorted order, ``ids`` the node of each slot, and ``ranks[j]`` the
-    nodes with more than j slots with the j-th of those slots."""
-
-    def __init__(self, z):
-        self.values, self.ids = np.unique(z, return_inverse=True)
-        order = np.argsort(self.ids, kind="stable")
-        sizes = np.bincount(self.ids)
-        starts = np.cumsum(sizes) - sizes
-        self.ranks = [(i, order[starts[i] + j])
-                      for j in range(sizes.max(initial=0))
-                      for i in [np.flatnonzero(sizes > j)]]
-
-    def sum(self, a):
-        """Rows of ``a``, one per slot, summed over the slots of each node."""
-        out = a[self.ranks[0][1]]
-        for nodes, slots in self.ranks[1:]:
-            out[nodes] += a[slots]
-        return out
-
-    def pairs(self):
-        """Slot pairs (r, c) at one node, the diagonal included, sorted."""
-        group = np.full((len(self.values), len(self.ranks)), -1)
-        for j, (nodes, slots) in enumerate(self.ranks):
-            group[nodes, j] = slots
-        cols = group[self.ids]
-        rows = np.indices(cols.shape)[0]
-        return rows[cols >= 0], cols[cols >= 0]
-
-
-@dataclass(frozen=True)
-class CauchyGeometry:
-    """The part of a contour operator that depends on its slot nodes alone.
-
-    ``nodes``, ``slot_mirror`` and ``lead`` are the slot nodes, the slot
-    mirror and the number of leading slots X it was built from (see
-    ``from_slots``).  ``lead_nodes`` and ``rest_nodes`` are the distinct
-    nodes xi of X and zeta of the rest L, ``cauchy`` = 1 / (zeta - xi),
-    ``pairs`` the coincident rest slots (indices into L, the diagonal
-    included), and ``mirror`` lists L as [h, sigma h].  ``fill_at`` =
-    (columns, rows, pairs) places the pairs that lie in the rows h in the
-    transposed numerator of the real form.  Operators whose slots have
-    these nodes can share one geometry.
-    """
-
-    nodes: np.ndarray
-    slot_mirror: np.ndarray
-    lead: int
-    lead_nodes: _Nodes
-    rest_nodes: _Nodes
-    cauchy: np.ndarray
-    pairs: tuple
-    mirror: np.ndarray
-    fill_at: tuple
-
-    @classmethod
-    def from_slots(cls, slots, lead):
-        """Geometry of ``slots`` with ``lead`` leading slots; ValueError
-        unless the slot mirror pairs each slot with another at the
-        conjugate node, lead with lead."""
-        z, sigma, k = slots.nodes, slots.mirror, lead
-        idx = np.arange(len(z))
-        if not (np.array_equal(sigma[sigma], idx) and np.all(sigma != idx)
-                and np.array_equal(sigma < k, idx < k)
-                and np.array_equal(z[sigma], z.conj())):
-            raise ValueError("slots are not paired with their conjugate nodes")
-        rest = sigma[k:] - k
-        half = np.flatnonzero(rest > np.arange(len(rest)))  # h, in L
-        mirror = np.concatenate([half, rest[half]])
-        lead_nodes, rest_nodes = _Nodes(z[:k]), _Nodes(z[k:])
-        # slots of distinct components never coincide
-        cauchy = 1.0 / np.subtract.outer(rest_nodes.values, lead_nodes.values)
-        pairs = rest_nodes.pairs()
-        pos = np.argsort(mirror)  # the place of each slot of L in mirror
-        rows, cols = pos[pairs[0]], pos[pairs[1]]
-        keep = np.flatnonzero(rows < len(half))
-        return cls(nodes=z, slot_mirror=sigma, lead=k, lead_nodes=lead_nodes,
-                   rest_nodes=rest_nodes, cauchy=cauchy, pairs=pairs,
-                   mirror=mirror, fill_at=(cols[keep], rows[keep], keep))
-
-    def fits(self, slots, lead):
-        """True when ``slots`` have this geometry's nodes and mirror."""
-        return lead == self.lead and np.array_equal(slots.nodes, self.nodes) \
-            and np.array_equal(slots.mirror, self.slot_mirror)
-
-
 @dataclass(frozen=True)
 class CauchyOperator:
     """Integrable-kernel operator: O(N) data and one node-level matrix.
@@ -227,9 +140,10 @@ class CauchyOperator:
     In slot order M = [[0, B], [C, D]], with the exact zero block on
     the ``lead`` leading slots X.  ``f`` and ``g`` are the folded
     generators, (q, N) arrays with M[r, c] = f_r . g_c / (z_r - z_c)
-    wherever z_r != z_c.  No block is stored: the ``geometry`` holds
-    the node-level Cauchy matrix between X and the rest L, and D is kept
-    only as its values ``fill`` at the geometry's coincident rest pairs.
+    wherever z_r != z_c.  No block is stored: the ``geometry`` of the
+    contour system holds the node-level Cauchy matrix between X and the
+    rest L, and D is kept only as its values ``fill`` at the geometry's
+    coincident rest pairs.
     ``f_rows`` and ``g_rows`` are the rows of f and g that are non-zero
     on the lead slots.  ``schur()`` is the real form R (module
     docstring).  The ``contour.Slots`` are kept for the resolvent
@@ -243,8 +157,11 @@ class CauchyOperator:
     fill: np.ndarray
     geometry: CauchyGeometry
     slots: Slots
-    lead: int
     meta: dict = field(default_factory=dict)
+
+    @property
+    def lead(self):
+        return self.geometry.lead
 
     @property
     def n(self):
@@ -372,36 +289,33 @@ def _product(a, b):
     return [(u, gb), (fa, v)], cb
 
 
-def cauchy_operator(terms, slots, lead, diag=None, meta=None, geometry=None):
+def cauchy_operator(terms, slots, geometry, diag=None, meta=None):
     """Discretize K(lam, mu) = sum f^T(lam) g(mu) / (2 pi i (lam - mu)).
 
     ``terms`` lists the (f, g) pairs of the sum, (p, N) arrays with one
-    column per slot.  K vanishes between the ``lead`` leading slots (one
-    contour where the non-zero rows of f and g never meet, so f^T g = 0
-    there exactly); at coincident slots past them ``diag(i, j, lam)``
-    gives its removable value times 2 pi i (without it, f^T g there).
+    column per slot.  K vanishes between the leading slots X of the
+    contour system's ``geometry`` (contours where the non-zero rows of f
+    and g never meet, so f^T g = 0 there exactly); at coincident slots
+    past them ``diag(i, j, lam)`` gives its removable value times 2 pi i
+    (without it, f^T g there).
 
     The weights live in the generators: f carries sqrt(w) / (2 pi i)
     and g carries sqrt(w), so one product per entry gives the folded
     matrix.  Only D at coincident slots is written; the node-level
-    Cauchy matrix is the ``geometry``'s, built from ``slots`` unless an
-    operator on slots with the same nodes supplies it (see
-    ``CauchyGeometry``).  The scaled columns must be finite and
-    mirror-symmetric (``_check_mirror``), and a supplied geometry must
-    fit the slots, else ValueError; an entry that overflows from finite
-    columns is caught where ``_factor`` checks S.
+    Cauchy matrix is the geometry's.  The slots must lie on the
+    geometry's nodes, and the scaled columns must be finite and
+    mirror-symmetric (``_check_mirror``), else ValueError; an entry that
+    overflows from finite columns is caught where ``_factor`` checks S.
     """
     s = np.sqrt(slots.weights)
     f = np.concatenate([f for f, _ in terms]) * (s / TWO_PI_I)
     g = np.concatenate([g for _, g in terms]) * s
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise ValueError("kernel vectors contain non-finite entries")
-    z, k = slots.nodes, lead
-    if geometry is None:
-        geometry = CauchyGeometry.from_slots(slots, k)
-    elif not geometry.fits(slots, k):
-        raise ValueError("the geometry belongs to slots with other nodes")
-    _check_mirror(f, g, slots.mirror, k)
+    if not np.array_equal(slots.nodes, geometry.nodes):
+        raise ValueError("the slots do not lie on the geometry's nodes")
+    z, k = slots.nodes, geometry.lead
+    _check_mirror(f, g, geometry.slot_mirror, k)
     rows, cols = geometry.pairs
     rk, ck = rows + k, cols + k
     if diag is None:
@@ -412,7 +326,7 @@ def cauchy_operator(terms, slots, lead, diag=None, meta=None, geometry=None):
     nonzero = lambda a: np.flatnonzero(np.any(a != 0, axis=1))
     return CauchyOperator(f=f, g=g, f_rows=nonzero(f[:, :k]),
                           g_rows=nonzero(g[:, :k]), fill=fill,
-                          geometry=geometry, slots=slots, lead=lead,
+                          geometry=geometry, slots=slots,
                           meta=dict(meta or {}))
 
 

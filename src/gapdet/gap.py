@@ -76,10 +76,20 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
 
 
 def equivalence_report(process, times, intervals, m=80, **kw):
-    """Both representations of one configuration and their difference."""
-    fn = airy_gap_probability if is_airy(process) else pearcey_gap_probability
-    phys = fn(times, intervals, representation="physical", m=m, **kw)
-    iiks = fn(times, intervals, representation="iiks", m=m, **kw)
+    """Both representations of one configuration and their difference.
+
+    Both Pearcey representations read one contour system, built once.
+    """
+    if is_airy(process):
+        phys, iiks = (airy_gap_probability(times, intervals, representation=r,
+                                           m=m, **kw)
+                      for r in ("physical", "iiks"))
+    else:
+        t, ep = as_endpoints(process, times, intervals)
+        system = build_pearcey_system(
+            t, m=m, endpoint_scale=ep.max_abs_endpoint(), **kw)
+        phys, iiks = (det(op(ep, t, system)) for op in (
+            pearcey.physical_operator, pearcey.iiks_operator))
     return {
         "det_physical": phys.value,
         "det_iiks": iiks.value,

@@ -83,20 +83,17 @@ def build_grid(center, step=0.05, radius=2, m=120):
 def _stencil(tau, points, m):
     """(system, gradients) at the (E, W) ``points``, all at time gap tau.
 
-    The points share one contour system and one Cauchy geometry.  Its
-    truncation radii are taken at the largest |endpoint| of all points;
-    the truncation rule is monotone in it, so every point meets it.
+    The points share one contour system, and so its Cauchy geometry.
+    Its truncation radii are taken at the largest |endpoint| of all
+    points; the truncation rule is monotone in it, so every point meets
+    it.
     """
     times = validate_times([0.0, tau])  # ContourError unless tau > 0
     eps = [AiryEndpoints([[e + w], [e - w]]) for e, w in points]
     system = build_airy_system(
         times, m=m, endpoint_scale=max(ep.max_abs_endpoint() for ep in eps))
-    grads, geometry = [], None
-    for ep in eps:
-        op = iiks_operator(ep, times, system, geometry=geometry)
-        geometry = op.geometry
-        grads.append(_gradient(op, ep, times))
-    return system, grads
+    return system, [_gradient(iiks_operator(ep, times, system), ep, times)
+                    for ep in eps]
 
 
 def _gradient(op, endpoints, times):

@@ -104,42 +104,30 @@ def _diag_limit(i, j, lam, t, coef):
 
 def iiks_slots(endpoints, times, system):
     """Slots with bare f/g data; every component carries all n."""
-    return _slots(endpoints, validate_times(times), system)
-
-
-def _slots(endpoints, t, system):
-    """``iiks_slots`` at the validated times ``t``."""
-    return build_slots(system, endpoints, lambda label: range(endpoints.n),
-                       exponents, t)
-
-
-def _lead(endpoints, system):
-    """Slots on gamma_R and gamma_L, where K vanishes: the first two grids."""
-    return endpoints.n * sum(len(system.grid(c)) for c in _X_LABELS)
+    return build_slots(system, endpoints, exponents, validate_times(times))
 
 
 def iiks_operator(endpoints, times, system):
     """Discretized integrable Pearcey operator."""
     t = validate_times(times)
-    s = _slots(endpoints, t, system)
+    s = build_slots(system, endpoints, exponents, t)
     coef = _alternating_sums(endpoints)
     meta = {**system.meta, "process": "pearcey", "p": endpoints.p}
     return cauchy_operator(
-        [(s.f, s.g)], s, _lead(endpoints, system),
+        [(s.f, s.g)], s, system.geometry,
         diag=lambda i, j, lam: _diag_limit(i, j, lam, t, coef), meta=meta)
 
 
 def iiks_tangent_operator(endpoints, times, system, i, ell):
     """Endpoint derivative d K / d a_i^(ell) on the same slots."""
-    t = validate_times(times)
-    s = _slots(endpoints, t, system)
-    lead = _lead(endpoints, system)
-    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, lead, 0.0)
+    t, geo = validate_times(times), system.geometry
+    s = build_slots(system, endpoints, exponents, t)
+    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, geo.lead, 0.0)
     # d/da of the L'Hopital limit e^{dt lam^2/2} sum (-1)^l a_l
     coef = np.zeros(endpoints.n)
     coef[i] = (-1.0) ** ell
     return cauchy_operator(
-        terms, s, lead,
+        terms, s, geo,
         diag=lambda vi, vj, lam: _diag_limit(vi, vj, lam, t, coef),
         meta={"tangent": ("a", i, ell)})
 

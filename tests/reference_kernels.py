@@ -4,14 +4,17 @@ operators and contour systems against.
 Each function evaluates one entry straight from its formula, slowly and
 without the slot machinery of ``gapdet``: the bare block formulas (F, G,
 H) of both integrable kernels, the n x n kernel value at one node pair,
-the contour form of the Pearcey heat kernel, and the smallest distance
-between the nodes of distinct contour components.
+the contour form of the Pearcey heat kernel, the smallest distance
+between the nodes of distinct contour components, and the Cauchy
+geometry of a slot set found by sorting its nodes.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from gapdet import airy, pearcey
-from gapdet.contour import TWO_PI_I, fg_matrices, validate_times
+from gapdet.contour import TWO_PI_I, NodeSet, fg_matrices, validate_times
 
 
 def min_pairwise_distance(system):
@@ -127,3 +130,46 @@ def heat_kernel_contour(dt, x, y, grid):
     """
     vals = np.exp(dt * grid.nodes ** 2 / 2.0 + (y - x) * grid.nodes)
     return complex(np.sum(grid.weights * vals)) / TWO_PI_I
+
+
+class SortedNodes(NodeSet):
+    """The distinct nodes of a slot set from one exact sort: ``values``
+    in sorted order, ``ids`` the node of each slot, and ``ranks[j]`` the
+    nodes with more than j slots with the j-th of those slots."""
+
+    def __init__(self, z):
+        self.values, self.ids = np.unique(z, return_inverse=True)
+        order = np.argsort(self.ids, kind="stable")
+        sizes = np.bincount(self.ids)
+        starts = np.cumsum(sizes) - sizes
+        self.ranks = [(i, order[starts[i] + j])
+                      for j in range(sizes.max(initial=0))
+                      for i in [np.flatnonzero(sizes > j)]]
+
+
+def sorted_geometry(z, vec_ids, lead):
+    """The Cauchy geometry of slots at nodes ``z`` carrying components
+    ``vec_ids``, with ``lead`` leading slots, found by sorting: the
+    mirror of a slot is the slot of its component at the conjugate node,
+    and the distinct nodes of the lead and of the rest are sorted.  It
+    has the attributes of ``contour.CauchyGeometry`` that an operator
+    reads."""
+    slot_at = {(b, x): i for i, (b, x) in enumerate(zip(vec_ids, z))}
+    sigma = np.array([slot_at[b, x.conjugate()] for b, x in zip(vec_ids, z)])
+    idx, k = np.arange(len(z)), lead
+    if not (np.array_equal(sigma[sigma], idx) and np.all(sigma != idx)
+            and np.array_equal(sigma < k, idx < k)):
+        raise ValueError("slots are not paired with their conjugate nodes")
+    rest = sigma[k:] - k
+    half = np.flatnonzero(rest > np.arange(len(rest)))  # h, in L
+    mirror = np.concatenate([half, rest[half]])
+    lead_nodes, rest_nodes = SortedNodes(z[:k]), SortedNodes(z[k:])
+    cauchy = 1.0 / np.subtract.outer(rest_nodes.values, lead_nodes.values)
+    pairs = rest_nodes.pairs()
+    pos = np.argsort(mirror)  # the place of each slot of L in mirror
+    rows, cols = pos[pairs[0]], pos[pairs[1]]
+    keep = np.flatnonzero(rows < len(half))
+    return SimpleNamespace(nodes=z, slot_mirror=sigma, lead=k,
+                           lead_nodes=lead_nodes, rest_nodes=rest_nodes,
+                           cauchy=cauchy, pairs=pairs, mirror=mirror,
+                           fill_at=(cols[keep], rows[keep], keep))

@@ -428,6 +428,24 @@ def test_run_pde_task_with_tolerance_override(tmp_path):
     assert rec["residuals"][0]["relative_residual"] < 0.05
 
 
+def test_pde_verdict_reads_the_halving_ratio(tmp_path):
+    # the large-gap job of ROADMAP item 11: its residual is under the
+    # 1e-3 default, but it does not fall like h^2 between the two steps
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "task": "pde", "quadrature": {"m": 200},
+        "pde": {"center": [2.0, -0.5, 0.3], "steps": [0.04, 0.02]}}))
+    code, rec = _run(tmp_path, ["run", str(path)])
+    assert rec["residuals"][-1]["relative_residual"] == pytest.approx(
+        1.196e-4, rel=1e-3)
+    assert rec["richardson_ratio"] == pytest.approx(1.511, rel=1e-3)
+    assert (code, rec["passed"]) == (1, False)
+    # the preset's ratio lies within [3, 5] = [0.75, 1.25] (0.04 / 0.02)^2
+    code, rec = _run(tmp_path, ["check", "pde", "--preset", "avm-center"])
+    assert rec["richardson_ratio"] == pytest.approx(3.981, rel=1e-3)
+    assert (code, rec["passed"]) == (0, True)
+
+
 def test_run_pde_reports_the_radii_of_each_step(tmp_path):
     cfg = {"task": "pde", "pde": {"steps": [0.08, 0.04]},
            "quadrature": {"m": 24}, "tolerances": {"pde": 1.0}}

@@ -2,15 +2,16 @@
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gapdet import airy, contour, fredholm, gap, pearcey
+from gapdet import airy, contour, fredholm, gap, isomono, pdecheck, pearcey
 from gapdet.airy import theta
 from gapdet.tracy_widom import airy_ai
 
-from reference_kernels import min_pairwise_distance
+from reference_kernels import min_pairwise_distance, sorted_geometry
 
 
 def test_airy_system_single_time_geometry():
@@ -311,3 +312,119 @@ def test_pearcey_weights_decay_at_truncation():
             end = comp.apex + r * np.exp(1j * comp.angles[1])
             slowest = abs(np.exp(0.5 * (end ** 4 / 4)))
         assert slowest < 1e-12
+
+
+# (process, number of times, m, keywords of the system, of the operator)
+_LAYOUT_CASES = {
+    "airy-n1": ("airy", 1, 24, {}, {}),
+    "airy-n2": ("airy", 2, 24, {}, {}),
+    "airy-n3": ("airy", 3, 24, {}, {}),
+    "airy-odd-m": ("airy", 2, 81, {}, {}),
+    "airy-no-gauge": ("airy", 2, 24, {}, {"gauge": False}),
+    "pearcey-n1": ("pearcey", 1, 24, {}, {}),
+    "pearcey-n2": ("pearcey", 2, 24, {}, {}),
+    "pearcey-n3": ("pearcey", 3, 24, {}, {}),
+    "pearcey-delta": ("pearcey", 2, 24, {"delta": 0.25}, {}),
+}
+
+
+def _layout_case(process, n, m, system_kw, op_kw):
+    """(system, IIKS operator on it, endpoints, times) at n times."""
+    times = [[0.0], [0.0, 1.0], [0.0, 0.5, 1.0]][n - 1]
+    if process == "airy":
+        mod, build = airy, contour.build_airy_system
+        ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5], [0.2]][:n])
+    else:
+        mod, build = pearcey, contour.build_pearcey_system
+        ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5],
+                                       [-0.3, 0.3]][:n])
+    system = build(times, m=m, endpoint_scale=ep.max_abs_endpoint(),
+                   **system_kw)
+    return system, mod.iiks_operator(ep, times, system, **op_kw), ep, times
+
+
+@pytest.mark.parametrize("case", list(_LAYOUT_CASES))
+def test_layout_geometry_matches_the_sorted_reference(case):
+    # the geometry a system builds from its slot layout against the one
+    # an exact sort of the slot nodes finds
+    system, op, _, _ = _layout_case(*_LAYOUT_CASES[case])
+    geo = system.geometry
+    assert op.geometry is geo
+    ref = sorted_geometry(geo.nodes, geo.vec_ids, geo.lead)
+    # the distinct nodes of X and of L, and the node of every slot
+    for got, want in (geo.lead_nodes, ref.lead_nodes), \
+            (geo.rest_nodes, ref.rest_nodes):
+        assert np.array_equal(np.sort(got.values), want.values)
+        assert np.array_equal(got.values[got.ids], want.values[want.ids])
+    # the coincident rest pairs as slot-index pairs, and the mirror
+    for got, want in [*zip(geo.pairs, ref.pairs), *zip(geo.fill_at,
+                                                       ref.fill_at),
+                      (geo.slot_mirror, ref.slot_mirror),
+                      (geo.mirror, ref.mirror)]:
+        assert np.array_equal(got, want)
+    # K entrywise, with the layout's nodes put in sorted order
+    rows, cols = (np.argsort(s.values) for s in (geo.rest_nodes,
+                                                  geo.lead_nodes))
+    assert np.array_equal(geo.cauchy[np.ix_(rows, cols)], ref.cauchy)
+    # the operator read through either: the same real form up to the
+    # rounding of the reordered node sums
+    r, want = op.schur(), replace(op, geometry=ref).schur()
+    assert np.abs(r - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_every_operator_on_a_system_reads_its_one_geometry(monkeypatch,
+                                                           process):
+    system, op, ep, times = _layout_case(process, 2, 24, {}, {})
+    mod = airy if process == "airy" else pearcey
+    ops = [op] + [mod.iiks_tangent_operator(ep, times, system, i, ell)
+                  for i, ends in enumerate(ep.per_time)
+                  for ell in range(len(ends))]
+    assert all(o.geometry is system.geometry for o in ops)
+    # gamma_moments solves with an operator on the system it builds
+    built, solved = [], []
+    build = f"build_{process}_system"
+    monkeypatch.setattr(isomono, build, lambda *a, **k: (
+        built.append(getattr(contour, build)(*a, **k)), built[-1])[1])
+    moments = isomono.resolvent_moments
+    monkeypatch.setattr(isomono, "resolvent_moments", lambda o: (
+        solved.append(o), moments(o))[1])
+    isomono.gamma_moments(process, ep, times, m=24)
+    [own], [o] = built, solved
+    assert o.geometry is own.geometry
+    if process == "pearcey":
+        return
+    # and the nine points of a PDE stencil on the system they share
+    built.clear()
+    monkeypatch.setattr(pdecheck, build, lambda *a, **k: (
+        built.append(contour.build_airy_system(*a, **k)), built[-1])[1])
+    monkeypatch.setattr(pdecheck, "_gradient", lambda o, e, t: (
+        solved.append(o), (0.0, 0.0, 0.0))[1])
+    solved.clear()
+    pdecheck.build_grid((1.0, 0.2, 0.1), step=0.04, m=24)
+    [own] = built
+    assert len(solved) == 9
+    assert all(o.geometry is own.geometry for o in solved)
+
+
+@pytest.mark.parametrize("build", [contour.build_airy_system,
+                                   contour.build_pearcey_system])
+@pytest.mark.parametrize("grid", [0, -1], ids=["lead", "rest"])
+@pytest.mark.parametrize("move, error", [
+    (lambda z: z[3] + 1e-9, "conjugate"),  # off the conjugate of its mirror
+    (lambda z: z[2], "collide"),           # onto another node of its grid
+])
+def test_system_rejects_a_node_off_its_layout(monkeypatch, build, grid, move,
+                                              error):
+    grids_of = contour.build_grids
+
+    def moved(comps, m):
+        grids = list(grids_of(comps, m))
+        nodes = grids[grid].nodes.copy()
+        nodes[3] = move(nodes)
+        grids[grid] = replace(grids[grid], nodes=nodes)
+        return tuple(grids)
+
+    monkeypatch.setattr(contour, "build_grids", moved)
+    with pytest.raises(ValueError, match=error):
+        build([0.0, 1.0], m=16)

@@ -265,41 +265,47 @@ def test_cauchy_assembly_matches_dense_reference(process, tangent):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _mirrored(lead_half, rest_half, sign=1):
-    """Slot values of a lead and a rest block, each a random half followed
-    by ``sign`` times the conjugates of that half in reverse order."""
-    return np.concatenate([a for h in (lead_half, rest_half)
-                           for a in (h, sign * h.conj()[..., ::-1])],
-                          axis=-1)
+def _mirrored(half, sign=1):
+    """A random half followed by ``sign`` times its conjugates in reverse
+    order: the values of one block of slots."""
+    return np.concatenate([half, sign * half.conj()[..., ::-1]], axis=-1)
 
 
 def test_schur_product_identity_on_random_generators():
-    # a lead of 30 slots away from 88 rest slots, each block a random
-    # half and its mirror images; the rest half holds pairs 1e-6 apart
-    # and groups of two and three coincident nodes
+    # a lead grid of 30 nodes away from three rest grids of 32, 16 and 8
+    # nodes that carry 1, 2 and 3 vector components: 88 rest slots, with
+    # groups of two and three coincident slots and nodes 1e-6 apart
     rng = np.random.default_rng(47)
     cplx = lambda *shape: rng.standard_normal(shape) \
         + 1j * rng.standard_normal(shape)
     rest = cplx(28)
     rest[1::4] = rest[::4] + 1e-6 * np.exp(2j * np.pi * rng.random(7))
-    nodes = _mirrored(4.0 + cplx(15), np.concatenate(
-        [rest, rest[:8], rest[10:14], rest[10:14]]))
-    n, k, p = len(nodes), 30, 3
+    halves = [4.0 + cplx(15), rest[np.r_[8, 9, 14:28]], rest[:8], rest[10:14]]
+    carries = [(0,), (0,), (0, 1), (0, 1, 2)]
+    geo = contour.CauchyGeometry([_mirrored(h) for h in halves], carries, 1)
+    k, p = geo.lead, 3
+    n = len(geo.nodes)
+    assert (k, n) == (30, 118)
     # bare columns with f(conj z) = conj f(z) and weights with w[sigma] =
-    # -conj(w); rest weights in the upper half plane, so that the fold
-    # gives f[:, sigma] = -i conj(f) there, lead weights of any phase
-    weights = _mirrored(np.exp(2j * np.pi * rng.random(15)),
-                        np.exp(1j * rng.random(44)), -1) \
-        * 0.1 * (_mirrored(rng.random(15), rng.random(44)) + 0.5)
-    mirror = np.concatenate([np.arange(k)[::-1], np.arange(k, n)[::-1]])
-    gens = lambda: _mirrored(cplx(p, 15), cplx(p, 44))
-    slots = contour.Slots(f=gens(), g=gens(), nodes=nodes, weights=weights,
-                          vec_ids=np.zeros(n, int), mirror=mirror)
+    # -conj(w), one weight per node; rest weights in the upper half plane,
+    # so that the fold gives f[:, sigma] = -i conj(f) there, lead weights
+    # of any phase
+    phases = [np.exp(2j * np.pi * rng.random(15))] \
+        + [np.exp(1j * rng.random(len(h))) for h in halves[1:]]
+    weights = np.concatenate([
+        np.tile(_mirrored(ph, -1) * 0.1 * (_mirrored(rng.random(len(ph)))
+                                           + 0.5), len(c))
+        for ph, c in zip(phases, carries)])
+    gens = lambda: np.concatenate([_mirrored(cplx(p, len(h)))
+                                   for h, c in zip(halves, carries)
+                                   for _ in c], axis=-1)
+    slots = contour.Slots(f=gens(), g=gens(), nodes=geo.nodes,
+                          weights=weights, vec_ids=geo.vec_ids)
     terms, dterms = [(slots.f, slots.g)], [(gens(), gens())]
-    op = fredholm.cauchy_operator(terms, slots, k)
-    dop = fredholm.cauchy_operator(dterms, slots, k)
+    op = fredholm.cauchy_operator(terms, slots, geo)
+    dop = fredholm.cauchy_operator(dterms, slots, geo)
     assert len(op.geometry.pairs[0]) == 2 * (16 + 8 * 2 ** 2 + 4 * 3 ** 2)
-    want = np.nonzero(nodes[k:, None] == nodes[None, k:])
+    want = np.nonzero(geo.nodes[k:, None] == geo.nodes[None, k:])
     for got in op.geometry.pairs, dop.geometry.pairs:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # dense references: every entry of M and dM, the products as GEMMs
@@ -364,7 +370,7 @@ def test_cauchy_operator_rejects_non_finite_columns(side, bad, slot):
     cols[:, slot] = bad
     s = replace(s, **{side: cols})
     with pytest.raises(ValueError):
-        fredholm.cauchy_operator([(s.f, s.g)], s, op.lead)
+        fredholm.cauchy_operator([(s.f, s.g)], s, op.geometry)
 
 
 def test_cauchy_operator_rejects_a_rest_node_off_its_mirror():
@@ -372,7 +378,7 @@ def test_cauchy_operator_rejects_a_rest_node_off_its_mirror():
     nodes = s.nodes.copy()
     nodes[op.lead + 3] += 1e-9
     with pytest.raises(ValueError):
-        fredholm.cauchy_operator(terms, replace(s, nodes=nodes), op.lead)
+        fredholm.cauchy_operator(terms, replace(s, nodes=nodes), op.geometry)
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
@@ -388,13 +394,13 @@ def test_cauchy_operator_rejects_a_scaled_generator_column(process, side,
     cols[:, slot] *= 1.5
     s = replace(s, **{side: cols})
     with pytest.raises(ValueError):
-        fredholm.cauchy_operator([(s.f, s.g)], s, op.lead, diag=diag)
+        fredholm.cauchy_operator([(s.f, s.g)], s, op.geometry, diag=diag)
 
 
 @pytest.mark.parametrize("case", ["airy-odd-m", "airy-no-gauge",
                                   "pearcey", "pearcey-delta"])
 def test_slot_mirror_is_exact_for_both_processes(case):
-    # build_slots pairs each slot with the one at the conjugate node
+    # the geometry pairs each slot with the one at the conjugate node
     # (no sort), and the folded generators are exact mirror images:
     # f[:, sigma] = -i conj(f) and g[:, sigma] = i conj(g) on the rest
     times = [0.0, 1.0]
@@ -410,7 +416,7 @@ def test_slot_mirror_is_exact_for_both_processes(case):
         sys_ = contour.build_pearcey_system(times, delta=delta, m=20,
                                             endpoint_scale=1.0)
         op = pearcey.iiks_operator(ep, times, sys_)
-    sigma, k = op.slots.mirror, op.lead
+    sigma, k = op.geometry.slot_mirror, op.lead
     # an odd m is bumped to even, so no slot is its own mirror
     assert all(len(g) == (18 if case == "airy-odd-m" else 20)
                for g in sys_.grids)
@@ -435,7 +441,7 @@ def test_overflowing_cauchy_entries_are_rejected(process, call):
     assert np.all(np.isfinite(s.f)) and np.all(np.isfinite(s.g))
     with np.errstate(over="ignore", invalid="ignore"):
         op = fredholm.cauchy_operator([(1e160 * s.f, 1e160 * s.g)], s,
-                                      op.lead, diag=diag)
+                                      op.geometry, diag=diag)
         before = [a.copy() for a in _contour_arrays(op)]
         with pytest.raises(ValueError):
             call(op)

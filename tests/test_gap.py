@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapdet import (airy, contour, fredholm, isomono, pdecheck, pearcey,
+from gapdet import (airy, contour, fredholm, gap, isomono, pdecheck, pearcey,
                     tracy_widom)
 from gapdet.gap import (
     airy_gap_probability,
@@ -99,6 +99,8 @@ _TIMED = {
         t, [[-1.0, 1.0]] * 2, m=16),
     "equivalence_report": lambda t: equivalence_report(
         "airy", t, [[0.0], [0.5]], m=16),
+    "equivalence_report-pearcey": lambda t: equivalence_report(
+        "pearcey", t, [[-1.0, 1.0]] * 2, m=16),
     "gamma_moments": lambda t: isomono.gamma_moments(
         "pearcey", [[-1.0, 1.0]] * 2, t, m=16),
     "jump_matrix": lambda t: isomono.jump_matrix(
@@ -143,6 +145,22 @@ def test_every_entry_rejects_bad_times(name, times):
 def test_airy_single_time_against_physical():
     rep = equivalence_report("airy", [0.0], [[0.0]], m=100)
     assert rep["abs_difference"] < 1e-7
+
+
+def test_pearcey_equivalence_builds_one_system(monkeypatch):
+    # both representations read one contour system, and return what the
+    # two drivers return, bit for bit
+    built, build = [], gap.build_pearcey_system
+    monkeypatch.setattr(gap, "build_pearcey_system", lambda *a, **k: (
+        built.append(a), build(*a, **k))[1])
+    times, intervals = [0.0, 1.0], [[-1.0, 1.0], [-0.5, 0.5]]
+    rep = equivalence_report("pearcey", times, intervals, m=40, delta=0.25)
+    assert len(built) == 1
+    for r in ("physical", "iiks"):
+        res = pearcey_gap_probability(times, intervals, representation=r,
+                                      m=40, delta=0.25)
+        assert repr(rep[f"det_{r}"]) == repr(res.value)
+        assert repr(rep["diagnostics"][r]) == repr(res.diagnostics)
 
 
 def test_determinant_is_probability():
