@@ -3,7 +3,8 @@
 Physical side: the multi-time matrix kernel A = A_tilde - B, where
 A_tilde is a double contour integral of e^{theta(x,mu) - theta(y,lam)}
 against a Cauchy factor and B is the Gaussian bridge term, restricted
-to per-time interval collections.
+to per-time interval collections.  A is real on the real line: one
+mirror half of its contours is summed (``double_contour_factors``).
 
 Integrable side: the same determinant comes from a kernel
 f^T(lam) g(mu) / (lam - mu) on the contour family built by
@@ -173,11 +174,11 @@ def _physical_factors(phys, t):
 
 
 def physical_entry(i, j, x, y, phys, times):
-    """Single kernel entry A_ij(x, y)."""
+    """Single kernel entry A_ij(x, y), a real mirror-half sum."""
     t = validate_times(times)
     left, right = _physical_factors(phys, t)
     u, v = left(i, np.array([float(x)])), right(j, np.array([float(y)]))
-    return complex((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, t))
+    return float((u.T @ v)[0, 0] - gaussian_bridge(i, j, x, y, t))
 
 
 def physical_operator(endpoints, times, m=80):

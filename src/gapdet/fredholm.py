@@ -1,12 +1,15 @@
 """Nystrom discretization and the Fredholm determinant engine.
 
-A kernel sampled at quadrature nodes becomes a complex matrix M with
-the weights folded in symmetrically, M[r,c] = sqrt(w_r) K(r,c)
-sqrt(w_c), so that det(I - M) approximates the Fredholm determinant.
-Both representations of a gap probability are assembled here: the
-physical kernel on real interval grids (``interval_operator``, a dense
+A kernel sampled at quadrature nodes becomes a matrix M with the
+weights folded in symmetrically, M[r,c] = sqrt(w_r) K(r,c) sqrt(w_c),
+so that det(I - M) approximates the Fredholm determinant.  Both
+representations of a gap probability are assembled here: the physical
+kernel on real interval grids (``interval_operator``, a dense real
 ``DiscreteOperator``) and the integrable kernel f^T(lam) g(mu) /
 (lam - mu) on contour slots (``cauchy_operator``, a ``CauchyOperator``).
+
+A physical entry, a double contour integral over mirror-symmetric
+contours, is summed over one mirror half in real arithmetic.
 
 A contour operator holds neither M nor a block of it.  M vanishes on
 its ``lead`` leading slots X, M = [[0, B], [C, D]], and det(I - M) =
@@ -92,8 +95,9 @@ class DiscreteOperator:
 
     Row/column r corresponds to one quadrature node.  ``matrix``
     already contains the quadrature ``weights``, folded in
-    symmetrically.  No block of it is known to vanish (``lead`` is 0),
-    so the factorization reads all of I - M.
+    symmetrically, real for a real sample with non-negative weights.
+    No block of it is known to vanish (``lead`` is 0), so the
+    factorization reads all of I - M.
     """
 
     matrix: np.ndarray
@@ -105,10 +109,12 @@ class DiscreteOperator:
     @classmethod
     def from_kernel_matrix(cls, kmat, weights, meta=None):
         """Fold quadrature weights into a raw kernel sample matrix."""
-        kmat = np.asarray(kmat, dtype=complex)
+        weights = np.asarray(weights)
+        dtype = float if np.isrealobj(kmat) and np.isrealobj(weights) \
+            and np.all(weights >= 0) else complex
+        kmat, weights = np.asarray(kmat, dtype), weights.astype(dtype)
         if not np.all(np.isfinite(kmat)):
             raise ValueError("kernel sample contains non-finite entries")
-        weights = np.asarray(weights, dtype=complex)
         s = np.sqrt(weights)
         m = s[:, None] * kmat * s[None, :]
         return cls(matrix=m, weights=weights, meta=dict(meta or {}))
@@ -375,17 +381,28 @@ def interval_grids(endpoints):
 
 def double_contour_factors(mu_grids, lam_grid, shifts, left_phase,
                            right_phase):
-    """(left, right) with left(i, x)^T right(j, y) = (2 pi i)^-2 int int
-    e^{left_phase(i, x, mu) - right_phase(j, y, lam)} / (lam + shifts[j]
-    - mu) over mu on ``mu_grids`` and lam on ``lam_grid``.
+    """Real (left, right) with left(i, x)^T right(j, y) = (2 pi i)^-2
+    int int e^{left_phase(i, x, mu) - right_phase(j, y, lam)} / (lam +
+    shifts[j] - mu) over mu on ``mu_grids`` and lam on ``lam_grid``.
 
-    right(j, y) carries the Cauchy factor d_j = w_mu w_lam / ((2 pi i)^2
-    (lam + shifts[j] - mu)), formed once per distinct shift; ContourError
-    when the two contours collide in it.
+    Each grid must be its own mirror image, z[::-1] = conj(z) and
+    w[::-1] = -conj(w) exactly (else ContourError), and the phases are
+    real at real x and mu, so the summand at (conj mu, conj lam) is
+    the conjugate of that at (mu, lam): with mu on the first halves
+    only, the integral is 2 Re(L^T R), and left = [Re L; Im L], right =
+    [Re 2R; -Im 2R].  R carries the Cauchy factor d_j = w_mu w_lam /
+    ((2 pi i)^2 (lam + shifts[j] - mu)), formed once per distinct shift;
+    ContourError when the two contours collide in it.
     """
-    mu = np.concatenate([g.nodes for g in mu_grids])
-    w = np.concatenate([g.weights for g in mu_grids])[:, None] \
-        * lam_grid.weights[None, :] / TWO_PI_I ** 2
+    for g in (*mu_grids, lam_grid):
+        z, wg = g.nodes, g.weights
+        if len(z) % 2 or not (np.array_equal(z[::-1], z.conj())
+                              and np.array_equal(wg[::-1], -wg.conj())):
+            raise ContourError(f"the {g.component.label} grid is not its "
+                               "own mirror image")
+    mu = np.concatenate([g.nodes[:len(g) // 2] for g in mu_grids])
+    w = np.concatenate([g.weights[:len(g) // 2] for g in mu_grids])[:, None] \
+        * (2.0 * lam_grid.weights[None, :]) / TWO_PI_I ** 2
     lam, cauchy = lam_grid.nodes, {}
     for s in dict.fromkeys(shifts):
         den = lam[None, :] + s - mu[:, None]
@@ -395,11 +412,13 @@ def double_contour_factors(mu_grids, lam_grid, shifts, left_phase,
         cauchy[s] = np.divide(w, den, out=den)
 
     def left(i, xs):
-        return np.exp(left_phase(i, xs[None, :], mu[:, None]))
+        e = np.exp(left_phase(i, xs[None, :], mu[:, None]))
+        return np.concatenate([e.real, e.imag])
 
     def right(j, ys):
-        return cauchy[shifts[j]] @ np.exp(-right_phase(j, ys[None, :],
-                                                       lam[:, None]))
+        v = cauchy[shifts[j]] @ np.exp(-right_phase(j, ys[None, :],
+                                                    lam[:, None]))
+        return np.concatenate([v.real, -v.imag])
 
     return left, right
 
@@ -408,14 +427,14 @@ def interval_operator(grids, left, right, bridge, meta):
     """Nystrom discretization of chi K chi on per-time interval grids.
 
     ``grids`` holds one (nodes, weights) pair per time, and the kernel
-    block is K_ij(x, y) = left(i, x)^T right(j, y) - bridge(i, j, x, y):
-    each time's factors are computed once, on its own nodes.
+    block is K_ij(x, y) = left(i, x)^T right(j, y) - bridge(i, j, x, y),
+    real: each time's factors are computed once, on its own nodes.
     """
     xs = [x for x, _ in grids]
     us = [left(i, x) for i, x in enumerate(xs)]
     vs = [right(j, x) for j, x in enumerate(xs)]
     starts = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
-    kmat = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    kmat = np.zeros((starts[-1], starts[-1]))
     for i, j in np.ndindex(len(xs), len(xs)):
         if len(xs[i]) and len(xs[j]):
             kmat[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = \

@@ -10,14 +10,15 @@ log-derivatives of the determinant in every endpoint and every time.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import airy, pearcey
 from .contour import (TWO_PI_I, build_airy_system, build_pearcey_system,
                       fg_matrices, validate_times)
-from .fredholm import solve_resolvent
-from .gap import (airy_gap_probability, as_endpoints, is_airy,
-                  pearcey_gap_probability)
+from .fredholm import det, solve_resolvent
+from .gap import as_endpoints, is_airy
 
 
 def jump_matrix(process, lam, comp_label, endpoints, times):
@@ -115,11 +116,6 @@ def moment_log_derivatives(process, endpoints, times, moments):
     return out
 
 
-def _log_det(process, times, endpoints, m):
-    fn = airy_gap_probability if is_airy(process) else pearcey_gap_probability
-    return fn(times, endpoints, m=m).log_value.real
-
-
 def _central(f, h):
     """Central difference (f(h) - f(-h)) / 2h of f at 0."""
     return (f(h) - f(-h)) / (2.0 * h)
@@ -136,17 +132,36 @@ _FD_STEP = 1e-3
 
 
 def _derivative_report(process, endpoints, times, m):
-    """Central differences of log det against the moment formulas."""
+    """Central differences of log det against the moment formulas, with
+    one contour system per distinct (times, largest |endpoint|), the
+    builder's only inputs besides m, alive one at a time."""
     t, ep = as_endpoints(process, times, endpoints)
-    formulas = moment_log_derivatives(process, ep, t,
-                                      gamma_moments(process, ep, t, m=m))
+    mod, build = (airy, build_airy_system) if is_airy(process) \
+        else (pearcey, build_pearcey_system)
+    steps = {"moments": (t, ep)}
+    for h, (i, ends) in itertools.product((_FD_STEP, -_FD_STEP),
+                                          enumerate(ep.per_time)):
+        steps.update({("a", i, ell, h): (t, ep.shifted(i, ell, h))
+                      for ell in range(len(ends))})
+        steps["tau", i, h] = (t + h * (np.arange(len(t)) == i), ep)
+    disc = lambda step: (tuple(step[1][0]), step[1][1].max_abs_endpoint())
+    values = {}
+    for (tq, scale), group in itertools.groupby(
+            sorted(steps.items(), key=disc), disc):
+        system = build(tq, m=m, endpoint_scale=scale)
+        for key, (tk, ek) in group:
+            op = mod.iiks_operator(ek, tk, system)
+            values[key] = resolvent_moments(op) if key == "moments" \
+                else det(op).log_value.real
+        del system, op
+    formulas = moment_log_derivatives(process, ep, t, values["moments"])
     report = {
-        "a": {(i, ell): _entry(_central(lambda h: _log_det(
-            process, t, ep.shifted(i, ell, h), m), _FD_STEP), f)
+        "a": {(i, ell): _entry(_central(lambda h: values["a", i, ell, h],
+                                        _FD_STEP), f)
               for (i, ell), f in formulas["a"].items()},
-        "tau": {i: _entry(_central(lambda h: _log_det(
-            process, t + h * (np.arange(len(t)) == i), ep, m),
-            _FD_STEP), f) for i, f in formulas["tau"].items()}}
+        "tau": {i: _entry(_central(lambda h: values["tau", i, h],
+                                   _FD_STEP), f)
+                for i, f in formulas["tau"].items()}}
     report["max_rel_mismatch"] = max(
         v["rel_mismatch"] for part in report.values() for v in part.values())
     return report

@@ -1,11 +1,12 @@
 """Pearcey-process kernels.
 
 Physical side: matrix kernel P = P_tilde - Q with the quartic phase
-Theta_i and the heat kernel Q.  Integrable side: kernel
-f^T(lam) g(mu) / (lam - mu) on the X-shaped contour plus the imaginary
-axis, all times sharing the single vertical line.  The cross-time
-block on the shared line has a removable diagonal handled by its
-analytic limit.
+Theta_i and the heat kernel Q, real on the real line: one mirror half
+of the X contour is summed (``double_contour_factors``).  Integrable
+side: kernel f^T(lam) g(mu) / (lam - mu) on the X-shaped contour plus
+the imaginary axis, all times sharing the single vertical line.  The
+cross-time block on the shared line has a removable diagonal handled
+by its analytic limit.
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ def _physical_factors(system, t):
 
 
 def physical_entry(i, j, x, y, system, times):
-    """Single kernel entry P_ij(x, y)."""
+    """Single kernel entry P_ij(x, y), a real mirror-half sum."""
     t = validate_times(times)
     left, right = _physical_factors(system, t)
     u, v = left(i, np.array([float(x)])), right(j, np.array([float(y)]))
-    return complex((u.T @ v)[0, 0] - heat_kernel(i, j, x, y, t))
+    return float((u.T @ v)[0, 0] - heat_kernel(i, j, x, y, t))
 
 
 def physical_operator(endpoints, times, system):

@@ -4,6 +4,7 @@ operators and contour systems against.
 Each function evaluates one entry straight from its formula, slowly and
 without the slot machinery of ``gapdet``: the bare block formulas (F, G,
 H) of both integrable kernels, the n x n kernel value at one node pair,
+both physical kernels as full complex double sums over their contours,
 the contour form of the Pearcey heat kernel, the smallest distance
 between the nodes of distinct contour components, and the Cauchy
 geometry of a slot set found by sorting its nodes.
@@ -173,3 +174,37 @@ def sorted_geometry(z, vec_ids, lead):
                            lead_nodes=lead_nodes, rest_nodes=rest_nodes,
                            cauchy=cauchy, pairs=pairs, mirror=mirror,
                            fill_at=(cols[keep], rows[keep], keep))
+
+
+def _double_contour(mu_grids, lam_grid, shift, left, right):
+    """(2 pi i)^-2 times the sum over every node pair (mu, lam) of the
+    ``mu_grids`` and ``lam_grid`` of w_mu w_lam e^{left(mu) -
+    right(lam)} / (lam + shift - mu), both mirror halves in complex
+    arithmetic."""
+    mu = np.concatenate([g.nodes for g in mu_grids])[:, None]
+    w_mu = np.concatenate([g.weights for g in mu_grids])[:, None]
+    lam, w_lam = lam_grid.nodes[None, :], lam_grid.weights[None, :]
+    terms = w_mu * w_lam * np.exp(left(mu) - right(lam)) / (lam + shift - mu)
+    return complex(terms.sum()) / TWO_PI_I ** 2
+
+
+def airy_physical_entry(i, j, x, y, phys, times):
+    """A_ij(x, y) = A_tilde - B on the contours of
+    ``airy.physical_contours``: mu on gamma_R shifted by -tau_i, lam on
+    the left line."""
+    t = validate_times(times)
+    gamma_r, left_line = phys.grids
+    return _double_contour([gamma_r], left_line, t[j],
+                           lambda mu: airy.theta(x, mu - t[i]),
+                           lambda lam: airy.theta(y, lam)) \
+        - airy.gaussian_bridge(i, j, x, y, t)
+
+
+def pearcey_physical_entry(i, j, x, y, system, times):
+    """P_ij(x, y) = P_tilde - Q: mu on the X contour, lam on iR."""
+    t = validate_times(times)
+    return _double_contour([system.grid(c) for c in ("gamma_R", "gamma_L")],
+                           system.grid("iR"), 0.0,
+                           lambda mu: pearcey.phase(i, x, mu, t),
+                           lambda lam: pearcey.phase(j, y, lam, t)) \
+        - pearcey.heat_kernel(i, j, x, y, t)

@@ -8,7 +8,8 @@ import scipy.linalg as sla
 
 from gapdet import airy, contour, fredholm, pearcey
 
-from reference_kernels import airy_kernel_entry, pearcey_kernel_entry
+from reference_kernels import (airy_kernel_entry, airy_physical_entry,
+                               pearcey_kernel_entry, pearcey_physical_entry)
 
 RNG = np.random.default_rng(20240817)
 
@@ -120,18 +121,19 @@ def _assert_couplings(op, b, c, seed=0):
 def test_assembled_operators_match_pointwise_entries(process):
     times = [0.0, 1.0]
     if process == "airy":
-        mod, ep = airy, airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
+        ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
         sys_ = contour.build_airy_system(times, m=8)
         op = airy.iiks_operator(ep, times, sys_, gauge=False)
         s = airy.iiks_slots(ep, times, sys_, gauge=False)
-        kernel_entry = airy_kernel_entry
+        kernel_entry, physical_entry = airy_kernel_entry, airy_physical_entry
         vanishes = lambda a, b: a == b  # same-component blocks
     else:
-        mod, ep = pearcey, pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
+        ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
         sys_ = contour.build_pearcey_system(times, m=8)
         op = pearcey.iiks_operator(ep, times, sys_)
         s = pearcey.iiks_slots(ep, times, sys_)
         kernel_entry = pearcey_kernel_entry
+        physical_entry = pearcey_physical_entry
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
     assert np.array_equal(op.weights, s.weights)
     # the component of each slot, from the grid holding its node (the
@@ -158,8 +160,8 @@ def test_assembled_operators_match_pointwise_entries(process):
     assert coincident == (len(sys_.grid("iR")) if process == "pearcey" else 0)
     assert np.count_nonzero(op.fill) == coincident
 
-    # physical operator against single entries, on sampled slot pairs;
-    # slots run time by time over each time's interval grid
+    # physical operator against the full double sum, on sampled slot
+    # pairs; slots run time by time over each time's interval grid
     grids = fredholm.interval_grids(ep)
     nodes = np.concatenate([x for x, _ in grids])
     times_of = np.repeat(np.arange(len(grids)), [len(x) for x, _ in grids])
@@ -174,9 +176,9 @@ def test_assembled_operators_match_pointwise_entries(process):
     kmat = _unfolded(phys_op.matrix, phys_op.weights)
     rng = np.random.default_rng(29)
     for r, c in rng.integers(phys_op.n, size=(40, 2)):
-        ref = mod.physical_entry(times_of[r], times_of[c], nodes[r],
-                                 nodes[c], sys_, times)
-        assert abs(kmat[r, c] - ref) <= 1e-12 * max(abs(ref), 1.0)
+        ref = physical_entry(times_of[r], times_of[c], nodes[r], nodes[c],
+                             sys_, times)
+        assert abs(kmat[r, c] - ref) <= 1e-13 * max(abs(ref), 1.0)
 
 
 def _iiks_case(process, tangent, n=2, m=16):
@@ -449,10 +451,11 @@ def test_overflowing_cauchy_entries_are_rejected(process, call):
         assert np.array_equal(a, b, equal_nan=True)
 
 
-@pytest.mark.parametrize("process", ["airy", "pearcey"])
-def test_physical_operator_matches_entries_in_every_block(process):
-    # n = 3 with a different interval count at every time: a time index
-    # swapped between the per-time factors shows in some (i, j) block
+def _physical_case(process):
+    """(operator, its contour system, interval grids, times, the full
+    double-sum entry) at n = 3 with a different interval count at every
+    time: a time index swapped between the per-time factors shows in
+    some (i, j) block."""
     times = [0.0, 0.5, 1.0]
     if process == "airy":
         ep = airy.AiryEndpoints([[-1.0], [-0.5, 0.7], [0.2]])
@@ -460,24 +463,84 @@ def test_physical_operator_matches_entries_in_every_block(process):
         grids = fredholm.interval_grids(ep)
         x_min = min(x.min() for x, _ in grids)
         sys_ = airy.physical_contours(times, m=40, x_min=float(x_min))
-    else:
-        ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5, 0.8, 1.2],
-                                       [-0.3, 0.3]])
-        sys_ = contour.build_pearcey_system(times, m=40, endpoint_scale=1.2)
-        op = pearcey.physical_operator(ep, times, sys_)
-        grids = fredholm.interval_grids(ep)
+        return op, sys_, grids, times, airy_physical_entry
+    ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5, 0.8, 1.2],
+                                   [-0.3, 0.3]])
+    sys_ = contour.build_pearcey_system(times, m=40, endpoint_scale=1.2)
+    op = pearcey.physical_operator(ep, times, sys_)
+    return op, sys_, fredholm.interval_grids(ep), times, \
+        pearcey_physical_entry
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_physical_operator_matches_entries_in_every_block(process):
+    # the half sum against the full complex double sum in every block
+    # kind, i < j, i = j and i > j, within 1e-13 of the block's largest
+    # sampled entry; the operator is real and so is its determinant
+    op, sys_, grids, times, full_sum = _physical_case(process)
     mod = airy if process == "airy" else pearcey
+    assert op.matrix.dtype == np.float64
+    assert fredholm.det(op).diagnostics["max_abs_imag"] == 0.0
     starts = np.cumsum([0] + [len(x) for x, _ in grids])
     kmat = _unfolded(op.matrix, op.weights)
     rng = np.random.default_rng(41)
     for i, j in np.ndindex(3, 3):
-        for _ in range(3):
-            a = rng.integers(len(grids[i][0]))
-            b = rng.integers(len(grids[j][0]))
-            ref = mod.physical_entry(i, j, grids[i][0][a], grids[j][0][b],
-                                     sys_, times)
-            got = kmat[starts[i] + a, starts[j] + b]
-            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+        rows = rng.choice(len(grids[i][0]), 4, replace=False)
+        cols = rng.choice(len(grids[j][0]), 4, replace=False)
+        ref = np.array([[full_sum(i, j, grids[i][0][a], grids[j][0][b],
+                                  sys_, times) for b in cols] for a in rows])
+        got = kmat[np.ix_(starts[i] + rows, starts[j] + cols)]
+        one = np.array([[mod.physical_entry(i, j, grids[i][0][a],
+                                            grids[j][0][b], sys_, times)
+                         for b in cols] for a in rows])
+        scale = 1e-13 * np.abs(ref).max()
+        assert np.abs(got - ref).max() <= scale
+        assert np.abs(one - ref).max() <= scale
+
+
+def _perturbed(grid, nodes=None, weights=None):
+    """``grid`` with its nodes or weights replaced."""
+    return contour.QuadratureGrid(
+        grid.nodes if nodes is None else nodes,
+        grid.weights if weights is None else weights, grid.component)
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+@pytest.mark.parametrize("change", ["mu node", "lam weight"])
+def test_physical_entries_need_mirror_grids(process, change):
+    # the half sum holds only on grids that are their own mirror
+    # images: a mu node moved by 1e-12, or a lam weight scaled by 1.5,
+    # raises before any entry is formed
+    _, sys_, grids, times, _ = _physical_case(process)
+    mod = airy if process == "airy" else pearcey
+    label = {"mu node": "gamma_R",
+             "lam weight": "left_line" if process == "airy" else "iR"}[change]
+    bad = []
+    for g in sys_.grids:
+        if g.component.label == label and change == "mu node":
+            nodes = g.nodes.copy()
+            nodes[3] += 1e-12
+            g = _perturbed(g, nodes=nodes)
+        elif g.component.label == label:
+            weights = g.weights.copy()
+            weights[5] *= 1.5
+            g = _perturbed(g, weights=weights)
+        bad.append(g)
+    bad = replace(sys_, grids=tuple(bad))
+    x = grids[0][0][0]
+    mod.physical_entry(0, 1, x, x, sys_, times)
+    with pytest.raises(contour.ContourError, match="mirror"):
+        mod.physical_entry(0, 1, x, x, bad, times)
+
+
+def test_from_kernel_matrix_keeps_a_real_sample_real():
+    k = RNG.standard_normal((6, 6))
+    w = np.full(6, 0.5)
+    assert fredholm.DiscreteOperator.from_kernel_matrix(
+        k, w).matrix.dtype == np.float64
+    for kmat, weights in (k + 0j, w), (k, w + 0j), (k, -w):
+        op = fredholm.DiscreteOperator.from_kernel_matrix(kmat, weights)
+        assert op.matrix.dtype == np.complex128
 
 
 def test_physical_operator_builds_each_gauss_legendre_rule_once(monkeypatch):
@@ -696,8 +759,9 @@ def test_real_form_rcond_is_the_exact_one_norm_rcond(case):
                                                                   rel=1e-12)
 
 
-def _complex_case(case):
-    """I - M of a physical operator, or a seeded random complex matrix."""
+def _rcond_case(case):
+    """I - M of a physical operator (real), or a seeded random complex
+    matrix."""
     if case == "physical-airy":
         return _schur_case("physical")[0].schur()
     if case == "physical-pearcey":
@@ -712,24 +776,33 @@ def _complex_case(case):
     return np.asfortranarray(a)
 
 
-_COMPLEX_CASES = ["physical-airy", "physical-pearcey", "random-0",
-                  "random-1", "random-2"]
+_PHYSICAL_CASES = ["physical-airy", "physical-pearcey"]
+_COMPLEX_CASES = ["random-0", "random-1", "random-2"]
 
 
-@pytest.mark.parametrize("case", _COMPLEX_CASES)
-def test_rcond_estimate_matches_zgecon(case):
+def _assert_rcond_matches_gecon(case, complex_lu):
     # the numpy estimate serves every LU; LAPACK's on the same factors
-    a = _complex_case(case)
+    a = _rcond_case(case)
     anorm = np.abs(a).sum(axis=0).max()
     lu, piv, _, rcond = fredholm._factor(a.copy(order="F"))
-    assert np.iscomplexobj(lu)
+    assert np.iscomplexobj(lu) == complex_lu
     gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
     assert rcond == pytest.approx(gecon(lu, anorm)[0], rel=1e-13)
 
 
+@pytest.mark.parametrize("case", _PHYSICAL_CASES)
+def test_rcond_estimate_matches_dgecon(case):
+    _assert_rcond_matches_gecon(case, complex_lu=False)
+
+
 @pytest.mark.parametrize("case", _COMPLEX_CASES)
+def test_rcond_estimate_matches_zgecon(case):
+    _assert_rcond_matches_gecon(case, complex_lu=True)
+
+
+@pytest.mark.parametrize("case", _PHYSICAL_CASES + _COMPLEX_CASES)
 def test_rcond_repeats_bit_for_bit(case):
-    a = _complex_case(case)
+    a = _rcond_case(case)
     assert len({repr(fredholm._factor(a.copy(order="F"))[3])
                 for _ in range(20)}) == 1
 

@@ -75,12 +75,12 @@ _PEARCEY_EP = pearcey.PearceyEndpoints([[-1.0, 1.0]])
     lambda: isomono.gamma_moments("Airy", _PEARCEY_EP, [0.0], m=20),
     lambda: isomono.moment_log_derivatives(
         "Airy", _PEARCEY_EP, [0.0], (np.zeros((3, 3)),) * 2),
-    lambda: isomono._log_det("Airy", [0.0], _PEARCEY_EP, 20),
+    lambda: isomono._derivative_report("Airy", _PEARCEY_EP, [0.0], 20),
     lambda: isomono.gamma_moments("Airy", [[-1.0, 1.0]], [0.0], m=20),
     lambda: isomono._derivative_report("Airy", [[-1.0, 1.0]], [0.0], 20),
     lambda: as_endpoints("Airy", [0.0], [[-1.0, 1.0]]),
 ], ids=["equivalence_report", "jump_matrix", "exponent_diagonal",
-        "gamma_moments", "moment_log_derivatives", "log_det",
+        "gamma_moments", "moment_log_derivatives", "derivative_report",
         "gamma_moments-list", "derivative_report-list", "as_endpoints"])
 def test_unknown_process_raises(call):
     # a misspelt process must not run the Pearcey kernel

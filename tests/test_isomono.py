@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapdet import airy, contour, fredholm, isomono, pearcey
+from gapdet import airy, contour, fredholm, gap, isomono, pearcey
 from gapdet.gap import airy_gap_probability
 
 
@@ -179,6 +179,52 @@ def test_pearcey_derivative_identities_single_time():
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0]])
     rep = isomono.pearcey_derivative_report(ep, [0.0], m=120)
     assert rep["max_rel_mismatch"] < 1e-4
+
+
+def _report_from_gap_calls(process, intervals, times, m):
+    """The derivative report with the moments from ``gamma_moments`` and
+    every determinant from its own ``gap.*_gap_probability`` call."""
+    t, ep = gap.as_endpoints(process, times, intervals)
+    fn = gap.airy_gap_probability if process == "airy" \
+        else gap.pearcey_gap_probability
+    h = isomono._FD_STEP
+    fd = lambda log_det: (log_det(h) - log_det(-h)) / (2.0 * h)
+    formulas = isomono.moment_log_derivatives(
+        process, ep, t, isomono.gamma_moments(process, ep, t, m=m))
+    report = {
+        "a": {(i, ell): isomono._entry(fd(lambda s: fn(
+            t, ep.shifted(i, ell, s), m=m).log_value.real), f)
+              for (i, ell), f in formulas["a"].items()},
+        "tau": {i: isomono._entry(fd(lambda s: fn(
+            t + s * (np.arange(len(t)) == i), ep, m=m).log_value.real), f)
+                for i, f in formulas["tau"].items()}}
+    report["max_rel_mismatch"] = max(
+        v["rel_mismatch"] for part in report.values() for v in part.values())
+    return report
+
+
+@pytest.mark.parametrize("process, intervals, times, m, builds", [
+    ("airy", [[0.0], [0.0]], [0.0, 1.0], 160, 6),
+    ("pearcey", [[-1.0, 1.0]], [0.0], 120, 4),
+    ("pearcey", [[-1.0, 1.0], [-1.0, 1.0]], [0.0, 1.0], 120, 6),
+], ids=["airy-n2", "pearcey-n1", "pearcey-n2"])
+def test_derivative_report_builds_one_system_per_discretization(
+        process, intervals, times, m, builds, monkeypatch):
+    # the moments and every step that keeps the times and the largest
+    # |endpoint| share one contour system; one gap call per determinant
+    # built 9, 7 and 13, with the same numbers bit for bit
+    want = repr(_report_from_gap_calls(process, intervals, times, m))
+    calls = []
+    for name in ("build_airy_system", "build_pearcey_system"):
+        build = getattr(contour, name)
+        counting = lambda *a, build=build, **kw: (calls.append(a),
+                                                  build(*a, **kw))[1]
+        for mod in (contour, gap, isomono):
+            monkeypatch.setattr(mod, name, counting)
+    report = isomono.airy_derivative_report if process == "airy" \
+        else isomono.pearcey_derivative_report
+    assert repr(report(intervals, times, m=m)) == want
+    assert len(calls) == builds
 
 
 def test_pearcey_degenerate_interval():
