@@ -492,6 +492,18 @@ def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
     the one-point density is positive.  Every component carries every
     time, and gamma_R and gamma_L form X.
     """
+    n, comps = _pearcey_components(times, delta, endpoint_scale)
+    return _system(comps, m, {"delta": delta}, [range(n)] * 3, 2)
+
+
+def pearcey_contours(times, delta=0.5, m=80, endpoint_scale=0.0):
+    """``build_pearcey_system`` with no slot layout and no geometry."""
+    return _system(_pearcey_components(times, delta, endpoint_scale)[1], m,
+                   {"delta": delta})
+
+
+def _pearcey_components(times, delta, endpoint_scale):
+    """(number of times, components) of ``build_pearcey_system``."""
     t = validate_times(times)
     if not delta > 0:
         raise ContourError("need delta > 0")
@@ -500,11 +512,10 @@ def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
     r_x = _radius(lambda r: r ** 4 / 8 - tmax * r ** 2 / 2, a)
     # quartic phase on iR, Gaussian heat factors across time pairs
     r_line = _radius(lambda r: r ** 4 / 4 - tmax * r ** 2 / 2, a, t)
-    comps = [
+    return len(t), [
         ContourComponent(complex(delta), (np.pi / 4, -np.pi / 4), r_x,
                          "gamma_R"),
         ContourComponent(complex(-delta), (-3 * np.pi / 4, 3 * np.pi / 4),
                          r_x, "gamma_L"),
         ContourComponent(0j, (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
-    return _system(comps, m, {"delta": delta}, [range(len(t))] * 3, 2)

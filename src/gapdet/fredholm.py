@@ -24,11 +24,12 @@ z_r != z_c,
     (D + C B)_rc = ((f_r + u_r) . g_c + f_r . v_c) / (z_r - z_c),
     u_r = T_r f_r,  v_c = -T_c^T g_c,
 
-a numerator of rank 2p, so S costs one such product and one division
-per entry.  At coincident slots D keeps its stored value and the two
-Cauchy factors merge: (C B)_rc = -g_c^T ((K o K) P)_r f_r.  C y and B x
-are products of K and K^T with node sums of g y and g x, over the rows
-of f and g that are non-zero on some lead slot.
+a numerator of rank 2p, so S costs one such product and one multiply
+per entry, by the reciprocal of z_c - z_r formed once per call
+(``_reciprocal``).  At coincident slots D keeps its stored value and the
+two Cauchy factors merge: (C B)_rc = -g_c^T ((K o K) P)_r f_r.  C y and
+B x are products of K and K^T with node sums of g y and g x, over the
+rows of f and g that are non-zero on some lead slot.
 
 S is factored as a real matrix.  The contours have real apexes and
 mirrored legs, and the phases real coefficients, so S[sigma, sigma] =
@@ -39,7 +40,8 @@ and Q = [[I, I], [-iI, iI]] / sqrt(2) on [h, sigma h], R = Q S Q^H =
 real with det R = det S, and only the rows h of S are formed.  Solves
 are refined and checked on R y = Q (b_L + C b_X), the Jacobi trace
 goes through Q as well, and a contour determinant is real, with
-``max_abs_imag`` 0.
+``max_abs_imag`` 0.  Operators on one geometry form their real forms as
+one batch (``dets``, ``resolvent_moments``; ``det`` is a batch of one).
 
 Where the finiteness checks stand: an interval operator checks every
 sampled entry before folding.  A contour operator checks its f and g
@@ -50,7 +52,8 @@ every factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -68,8 +71,10 @@ __all__ = [
     "interval_grids",
     "interval_operator",
     "det",
+    "dets",
     "det2",
     "solve_resolvent",
+    "resolvent_moments",
     "logdet_derivative",
 ]
 
@@ -179,69 +184,44 @@ class CauchyOperator:
 
     def schur(self):
         """R = Q (I - D - C B) Q^H, real, in a fresh Fortran-ordered array."""
-        k = self.lead
-        terms, cb = _product(self, self)
-        r = self._real_form([(self.f[:, k:], self.g[:, k:])] + terms,
-                            self.fill + cb)
-        r[np.diag_indices(len(r))] += 1.0
-        return r
+        return _forms([self])[2](0)
 
     def schur_tangent(self, dop):
         """Q dS Q^H with dS = -(dD + dC B + C dB), for a tangent ``dop``
         on the same slots, whose lead block vanishes like that of M."""
-        k = self.lead
+        k, geo = self.lead, self.geometry
         terms1, cb1 = _product(dop, self)  # dC B
         terms2, cb2 = _product(self, dop)  # C dB
-        return self._real_form([(dop.f[:, k:], dop.g[:, k:])] + terms1
-                               + terms2, dop.fill + cb1 + cb2)
-
-    def _real_form(self, terms, fill):
-        """Q A Q^H for A = -sum_t l_t^T r_t / (z_r - z_c) on L over the
-        (l, r) generator ``terms``, with -``fill`` at the coincident
-        pairs: Fortran-ordered, from the rows h of A alone."""
-        order, z = self.geometry.mirror, self.slots.nodes[self.lead:]
-        h = order[:len(order) // 2]
-        left = np.concatenate([l[:, h] for l, _ in terms])
-        right = np.concatenate([r[:, order] for _, r in terms])
-        at = right.T @ left  # at[c, r] = l_r . r_c, c in mirror order
-        den = np.subtract.outer(z[order], z[h])  # den[c, r] = z_c - z_r
-        cols, rows, keep = self.geometry.fill_at
-        den[cols, rows] = 1.0
-        at /= den
-        at[cols, rows] = -fill[keep]
-        n = len(h)
-        p, m = at[:n] + at[n:], at[:n] - at[n:]
-        r = np.empty((2 * n, 2 * n), order="F")
-        r[:n, :n], r[n:, :n], r[:n, n:], r[n:, n:] = \
-            p.real.T, p.imag.T, -m.imag.T, m.real.T
-        return r
+        return _real_form(geo, [(dop.f[:, k:], dop.g[:, k:])] + terms1
+                          + terms2, dop.fill + cb1 + cb2, _reciprocal(geo))
 
     def fold(self, x):
         """sqrt(2) Q x for rest-slot rows ``x``, as real columns [Re | Im]."""
         h, t = np.split(self.geometry.mirror, 2)
-        y = np.concatenate([x[h] + x[t], 1j * (x[t] - x[h])])
-        return np.hstack([y.real, y.imag])
+        a, b = x[..., h, :], x[..., t, :]
+        y = np.concatenate([a + b, 1j * (b - a)], axis=-2)
+        return np.concatenate([y.real, y.imag], axis=-1)
 
     def unfold(self, y):
         """The x with ``fold(x) = y``."""
         h, t = np.split(self.geometry.mirror, 2)
-        re, im = np.hsplit(y, 2)
-        a, b = np.split(re + 1j * im, 2)
+        re, im = np.split(y, 2, axis=-1)
+        a, b = np.split(re + 1j * im, 2, axis=-2)
         x = np.empty(re.shape, dtype=complex)
-        x[h], x[t] = (a + 1j * b) / 2, (a - 1j * b) / 2
+        x[..., h, :], x[..., t, :] = (a + 1j * b) / 2, (a - 1j * b) / 2
         return x
 
     def c_dot(self, y):
         """C y for ``y`` on the lead slots, one row per slot."""
         k, q, geo = self.lead, self.g_rows, self.geometry
-        return _couple(self.f[q, k:], geo.rest_nodes.ids, geo.cauchy,
-                       geo.lead_nodes, self.g[q, :k], y)
+        return _couple(self.f[..., q, k:], geo.rest_nodes.ids, geo.cauchy,
+                       geo.lead_nodes, self.g[..., q, :k], y)
 
     def b_dot(self, x):
         """B x for ``x`` on the rest slots, one row per slot."""
         k, q, geo = self.lead, self.f_rows, self.geometry
-        return -_couple(self.f[q, :k], geo.lead_nodes.ids, geo.cauchy.T,
-                        geo.rest_nodes, self.g[q, k:], x)
+        return -_couple(self.f[..., q, :k], geo.lead_nodes.ids, geo.cauchy.T,
+                        geo.rest_nodes, self.g[..., q, k:], x)
 
     def trace(self):
         """tr M: the lead block is zero and the diagonal is coincident."""
@@ -251,12 +231,79 @@ class CauchyOperator:
 
 def _couple(f, ids, kmat, nodes, g, y):
     """f_s . sum_t kmat[ids_s, node_t] g_t y_t over the slots t of ``y``
-    (one row each): a product with a lead-rest block of M, summed over
-    the slots at each node of ``nodes`` before the product with kmat."""
-    y2 = y.reshape(len(y), -1)
-    h = nodes.sum((g.T[:, :, None] * y2[:, None, :]).reshape(len(y2), -1))
-    h = (kmat @ h).reshape(len(kmat), len(f), y2.shape[1])[ids]
-    return np.einsum("is,sir->sr", f, h).reshape(f.shape[1:] + y.shape[1:])
+    (one row each, columns last): a product with a lead-rest block of M,
+    summed over the slots at each node of ``nodes`` before the product
+    with kmat.  f, g and y may carry one leading axis over a batch."""
+    h = nodes.sum(np.einsum("...it,...tr->t...ir", g, y)
+                  .reshape(g.shape[-1], -1))
+    h = (kmat @ h).reshape((len(kmat),) + g.shape[:-1] + y.shape[-1:])[ids]
+    return np.einsum("...is,s...ir->...sr", f, h)
+
+
+def _reciprocal(geo):
+    """1 / (z_c - z_r) over the rest slots c in mirror order and r in
+    its half h, 1 at the coincident pairs ``fill_at``."""
+    order, z = geo.mirror, geo.nodes[geo.lead:]
+    den = np.subtract.outer(z[order], z[order[:len(order) // 2]])
+    cols, rows, _ = geo.fill_at
+    den[cols, rows] = 1.0
+    return np.divide(1.0, den, out=den)
+
+
+def _real_form(geo, terms, fill, rec):
+    """Q A Q^H for A = -sum_t l_t^T r_t / (z_r - z_c) on L over the
+    (l, r) generator ``terms``, with -``fill`` at the coincident pairs:
+    Fortran-ordered, from the rows h of A alone; ``rec`` is
+    ``_reciprocal(geo)``."""
+    order = geo.mirror
+    h = order[:len(order) // 2]
+    left = np.concatenate([l[:, h] for l, _ in terms])
+    right = np.concatenate([r[:, order] for _, r in terms])
+    at = right.T @ left  # at[c, r] = l_r . r_c, c in mirror order
+    at *= rec
+    cols, rows, keep = geo.fill_at
+    at[cols, rows] = -fill[keep]
+    n = len(h)
+    p, m = at[:n] + at[n:], at[:n] - at[n:]
+    del at  # before r: one fewer order-N/2 complex block at the peak
+    r = np.empty((2 * n, 2 * n), order="F")
+    r[:n, :n], r[n:, :n], r[:n, n:], r[n:, n:] = \
+        p.real.T, p.imag.T, -m.imag.T, m.real.T
+    return r
+
+
+def _forms(ops):
+    """(batch, metas, form) of ``ops``, read one at a time: ``form(i)``
+    is the matrix to factor of the i-th and ``metas[i]`` its (n, lead,
+    meta).  Contour operators, of one geometry and generator shape, are
+    stacked as they are read into ``batch``, one CauchyOperator with f, g
+    and fill on a leading axis, whose real forms share one pass of C B
+    (``_product``) and one Cauchy reciprocal."""
+    ops = iter(ops)
+    first = next(ops, None)
+    if not isinstance(first, CauchyOperator):  # dense operators, or none
+        ops = [] if first is None else [first, *ops]
+        return first, [(op.n, 0, op.meta) for op in ops], \
+            lambda i: ops[i].schur()
+    parts = []
+    for op in itertools.chain([first], ops):
+        if op.geometry is not first.geometry or op.f.shape != first.f.shape:
+            raise ValueError("a batch needs one geometry and generator shape")
+        parts.append((op.f, op.g, op.fill, op.f_rows, op.g_rows, op.meta))
+    f, g, fill, f_rows, g_rows, metas = zip(*parts)
+    batch = replace(first, f=np.stack(f), g=np.stack(g), fill=np.stack(fill),
+                    f_rows=np.unique(np.concatenate(f_rows)),
+                    g_rows=np.unique(np.concatenate(g_rows)))
+    (terms, cb), geo, k = _product(batch, batch), batch.geometry, batch.lead
+    rec = _reciprocal(geo)
+
+    def form(i):
+        r = _real_form(geo, [(batch.f[i, :, k:], batch.g[i, :, k:])]
+                       + [(left[i], right[i]) for left, right in terms],
+                       batch.fill[i] + cb[i], rec)
+        r[np.diag_indices(len(r))] += 1.0
+        return r
+    return batch, [(batch.n, k, meta) for meta in metas], form
 
 
 @dataclass(frozen=True)
@@ -278,20 +325,22 @@ def _product(a, b):
     terms [(u, g^b), (f^a, v)] of its Cauchy-like form (module
     docstring), with P_xi = sum f^b_l (g^a_l)^T over the lead slots at
     xi on the non-zero rows alone, and ``cb``, its values at the
-    coincident pairs."""
+    coincident pairs.  Both may carry one leading axis over a batch
+    (``_forms``), whose P then share one product with K."""
     k, geo = a.lead, a.geometry
     ids, kc = geo.rest_nodes.ids, geo.cauchy
-    fa, gb = a.f[a.g_rows, k:], b.g[b.f_rows, k:]
-    fb, ga = b.f[b.f_rows, :k], a.g[a.g_rows, :k]
+    fa, gb = a.f[..., a.g_rows, k:], b.g[..., b.f_rows, k:]
+    fb, ga = b.f[..., b.f_rows, :k], a.g[..., a.g_rows, :k]
     p = geo.lead_nodes.sum(
-        (fb.T[:, :, None] * ga.T[:, None, :]).reshape(k, -1))
-    shape = (len(kc), len(fb), len(ga))
+        np.einsum("...is,...js->s...ij", fb, ga).reshape(k, -1))
+    shape = (len(kc),) + fb.shape[:-1] + ga.shape[-2:-1]
     t = (kc @ p).reshape(shape)[ids]
-    u = np.einsum("sij,js->is", t, fa)
-    v = -np.einsum("sij,is->js", t, gb)
+    u = np.einsum("s...ij,...js->...is", t, fa)
+    v = -np.einsum("s...ij,...is->...js", t, gb)
     rows, cols = geo.pairs
     w = (kc * kc @ p).reshape(shape)[ids[rows]]
-    cb = -np.einsum("ip,pij,jp->p", gb[:, cols], w, fa[:, rows])
+    cb = -np.einsum("...ip,p...ij,...jp->...p", gb[..., cols], w,
+                    fa[..., rows])
     return [(u, gb), (fa, v)], cb
 
 
@@ -463,6 +512,7 @@ def _factor(a, overwrite=True):
         if small.any():
             a = a if overwrite else a.copy(order="F")
             a[small] = 0.0
+    del mag, small  # before LAPACK's copy
     lu, piv = sla.lu_factor(a, overwrite_a=overwrite, check_finite=False)
     d = np.diag(lu)
     if np.any(d == 0):
@@ -507,9 +557,10 @@ def _solver(a, overwrite=True):
     return lu, piv
 
 
-def _schur_solve(op, a, factors, b):
-    """(I - M)^{-1} b (one column each) and its relative residual, from
-    the Schur system R y = c of ``a`` = R and its LU ``factors``.
+def _schur_solve(batch, form, b):
+    """(I - M)^{-1} b and its relative residual for each operator of a
+    ``_forms`` batch, b stacked over them with one column per
+    right-hand side; a residual above 1e-10 raises.
 
     c = fold(b_L + C b_X); y gets one refinement step, and x_L =
     unfold(y), x_X = b_X + B x_L.  The X rows of b - (I - M) x then
@@ -517,33 +568,50 @@ def _schur_solve(op, a, factors, b):
     ||c - R y|| / sqrt(2) / ||b||.  With no lead block R y = c is
     (I - M) x = b itself.
     """
-    k = op.lead
-    c, scale = (op.fold(b[k:] + op.c_dot(b[:k])), np.sqrt(2.0)) if k \
-        else (b, 1.0)
-    y = sla.lu_solve(factors, c, check_finite=False)
-    y += sla.lu_solve(factors, c - a @ y, check_finite=False)
-    resid = np.linalg.norm(c - a @ y) / scale \
-        / max(np.linalg.norm(b), 1e-300)
+    k = batch.lead
+    c, scale = (batch.fold(b[:, k:] + batch.c_dot(b[:, :k])), np.sqrt(2.0)) \
+        if k else (b, 1.0)
+    y, resid = np.empty_like(c), np.empty(len(c))
+    for i in range(len(c)):
+        a = form(i)
+        factors = _solver(a, overwrite=False)
+        y[i] = sla.lu_solve(factors, c[i], check_finite=False)
+        y[i] += sla.lu_solve(factors, c[i] - a @ y[i], check_finite=False)
+        resid[i] = np.linalg.norm(c[i] - a @ y[i]) / scale \
+            / max(np.linalg.norm(b[i]), 1e-300)
+        del a, factors  # before the next R is formed
+    if resid.max() > 1e-10:
+        raise NearSingularOperatorError(
+            f"resolvent residual {resid.max():.2e} exceeds 1e-10")
     if not k:
         return y, resid
     x = np.empty_like(b)
-    x[k:] = op.unfold(y)
-    x[:k] = b[:k] + op.b_dot(x[k:])
+    x[:, k:] = batch.unfold(y)
+    x[:, :k] = b[:, :k] + batch.b_dot(x[:, k:])
     return x, resid
 
 
+def dets(ops):
+    """Fredholm determinants det(I - M) of ``ops``, read one at a time
+    (``_forms``), via pivoted LU of their Schur complements."""
+    _, metas, form = _forms(ops)
+    out = []
+    for i, (n, lead, meta) in enumerate(metas):
+        a = form(i)
+        _, _, log_value, rcond = _factor(a)
+        value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
+        if np.isrealobj(a):  # drop the sin(pi) of a negative real determinant
+            value = complex(value.real)
+        del a  # before the next R is formed
+        out.append(DetResult(complex(value), log_value, {
+            "rcond": rcond, "n": n, "n_factored": n - lead, "max_abs_imag":
+            abs(value.imag) if np.isfinite(value.real) else np.nan, **meta}))
+    return out
+
+
 def det(op):
-    """Fredholm determinant det(I - M) via pivoted LU of the Schur
-    complement (see ``_factor``)."""
-    a = op.schur()
-    _, _, log_value, rcond = _factor(a)
-    value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
-    if np.isrealobj(a):  # drop the sin(pi) of a negative real determinant
-        value = complex(value.real)
-    diag = {"rcond": rcond, "n": op.n, "n_factored": op.n - op.lead,
-            "max_abs_imag": abs(value.imag) if np.isfinite(value.real) else np.nan}
-    diag.update(op.meta)
-    return DetResult(complex(value), log_value, diag)
+    """``dets`` of the one operator ``op``."""
+    return dets([op])[0]
 
 
 def det2(op):
@@ -570,14 +638,21 @@ def solve_resolvent(op, rhs):
     be below 1e-10.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    a = op.schur()
-    factors = _solver(a, overwrite=False)
     s = np.sqrt(op.weights)[:, None]
-    x, resid = _schur_solve(op, a, factors, rhs.reshape(len(rhs), -1) * s)
-    if resid > 1e-10:
-        raise NearSingularOperatorError(
-            f"resolvent residual {resid:.2e} exceeds 1e-10")
+    batch, _, form = _forms([op])
+    [x], _ = _schur_solve(batch, form, rhs.reshape(1, len(rhs), -1) * s)
     return (x / s).reshape(rhs.shape)
+
+
+def resolvent_moments(ops):
+    """(Gamma_1, Gamma_2) of each IIKS operator of ``ops``, read one at
+    a time (``_forms``), from one batch of solves: with F = (I - M)^{-1}
+    f^T in the folded generators (the resolvent image of f / (2 pi i)
+    times sqrt(w)), Gamma_k = sum over the slots of z^(k-1) F g^T."""
+    batch, _, form = _forms(ops)
+    x, _ = _schur_solve(batch, form, np.swapaxes(batch.f, 1, 2))
+    return list(zip(*(np.einsum("s,bsp,bqs->bpq", batch.geometry.nodes
+                                ** (k - 1), x, batch.g) for k in (1, 2))))
 
 
 def logdet_derivative(op, dop):

@@ -10,8 +10,9 @@ computes both and the difference.
 from __future__ import annotations
 
 from . import airy, pearcey
-from .contour import build_airy_system, build_pearcey_system, validate_times
-from .fredholm import det
+from .contour import (build_airy_system, build_pearcey_system,
+                      pearcey_contours, validate_times)
+from .fredholm import det, dets
 
 
 def is_airy(process):
@@ -62,17 +63,34 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
     """Gap probability of the multi-time Pearcey process.
 
     One endpoint list per time, each of even count (finite intervals).
+    The physical route builds its contours with no slot layout.
     """
     t, ep = as_endpoints("pearcey", times, intervals)
-    system = build_pearcey_system(t, delta=delta, m=m,
-                                  endpoint_scale=ep.max_abs_endpoint())
+    kw = {"delta": delta, "m": m, "endpoint_scale": ep.max_abs_endpoint()}
     if representation == "iiks":
-        op = pearcey.iiks_operator(ep, t, system)
+        op = pearcey.iiks_operator(ep, t, build_pearcey_system(t, **kw))
     elif representation == "physical":
-        op = pearcey.physical_operator(ep, t, system)
+        op = pearcey.physical_operator(ep, t, pearcey_contours(t, **kw))
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return det(op)
+
+
+def gap_probabilities(process, times, interval_sets, m=80):
+    """IIKS gap probabilities of interval sets with one endpoint count at
+    one set of times: one batch of determinants (``fredholm.dets``) on one
+    contour system, its radii taken at the largest |endpoint| of all sets
+    (``endpoint_scale`` in each result's diagnostics)."""
+    t = validate_times(times)
+    eps = [as_endpoints(process, t, iv)[1] for iv in interval_sets]
+    scale = max((ep.max_abs_endpoint() for ep in eps), default=0.0)
+    mod, build = (airy, build_airy_system) if is_airy(process) \
+        else (pearcey, build_pearcey_system)
+    system = build(t, m=m, endpoint_scale=scale)
+    out = dets(mod.iiks_operator(ep, t, system) for ep in eps)
+    for res in out:
+        res.diagnostics["endpoint_scale"] = scale
+    return out
 
 
 def equivalence_report(process, times, intervals, m=80, **kw):

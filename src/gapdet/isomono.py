@@ -15,9 +15,9 @@ import itertools
 import numpy as np
 
 from . import airy, pearcey
-from .contour import (TWO_PI_I, build_airy_system, build_pearcey_system,
-                      fg_matrices, validate_times)
-from .fredholm import det, solve_resolvent
+from .contour import (build_airy_system, build_pearcey_system, fg_matrices,
+                      validate_times)
+from .fredholm import dets, resolvent_moments
 from .gap import as_endpoints, is_airy
 
 
@@ -76,18 +76,7 @@ def gamma_moments(process, endpoints, times, m=80):
     mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=ep.max_abs_endpoint())
-    return resolvent_moments(mod.iiks_operator(ep, t, system))
-
-
-def resolvent_moments(op):
-    """(Gamma_1, Gamma_2) of the IIKS operator ``op`` from one solve."""
-    s = op.slots
-    sol = solve_resolvent(op, s.f.T / TWO_PI_I)
-    out = []
-    for k in (1, 2):
-        wxi = s.weights * s.nodes ** (k - 1)
-        out.append(np.einsum("s,sp,qs->pq", wxi, sol, s.g))
-    return tuple(out)
+    return resolvent_moments([mod.iiks_operator(ep, t, system)])[0]
 
 
 def moment_log_derivatives(process, endpoints, times, moments):
@@ -134,7 +123,8 @@ _FD_STEP = 1e-3
 def _derivative_report(process, endpoints, times, m):
     """Central differences of log det against the moment formulas, with
     one contour system per distinct (times, largest |endpoint|), the
-    builder's only inputs besides m, alive one at a time."""
+    builder's only inputs besides m, alive one at a time; the
+    determinants on a system form one batch (``fredholm.dets``)."""
     t, ep = as_endpoints(process, times, endpoints)
     mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
@@ -149,11 +139,13 @@ def _derivative_report(process, endpoints, times, m):
     for (tq, scale), group in itertools.groupby(
             sorted(steps.items(), key=disc), disc):
         system = build(tq, m=m, endpoint_scale=scale)
-        for key, (tk, ek) in group:
-            op = mod.iiks_operator(ek, tk, system)
-            values[key] = resolvent_moments(op) if key == "moments" \
-                else det(op).log_value.real
-        del system, op
+        group = dict(group)
+        if group.pop("moments", None):
+            values["moments"] = resolvent_moments(
+                [mod.iiks_operator(ep, t, system)])[0]
+        values.update(zip(group, (r.log_value.real for r in dets(
+            mod.iiks_operator(ek, tk, system) for tk, ek in group.values()))))
+        del system
     formulas = moment_log_derivatives(process, ep, t, values["moments"])
     report = {
         "a": {(i, ell): _entry(_central(lambda h: values["a", i, ell, h],

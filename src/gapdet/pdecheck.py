@@ -83,27 +83,27 @@ def build_grid(center, step=0.05, radius=2, m=120):
 def _stencil(tau, points, m):
     """(system, gradients) at the (E, W) ``points``, all at time gap tau.
 
-    The points share one contour system, and so its Cauchy geometry.
-    Its truncation radii are taken at the largest |endpoint| of all
-    points; the truncation rule is monotone in it, so every point meets
-    it.
+    The points share one contour system, and so its Cauchy geometry,
+    and solve as one batch (``fredholm.resolvent_moments``).  Its
+    truncation radii are taken at the largest |endpoint| of all points;
+    the truncation rule is monotone in it, so every point meets it.
     """
     times = validate_times([0.0, tau])  # ContourError unless tau > 0
     eps = [AiryEndpoints([[e + w], [e - w]]) for e, w in points]
     system = build_airy_system(
         times, m=m, endpoint_scale=max(ep.max_abs_endpoint() for ep in eps))
-    return system, [_gradient(iiks_operator(ep, times, system), ep, times)
-                    for ep in eps]
+    moments = resolvent_moments(iiks_operator(ep, times, system)
+                                for ep in eps)
+    return system, [_gradient(mo, ep, times) for mo, ep in zip(moments, eps)]
 
 
-def _gradient(op, endpoints, times):
-    """(dTau G, dE G, dW G) from one solve with the operator ``op`` of
-    the intervals [a, inf), [b, inf) at times (0, tau).
+def _gradient(moments, endpoints, times):
+    """(dTau G, dE G, dW G) from the resolvent ``moments`` of the
+    intervals [a, inf), [b, inf) at times (0, tau).
 
     With a = E + W and b = E - W, dE = da + db and dW = da - db.
     """
-    d = moment_log_derivatives("airy", endpoints, times,
-                               resolvent_moments(op))
+    d = moment_log_derivatives("airy", endpoints, times, moments)
     da, db = d["a"][0, 0], d["a"][1, 0]
     return d["tau"][1], da + db, da - db
 
@@ -150,3 +150,14 @@ def avm_residual(grid):
     scale = max(abs(t1), abs(t2), abs(t3), abs(r1), abs(r2), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "scale": scale, "relative_residual": abs(lhs - rhs) / scale}
+
+
+def richardson(coarse, fine):
+    """Signed residuals (lhs - rhs) / scale of two grids, steps h0 > h1,
+    and the Richardson extrapolate (r^2 d(h1) - d(h0)) / (r^2 - 1) of d =
+    lhs - rhs, r = h0 / h1, over the fine scale: free of the h^2 error."""
+    lo, hi = avm_residual(coarse), avm_residual(fine)
+    d0, d1 = lo["lhs"] - lo["rhs"], hi["lhs"] - hi["rhs"]
+    r2 = (coarse.step / fine.step) ** 2
+    return {"signed_residuals": [d0 / lo["scale"], d1 / hi["scale"]],
+            "extrapolate": (r2 * d1 - d0) / (r2 - 1) / hi["scale"]}

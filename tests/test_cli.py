@@ -444,6 +444,10 @@ def test_pde_verdict_reads_the_halving_ratio(tmp_path):
     code, rec = _run(tmp_path, ["check", "pde", "--preset", "avm-center"])
     assert rec["richardson_ratio"] == pytest.approx(3.981, rel=1e-3)
     assert (code, rec["passed"]) == (0, True)
+    # and carries the signed residuals and their extrapolate
+    assert rec["signed_residuals"] == [
+        r["relative_residual"] for r in rec["residuals"]]
+    assert rec["extrapolate"] == pytest.approx(7.55e-7, rel=0.1)
 
 
 def test_run_pde_reports_the_radii_of_each_step(tmp_path):

@@ -387,8 +387,8 @@ def test_every_operator_on_a_system_reads_its_one_geometry(monkeypatch,
     monkeypatch.setattr(isomono, build, lambda *a, **k: (
         built.append(getattr(contour, build)(*a, **k)), built[-1])[1])
     moments = isomono.resolvent_moments
-    monkeypatch.setattr(isomono, "resolvent_moments", lambda o: (
-        solved.append(o), moments(o))[1])
+    monkeypatch.setattr(isomono, "resolvent_moments", lambda ops: (
+        solved.extend(ops), moments(ops))[1])
     isomono.gamma_moments(process, ep, times, m=24)
     [own], [o] = built, solved
     assert o.geometry is own.geometry
@@ -398,8 +398,9 @@ def test_every_operator_on_a_system_reads_its_one_geometry(monkeypatch,
     built.clear()
     monkeypatch.setattr(pdecheck, build, lambda *a, **k: (
         built.append(contour.build_airy_system(*a, **k)), built[-1])[1])
-    monkeypatch.setattr(pdecheck, "_gradient", lambda o, e, t: (
-        solved.append(o), (0.0, 0.0, 0.0))[1])
+    monkeypatch.setattr(pdecheck, "resolvent_moments", lambda ops: (
+        solved.extend(ops), [None] * len(solved))[1])
+    monkeypatch.setattr(pdecheck, "_gradient", lambda mo, e, t: (0.0,) * 3)
     solved.clear()
     pdecheck.build_grid((1.0, 0.2, 0.1), step=0.04, m=24)
     [own] = built

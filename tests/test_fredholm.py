@@ -740,8 +740,8 @@ def test_schur_solve_checks_the_full_residual(process, n):
     a = np.eye(op.n) - _matrix(op)
     rng = np.random.default_rng(37)
     b = rng.standard_normal((op.n, 3)) + 1j * rng.standard_normal((op.n, 3))
-    r = op.schur()
-    x, resid = fredholm._schur_solve(op, r, fredholm._solver(r, False), b)
+    batch, _, form = fredholm._forms([op])
+    [x], [resid] = fredholm._schur_solve(batch, form, b[None])
     norm_b = np.linalg.norm(b)
     dense = np.linalg.norm(b - a @ x)
     assert abs(resid * norm_b - dense) <= 1e-13 * norm_b

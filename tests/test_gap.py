@@ -79,9 +79,11 @@ _PEARCEY_EP = pearcey.PearceyEndpoints([[-1.0, 1.0]])
     lambda: isomono.gamma_moments("Airy", [[-1.0, 1.0]], [0.0], m=20),
     lambda: isomono._derivative_report("Airy", [[-1.0, 1.0]], [0.0], 20),
     lambda: as_endpoints("Airy", [0.0], [[-1.0, 1.0]]),
+    lambda: gap.gap_probabilities("Airy", [0.0], [[[-1.0, 1.0]]], m=20),
 ], ids=["equivalence_report", "jump_matrix", "exponent_diagonal",
         "gamma_moments", "moment_log_derivatives", "derivative_report",
-        "gamma_moments-list", "derivative_report-list", "as_endpoints"])
+        "gamma_moments-list", "derivative_report-list", "as_endpoints",
+        "gap_probabilities"])
 def test_unknown_process_raises(call):
     # a misspelt process must not run the Pearcey kernel
     with pytest.raises(ValueError, match="process"):
@@ -125,6 +127,8 @@ _TIMED = {
     "build_pearcey_system": lambda t: contour.build_pearcey_system(t, m=16),
     "two_time_logdet": lambda t: pdecheck.two_time_logdet(t[1], 0.2, 0.1,
                                                           m=16),
+    "gap_probabilities": lambda t: gap.gap_probabilities(
+        "airy", t, [[[0.0], [0.5]]], m=16),
 }
 _BAD_TIMES = {"decreasing": [1.0, 0.0], "nan": [0.0, np.nan], "empty": [],
               "inf": [0.0, np.inf]}
@@ -242,3 +246,67 @@ def test_two_time_airy_iiks_lies_within_the_frechet_bounds(dt, m):
     f2 = tracy_widom.gap_probability(0.0)
     value = airy_gap_probability([0.0, dt], [[0.0], [0.0]], m=m).value
     assert 2.0 * f2 - 1.0 <= value.real <= f2
+
+
+@pytest.mark.parametrize("process, bad", [
+    ("airy", [[0.0]]),                   # one endpoint list for two times
+    ("airy", [[0.5, 0.0], [0.5]]),       # not increasing
+    ("pearcey", [[-1.0, 1.0], [-1.0]]),  # a Pearcey interval is finite
+    ("pearcey", [[-1.0, 1.0]] * 3),      # three lists for two times
+], ids=["airy-count", "airy-order", "pearcey-parity", "pearcey-count"])
+def test_gap_probabilities_rejects_what_as_endpoints_rejects(process, bad):
+    # every interval set passes through as_endpoints, good ones around
+    # the bad one included, so the batch raises its error
+    times = [0.0, 1.0]
+    good = [[0.0], [0.5]] if process == "airy" else [[-1.0, 1.0]] * 2
+    with pytest.raises(ValueError) as want:
+        as_endpoints(process, times, bad)
+    with pytest.raises(ValueError) as got:
+        gap.gap_probabilities(process, times, [good, bad, good], m=16)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("process, sets", [
+    ("airy", [[[a], [b]] for a, b in
+              [(-1.0, 0.5), (0.0, 0.0), (0.3, -0.7), (-1.5, 1.0)]]),
+    ("pearcey", [[[-1.0, 1.0], [-0.5, 0.5]], [[-0.8, 0.2], [-1.2, 1.0]],
+                 [[0.0, 0.3], [-0.2, 0.9]]]),
+])
+def test_batch_matches_one_by_one_calls_on_its_system(process, sets):
+    # one system at the largest |endpoint| of the batch, reported in
+    # every result; determinants and moments within 1e-14 of one-by-one
+    # calls on a system built with the same endpoint_scale (the stacked
+    # products sum in another order)
+    times, m = [0.0, 1.0], 40
+    mod, build = (airy, contour.build_airy_system) if process == "airy" \
+        else (pearcey, contour.build_pearcey_system)
+    batch = gap.gap_probabilities(process, times, sets, m=m)
+    scale = max(abs(a) for ends in sets for e in ends for a in e)
+    system = build(times, m=m, endpoint_scale=scale)
+    ops = [mod.iiks_operator(as_endpoints(process, times, iv)[1], times,
+                             system) for iv in sets]
+    for res, op in zip(batch, ops):
+        one = fredholm.det(op)
+        assert abs(res.value - one.value) <= 1e-14 * abs(one.value)
+        assert res.diagnostics["endpoint_scale"] == scale
+        assert res.diagnostics["radii"] == system.meta["radii"]
+    for moments, op in zip(isomono.resolvent_moments(ops), ops):
+        for got, want in zip(moments, isomono.resolvent_moments([op])[0]):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_pearcey_physical_route_builds_no_geometry(monkeypatch):
+    # the physical operator reads only the grids: its own call builds no
+    # Cauchy geometry, and equivalence_report one, for both routes, with
+    # the same physical value bit for bit
+    built, geometry = [], contour.CauchyGeometry
+    monkeypatch.setattr(contour, "CauchyGeometry", lambda *a: (
+        built.append(a), geometry(*a))[1])
+    times, intervals, m = [0.0, 1.0], [[-1.0, 1.0], [-0.5, 0.5]], 40
+    phys = pearcey_gap_probability(times, intervals,
+                                   representation="physical", m=m)
+    assert built == []
+    rep = equivalence_report("pearcey", times, intervals, m=m)
+    assert len(built) == 1
+    assert repr(rep["det_physical"]) == repr(phys.value)
+    assert repr(rep["diagnostics"]["physical"]) == repr(phys.diagnostics)

@@ -212,8 +212,11 @@ def test_derivative_report_builds_one_system_per_discretization(
         process, intervals, times, m, builds, monkeypatch):
     # the moments and every step that keeps the times and the largest
     # |endpoint| share one contour system; one gap call per determinant
-    # built 9, 7 and 13, with the same numbers bit for bit
-    want = repr(_report_from_gap_calls(process, intervals, times, m))
+    # built 9, 7 and 13.  The moments match them bit for bit.  The
+    # determinants on one system form one batch, whose stacked products
+    # sum in another order: each log det within 1e-14 of its own call's,
+    # so each difference within 1e-14 / h
+    want = _report_from_gap_calls(process, intervals, times, m)
     calls = []
     for name in ("build_airy_system", "build_pearcey_system"):
         build = getattr(contour, name)
@@ -223,8 +226,14 @@ def test_derivative_report_builds_one_system_per_discretization(
             monkeypatch.setattr(mod, name, counting)
     report = isomono.airy_derivative_report if process == "airy" \
         else isomono.pearcey_derivative_report
-    assert repr(report(intervals, times, m=m)) == want
+    got = report(intervals, times, m=m)
     assert len(calls) == builds
+    for part in ("a", "tau"):
+        assert got[part].keys() == want[part].keys()
+        for key, entry in want[part].items():
+            assert repr(got[part][key]["formula"]) == repr(entry["formula"])
+            assert abs(got[part][key]["fd"] - entry["fd"]) \
+                <= 1e-14 / isomono._FD_STEP
 
 
 def test_pearcey_degenerate_interval():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapdet import airy, contour, gap, pdecheck
+from gapdet import airy, contour, gap, isomono, pdecheck
 from gapdet.gap import airy_gap_probability
 
 
@@ -73,7 +73,8 @@ def test_grid_center_matches_two_time_logdet():
     ep = airy.AiryEndpoints([[0.2 + 0.1], [0.2 - 0.1]])
     times = np.array([0.0, 1.0])
     op = airy.iiks_operator(ep, times, system)
-    assert np.array_equal(grad, pdecheck._gradient(op, ep, times))
+    one = pdecheck._gradient(isomono.resolvent_moments([op])[0], ep, times)
+    assert np.all(np.abs(grad - one) <= 1e-14 * np.abs(one))
     # and close to the gradient on the center's own system
     own = np.array(pdecheck.two_time_gradient(*center, m=120))
     assert np.all(np.abs(grad - own) <= 1e-7 * np.abs(own))
@@ -117,15 +118,21 @@ def test_grid_is_w_symmetric(monkeypatch):
 
 
 def _fake_gradient(calls):
-    # records each point's intervals [a, inf), [b, inf), its times, its
-    # node count and the operator's geometry, and returns (tau + E, E W,
-    # W - tau) at E = (a + b) / 2, W = (a - b) / 2
-    def fake(op, endpoints, times):
+    # records each point's intervals [a, inf), [b, inf) and its times,
+    # and returns (tau + E, E W, W - tau) at E = (a + b) / 2, W = (a - b) / 2
+    def fake(moments, endpoints, times):
         (a,), (b,) = endpoints.per_time
-        calls.append(((a, b), tuple(times), len(op.slots.nodes) // 4,
-                      op.geometry))
+        calls.append(((a, b), tuple(times)))
         e, w = (a + b) / 2, (a - b) / 2
         return (times[1] + e, e * w, w - times[1])
+    return fake
+
+
+def _fake_moments(batches):
+    # records each batch of operators the stencil solves with
+    def fake(ops):
+        batches.append(list(ops))
+        return [None] * len(batches[-1])
     return fake
 
 
@@ -138,21 +145,25 @@ def _counting(calls, fn):
 
 @pytest.mark.parametrize("radius", [2, 3])
 def test_build_grid_evaluates_exactly_the_stencil_points(monkeypatch, radius):
-    calls, systems = [], []
+    calls, systems, batches = [], [], []
     monkeypatch.setattr(pdecheck, "_gradient", _fake_gradient(calls))
+    monkeypatch.setattr(pdecheck, "resolvent_moments",
+                        _fake_moments(batches))
     monkeypatch.setattr(pdecheck, "build_airy_system",
                         _counting(systems, contour.build_airy_system))
     center, h = (1.0, 0.2, 0.1), 0.05
     g = pdecheck.build_grid(center, step=h, radius=radius, m=48)
-    # one contour system, one Cauchy geometry and one tau and m for all
-    assert len(systems) == 1 and len(calls) == 9
-    assert len({id(c[3]) for c in calls}) == 1
+    # one contour system, one batch of solves on one Cauchy geometry, and
+    # one tau and m for all
+    [ops] = batches
+    assert len(systems) == 1 and len(calls) == 9 and len(ops) == 9
+    assert len({id(op.geometry) for op in ops}) == 1
     assert {c[1] for c in calls} == {(0.0, 1.0)}
-    assert {c[2] for c in calls} == {48}  # 4 slots per node at n = 2
+    assert {len(op.slots.nodes) // 4 for op in ops} == {48}  # 4 per node
     assert len({c[0] for c in calls}) == 9
     assert g.values.shape == (3, 3, 3)
     # each entry holds the gradient at its own (E, W) point
-    for (i, j), (ends, _, _, _) in zip(np.ndindex(3, 3), calls):
+    for (i, j), (ends, _) in zip(np.ndindex(3, 3), calls):
         e, w = 0.2 + h * (i - 1), 0.1 + h * (j - 1)
         assert ends == pytest.approx((e + w, e - w), rel=1e-12)
         assert g.values[i, j] == pytest.approx((1.0 + e, e * w, w - 1.0),
@@ -175,3 +186,18 @@ def test_rejects_nonpositive_tau():
         pdecheck.two_time_gradient(0.0, 0.1, 0.1, m=48)
     with pytest.raises(ValueError):
         pdecheck.build_grid((-0.5, 0.1, 0.1), m=48)
+
+
+def test_richardson_extrapolate_reaches_the_quadrature_floor():
+    # ROADMAP item 11: with the CLI steps the extrapolate of lhs - rhs
+    # cancels the h^2 error of the differences, 1.2e-4 relative, and
+    # leaves the m = 120 quadrature error; m = 160 leaves the h^4 rest
+    center, steps = (1.0, 0.2, 0.1), (0.04, 0.02)
+    out = {m: pdecheck.richardson(*(pdecheck.build_grid(center, step=h, m=m)
+                                    for h in steps)) for m in (120, 160)}
+    assert out[120]["extrapolate"] == pytest.approx(7.55e-7, rel=0.1)
+    assert abs(out[160]["extrapolate"]) <= 5e-8
+    # the signed residuals are avm_residual's, here with lhs > rhs
+    grid = pdecheck.build_grid(center, step=0.02, m=120)
+    assert out[120]["signed_residuals"][1] \
+        == pdecheck.avm_residual(grid)["relative_residual"]
