@@ -70,59 +70,49 @@ class AiryEndpoints(Endpoints):
 # integrable-kernel vector data
 # ---------------------------------------------------------------------------
 
-def _gauge_exponent(endpoints, i, lam_i, gauge):
-    """log of the row gauge on line component i (zero when disabled)."""
-    if not gauge or endpoints.counts[i] == 0:
-        return np.zeros_like(lam_i)
-    return -endpoints.per_time[i][0] * lam_i
-
-
-def exponents(z, comp_label, endpoints, times, gauge=False):
+def exponents(z, comp_label, ends, t, gauge=False):
     """Exponents of the bare columns f_b and g_b (without the 1/(2 pi i)
-    prefactor) of every vector component b at nodes ``z``: two (p, n, k)
-    arrays, -inf where a column vanishes (``contour.exp_columns``).
+    prefactor) at nodes ``z`` of one contour component: the blocks that
+    do not vanish, yielded as ``contour.build_slots`` reads them, with
+    ``ends[i]`` the endpoints of time i of every set of a batch.
 
     ``comp_label`` is "gamma_R" or "line_<j>" (1-based j); the chi
-    factors select which rows are populated.
+    factors select which rows are populated.  With ``gauge`` the rows of
+    line j carry the row gauge e^{-a lam_j} of the first endpoint a of
+    time j.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    t = np.asarray(times, dtype=float)
-    ef = np.full((endpoints.p, endpoints.n, len(z)), -np.inf, dtype=complex)
-    eg = ef.copy()
     if comp_label == "gamma_R":
-        z_t = z - t[:, None]
-        half = 0.5 * theta(0.0, z_t)
-        ef[0] = half
-        for b, ends in enumerate(endpoints.per_time):
-            for ell, a in enumerate(ends):
-                eg[endpoints.row_index(b, ell), b] = half[b] - a * z_t[b]
-        return ef, eg
+        for b in range(len(t)):
+            z_t = z - t[b]
+            half = 0.5 * theta(0.0, z_t)
+            yield 0, None, b, half
+            yield 1, b, b, half - ends[b] * z_t
+        return
     b = int(comp_label.split("_")[1]) - 1  # the one component line b+1 carries
     z_b = z - t[b]
-    gexp = _gauge_exponent(endpoints, b, z_b, gauge)
-    for ell, a in enumerate(endpoints.per_time[b]):
-        ef[endpoints.row_index(b, ell), b] = a * z_b + gexp
+    gexp = -ends[b][:, :1] * z_b if gauge and ends[b].shape[1] \
+        else np.zeros_like(z_b)
+    yield 0, b, b, ends[b] * z_b + gexp
     gexp, th = -gexp, theta(0.0, z_b)  # g's columns carry 1/d
-    eg[0, b] = -th + gexp
+    yield 1, None, b, -th + gexp
     for i in range(b):
-        z_i = z - t[i]
-        for ell, a in enumerate(endpoints.per_time[i]):
-            eg[endpoints.row_index(i, ell), b] = theta(a, z_i) - th + gexp
-    return ef, eg
+        yield 1, i, b, theta(ends[i], z - t[i]) - th + gexp
 
 
-def iiks_slots(endpoints, times, system, gauge=True):
-    """Slots with bare f/g data; line j carries only vector component j."""
-    return build_slots(system, endpoints, exponents, validate_times(times),
-                       gauge)
+def iiks_operators(endpoint_sets, times, system, gauge=True):
+    """Discretized integrable-kernel operators of a batch of endpoint
+    sets, one endpoint count per time, on the contour system: one
+    stacked ``CauchyOperator``, its columns built in one pass."""
+    s = build_slots(system, endpoint_sets, exponents, validate_times(times),
+                    gauge)
+    meta = {**system.meta, "process": "airy", "gauge": gauge,
+            "p": s.f.shape[1]}
+    return cauchy_operator([(s.f, s.g)], s, system.geometry, meta=meta)
 
 
 def iiks_operator(endpoints, times, system, gauge=True):
-    """Discretized integrable-kernel operator on the contour system."""
-    s = iiks_slots(endpoints, times, system, gauge)
-    meta = {**system.meta, "process": "airy", "gauge": gauge,
-            "p": endpoints.p}
-    return cauchy_operator([(s.f, s.g)], s, system.geometry, meta=meta)
+    """``iiks_operators`` of the one set ``endpoints``, unstacked."""
+    return iiks_operators([endpoints], times, system, gauge).member(0)
 
 
 def iiks_tangent_operator(endpoints, times, system, i, ell):
@@ -132,7 +122,7 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
     generate is traceless and drops out of Jacobi's formula.
     """
     t, geo = validate_times(times), system.geometry
-    s = build_slots(system, endpoints, exponents, t, True)
+    s = build_slots(system, [endpoints], exponents, t, True).member(0)
     terms = s.endpoint_terms(endpoints.row_index(i, ell), i, geo.lead, t[i])
     return cauchy_operator(terms, s, geo, meta={"tangent": ("a", i, ell)})
 

@@ -13,7 +13,7 @@ the one ``CauchyGeometry`` every operator on it shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -385,7 +385,9 @@ class Slots:
 
     ``f`` and ``g`` hold the bare integrable-kernel vectors, one column
     per slot, in the slot order of the system's ``CauchyGeometry``, whose
-    ``nodes`` and ``vec_ids`` these are.
+    ``nodes`` and ``vec_ids`` these are; ``build_slots`` stacks those of
+    a batch of endpoint sets on a leading axis.  An operator keeps its
+    slots without them (``fredholm.cauchy_operator``).
     """
 
     f: np.ndarray
@@ -393,6 +395,10 @@ class Slots:
     nodes: np.ndarray
     weights: np.ndarray
     vec_ids: np.ndarray
+
+    def member(self, i):
+        """The slots of the i-th set of a stacked batch."""
+        return replace(self, f=self.f[i], g=self.g[i])
 
     def endpoint_terms(self, row, i, lead, shift):
         """(f, g) terms of dK/da for the endpoint a at ``row``, of time i.
@@ -412,44 +418,67 @@ class Slots:
         return [(df, self.g), (self.f, dg)]
 
 
-def exp_columns(ef, eg, endpoints):
-    """The bare columns (f, g) from their exponents ``ef`` and ``eg``.
+def _columns(endpoint_sets, size, blocks, exponents, *args):
+    """The bare columns (f, g) of ``endpoint_sets``: two (B, p, size)
+    arrays, one (p, size) table per set, exact zeros but where
+    ``exponents`` writes.
 
-    An exponent of -inf gives an exact zero, and only the others are
-    exponentiated.  In g the row of endpoint ell of a time carries the
-    sign (-1)^ell.
+    The sets share one endpoint count per time, else ValueError.  A
+    block (nodes, label, cols) puts the columns of vector component b at
+    ``nodes`` of the contour component ``label`` at ``cols[b]``, and
+    ``exponents(nodes, label, ends, *args)`` yields their entries that
+    do not vanish as (side, i, b, e): of f (side 0) or g (side 1), in
+    the rows of the endpoints of time i (row 0 when i is None), with
+    exponent e, which broadcasts over the sets; ``ends[i]`` holds those
+    endpoints, (B, count, 1).  Each e is exponentiated into its place,
+    and in g the row of endpoint ell of a time carries the sign (-1)^ell.
     """
-    f, g = np.zeros_like(ef), np.zeros_like(eg)
-    np.exp(ef, out=f, where=ef != -np.inf)
-    live = eg != -np.inf
-    np.exp(eg, out=g, where=live)
-    sign = np.array([(-1.0) ** ell for k in endpoints.counts
-                     for ell in range(k)])
-    np.multiply(sign[:, None], g[1:], out=g[1:], where=live[1:])
+    counts = endpoint_sets[0].counts
+    if any(ep.counts != counts for ep in endpoint_sets):
+        raise ValueError("a batch of endpoint sets needs one endpoint "
+                         "count per time")
+    a = np.array([[v for e in ep.per_time for v in e]
+                  for ep in endpoint_sets]).reshape(len(endpoint_sets), -1, 1)
+    offs = np.cumsum([1, *counts])
+    rows = [slice(lo, hi) for lo, hi in zip(offs[:-1], offs[1:])]
+    ends = [a[:, r.start - 1:r.stop - 1] for r in rows]
+    f = np.zeros((len(a), offs[-1], size), dtype=complex)
+    g = np.zeros_like(f)
+    for z, label, cols in blocks:
+        for side, i, b, e in exponents(z, label, ends, *args):
+            out = (f, g)[side][:, slice(0, 1) if i is None else rows[i],
+                               cols[b]]
+            np.exp(e, out=out)
+            if side and i is not None:
+                out[:, 1::2] *= -1.0
     return f, g
 
 
-def build_slots(system, endpoints, exponents, *args):
-    """Slots of ``system`` in the order of its ``CauchyGeometry``.
-
-    ``exponents(nodes, label, endpoints, *args)`` returns the exponents
-    of the bare f and g columns of every vector component on a contour
-    component, two (p, n, k) arrays with -inf where a column vanishes.
-    One exponential of each table gives all columns (``exp_columns``).
-    """
-    geo, parts = system.geometry, []
+def build_slots(system, endpoint_sets, exponents, *args):
+    """Slots of ``system`` for a batch of endpoint sets, in the order of
+    its ``CauchyGeometry``: the columns of every set, stacked
+    (``_columns``), each contour component's exponents built once for
+    all sets."""
+    geo, blocks, start = system.geometry, [], 0
     for grid, comps in zip(system.grids, geo.carries):
-        ef, eg = exponents(grid.nodes, grid.component.label, endpoints, *args)
-        parts += [(ef[:, b], eg[:, b], grid.weights) for b in comps]
-    ef, eg, weights = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    return Slots(*exp_columns(ef, eg, endpoints), geo.nodes, weights,
-                 geo.vec_ids)
+        k = len(grid)
+        blocks.append((grid.nodes, grid.component.label, {
+            b: slice(start + j * k, start + (j + 1) * k)
+            for j, b in enumerate(comps)}))
+        start += k * len(comps)
+    weights = np.concatenate([np.tile(grid.weights, len(comps)) for
+                              grid, comps in zip(system.grids, geo.carries)])
+    return Slots(*_columns(endpoint_sets, start, blocks, exponents, *args),
+                 geo.nodes, weights, geo.vec_ids)
 
 
 def fg_matrices(exponents, lam, label, endpoints, times):
     """All n columns of f and g at one point: two (p, n) arrays."""
-    ef, eg = exponents(lam, label, endpoints, times)
-    return exp_columns(ef[..., 0], eg[..., 0], endpoints)
+    z = np.atleast_1d(np.asarray(lam, dtype=complex))
+    cols = [slice(b, b + 1) for b in range(endpoints.n)]
+    f, g = _columns([endpoints], endpoints.n, [(z, label, cols)], exponents,
+                    np.asarray(times, dtype=float))
+    return f[0], g[0]
 
 
 def build_airy_system(times, m=80, endpoint_scale=0.0):

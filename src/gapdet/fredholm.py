@@ -52,7 +52,6 @@ every factorization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,6 +87,8 @@ _MAX_PANEL = 3.0
 
 # solves refuse I - M with a smaller reciprocal condition number
 _RCOND_MIN = 1e-13
+# entries of a matrix to factor below this magnitude are set to zero
+_FLUSH = np.sqrt(np.finfo(float).tiny)
 
 
 class NearSingularOperatorError(RuntimeError):
@@ -157,8 +158,11 @@ class CauchyOperator:
     coincident rest pairs.
     ``f_rows`` and ``g_rows`` are the rows of f and g that are non-zero
     on the lead slots.  ``schur()`` is the real form R (module
-    docstring).  The ``contour.Slots`` are kept for the resolvent
-    moments.
+    docstring).  The ``contour.Slots`` are kept for their weights,
+    without their bare columns, which f and g hold folded.  A batch of
+    operators on one geometry is stacked: f, g and fill carry a leading
+    axis over its members, and the rows are those non-zero in some
+    member.
     """
 
     f: np.ndarray
@@ -182,9 +186,13 @@ class CauchyOperator:
     def weights(self):
         return self.slots.weights
 
+    def member(self, i):
+        """The i-th operator of a stacked batch."""
+        return replace(self, f=self.f[i], g=self.g[i], fill=self.fill[i])
+
     def schur(self):
         """R = Q (I - D - C B) Q^H, real, in a fresh Fortran-ordered array."""
-        return _forms([self])[2](0)
+        return _forms(self)[2](0)
 
     def schur_tangent(self, dop):
         """Q dS Q^H with dS = -(dD + dC B + C dB), for a tangent ``dop``
@@ -272,28 +280,16 @@ def _real_form(geo, terms, fill, rec):
     return r
 
 
-def _forms(ops):
-    """(batch, metas, form) of ``ops``, read one at a time: ``form(i)``
-    is the matrix to factor of the i-th and ``metas[i]`` its (n, lead,
-    meta).  Contour operators, of one geometry and generator shape, are
-    stacked as they are read into ``batch``, one CauchyOperator with f, g
-    and fill on a leading axis, whose real forms share one pass of C B
-    (``_product``) and one Cauchy reciprocal."""
-    ops = iter(ops)
-    first = next(ops, None)
-    if not isinstance(first, CauchyOperator):  # dense operators, or none
-        ops = [] if first is None else [first, *ops]
-        return first, [(op.n, 0, op.meta) for op in ops], \
-            lambda i: ops[i].schur()
-    parts = []
-    for op in itertools.chain([first], ops):
-        if op.geometry is not first.geometry or op.f.shape != first.f.shape:
-            raise ValueError("a batch needs one geometry and generator shape")
-        parts.append((op.f, op.g, op.fill, op.f_rows, op.g_rows, op.meta))
-    f, g, fill, f_rows, g_rows, metas = zip(*parts)
-    batch = replace(first, f=np.stack(f), g=np.stack(g), fill=np.stack(fill),
-                    f_rows=np.unique(np.concatenate(f_rows)),
-                    g_rows=np.unique(np.concatenate(g_rows)))
+def _forms(op):
+    """(batch, metas, form) of the operator ``op``: ``form(i)`` is the
+    matrix to factor of its i-th member and ``metas[i]`` its (n, lead,
+    meta).  A contour operator, stacked or one (a batch of one), is read
+    as it is into ``batch``: the real forms of its members share one pass
+    of C B (``_product``) and one Cauchy reciprocal."""
+    if not isinstance(op, CauchyOperator):
+        return op, [(op.n, 0, op.meta)], lambda i: op.schur()
+    batch = op if op.f.ndim == 3 else replace(
+        op, f=op.f[None], g=op.g[None], fill=op.fill[None])
     (terms, cb), geo, k = _product(batch, batch), batch.geometry, batch.lead
     rec = _reciprocal(geo)
 
@@ -303,7 +299,7 @@ def _forms(ops):
                        batch.fill[i] + cb[i], rec)
         r[np.diag_indices(len(r))] += 1.0
         return r
-    return batch, [(batch.n, k, meta) for meta in metas], form
+    return batch, [(batch.n, k, batch.meta)] * len(batch.f), form
 
 
 @dataclass(frozen=True)
@@ -348,11 +344,12 @@ def cauchy_operator(terms, slots, geometry, diag=None, meta=None):
     """Discretize K(lam, mu) = sum f^T(lam) g(mu) / (2 pi i (lam - mu)).
 
     ``terms`` lists the (f, g) pairs of the sum, (p, N) arrays with one
-    column per slot.  K vanishes between the leading slots X of the
-    contour system's ``geometry`` (contours where the non-zero rows of f
-    and g never meet, so f^T g = 0 there exactly); at coincident slots
-    past them ``diag(i, j, lam)`` gives its removable value times 2 pi i
-    (without it, f^T g there).
+    column per slot, or (B, p, N) for a stacked batch of B operators.
+    K vanishes between the leading slots X of the contour system's
+    ``geometry`` (contours where the non-zero rows of f and g never
+    meet, so f^T g = 0 there exactly); at coincident slots past them
+    ``diag(i, j, lam)`` gives its removable value times 2 pi i (without
+    it, f^T g there).
 
     The weights live in the generators: f carries sqrt(w) / (2 pi i)
     and g carries sqrt(w), so one product per entry gives the folded
@@ -361,10 +358,11 @@ def cauchy_operator(terms, slots, geometry, diag=None, meta=None):
     geometry's nodes, and the scaled columns must be finite and
     mirror-symmetric (``_check_mirror``), else ValueError; an entry that
     overflows from finite columns is caught where ``_factor`` checks S.
+    A batch is checked, and its coincident values written, in one pass.
     """
     s = np.sqrt(slots.weights)
-    f = np.concatenate([f for f, _ in terms]) * (s / TWO_PI_I)
-    g = np.concatenate([g for _, g in terms]) * s
+    f = np.concatenate([f for f, _ in terms], axis=-2) * (s / TWO_PI_I)
+    g = np.concatenate([g for _, g in terms], axis=-2) * s
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise ValueError("kernel vectors contain non-finite entries")
     if not np.array_equal(slots.nodes, geometry.nodes):
@@ -374,14 +372,16 @@ def cauchy_operator(terms, slots, geometry, diag=None, meta=None):
     rows, cols = geometry.pairs
     rk, ck = rows + k, cols + k
     if diag is None:
-        fill = np.einsum("qr,qr->r", f[:, rk], g[:, ck])
+        fill = np.einsum("...qr,...qr->...r", f[..., rk], g[..., ck])
     else:
         fill = diag(slots.vec_ids[rk], slots.vec_ids[ck], z[rk]) \
             * (s[rk] * s[ck] / TWO_PI_I)
-    nonzero = lambda a: np.flatnonzero(np.any(a != 0, axis=1))
-    return CauchyOperator(f=f, g=g, f_rows=nonzero(f[:, :k]),
-                          g_rows=nonzero(g[:, :k]), fill=fill,
-                          geometry=geometry, slots=slots,
+    nonzero = lambda a: np.flatnonzero(np.any(
+        a[..., :k] != 0, axis=(*range(a.ndim - 2), -1)))
+    return CauchyOperator(f=f, g=g, f_rows=nonzero(f),
+                          g_rows=nonzero(g), fill=fill,
+                          geometry=geometry,
+                          slots=replace(slots, f=None, g=None),
                           meta=dict(meta or {}))
 
 
@@ -391,15 +391,20 @@ def _check_mirror(f, g, mirror, lead):
     f[:, sigma] = e conj(f), g[:, sigma] = -e conj(g) within 1e-14 of
     their largest entry, with e = -i on the rest (the fold of weights
     with w[sigma] = -conj(w)) and e = +-i on each lead slot, which
-    enters S only through f g^T."""
+    enters S only through f g^T.  The columns of a stacked batch are
+    checked against the largest entry of their own member."""
     rest, at_lead = True, True  # e = -i holds, e = +i holds on the lead
     for a, ie in (f, 1j), (g, -1j):
-        a_sigma, tol = a[:, mirror], 1e-14 * abs(a).max()
-        ia = ie * a.conj()
-        rest = rest & np.all(abs(a_sigma + ia) <= tol, axis=0)
-        at_lead = at_lead & np.all(abs(a_sigma[:, :lead] - ia[:, :lead])
-                                   <= tol, axis=0)
-    if not (np.all(rest[lead:]) and np.all(rest[:lead] | at_lead)):
+        tol = 1e-14 * abs(a).max(axis=(-2, -1), keepdims=True)
+        a_sigma, ia = a[..., mirror], a.conj()
+        ia *= ie  # in place here and below: a batch holds two copies
+        at_lead = at_lead & np.all(
+            abs(a_sigma[..., :lead] - ia[..., :lead]) <= tol, axis=-2)
+        a_sigma += ia
+        rest = rest & np.all(abs(a_sigma) <= tol, axis=-2)
+        del a_sigma, ia  # before the next side's
+    if not (np.all(rest[..., lead:])
+            and np.all(rest[..., :lead] | at_lead)):
         raise ValueError("kernel vectors are not mirror-symmetric")
 
 
@@ -492,26 +497,44 @@ def interval_operator(grids, left, right, bridge, meta):
         kmat, np.concatenate([w for _, w in grids]), meta=meta)
 
 
-def _factor(a, overwrite=True):
+def _factor(a, overwrite=True, floor=None):
     """(lu, piv, log det, rcond) of the Fortran-ordered matrix ``a``.
 
     ``a`` is ``op.schur()``: I - M, or the real form R of the Schur
     complement S of a contour operator; with ``overwrite`` LAPACK
-    factors it in place.  rcond is that of ``a`` in its own 1-norm; a
-    non-finite ``a`` raises ValueError.  LAPACK factors ``a`` with its
-    subnormal entries set to zero, in a copy unless ``overwrite``: they
-    slow the LU several fold and move the log det by less than rounding.
+    factors it in place.  rcond is that of ``a`` in its own 1-norm,
+    from Hager's estimate of ||a^{-1}||_1; a non-finite ``a`` raises
+    ValueError.  LAPACK factors ``a`` with its entries below ``_FLUSH``
+    in magnitude set to zero, in a copy unless ``overwrite``: they and
+    the subnormal products they make slow the LU several fold, and the
+    change is a backward perturbation far below rounding.
+
+    With a ``floor``, no estimate is made where a bound decides it:
+    Hager's estimate never exceeds ||a^{-1}||_1 <= 1 / (1 - d) for d =
+    ||a - I||_1 < 1, so its rcond is at least (1 - d) / ||a||_1.  Where
+    that bound, with d rounded up, is at least twice ``floor`` (the
+    factor covers the rounding of the estimate's own solves), it is
+    returned as rcond.
     """
     mag = np.abs(a)
     anorm = mag.sum(axis=0).max(initial=0.0)
     if not np.isfinite(anorm):
         raise ValueError("operator has non-finite or overflowing entries")
-    small = mag < np.finfo(mag.dtype).tiny  # zero or subnormal
+    small = mag < _FLUSH  # zero or near underflow
     if small.any():
         small &= mag > 0
         if small.any():
             a = a if overwrite else a.copy(order="F")
             a[small] = 0.0
+    bound = 0.0
+    if floor is not None and anorm > 0:
+        diag = np.diag_indices(len(a))
+        mag[diag] = np.abs(a[diag] - 1.0)  # |a - I|
+        dev = mag.sum(axis=0).max() \
+            * (1.0 + 4.0 * len(a) * np.finfo(mag.dtype).eps)
+        bound = (1.0 - dev) / anorm
+        if bound < 2.0 * floor:
+            bound = 0.0
     del mag, small  # before LAPACK's copy
     lu, piv = sla.lu_factor(a, overwrite_a=overwrite, check_finite=False)
     d = np.diag(lu)
@@ -524,6 +547,8 @@ def _factor(a, overwrite=True):
     log_value = complex(np.sum(np.log(np.abs(d))), phase)
     if not len(d):
         return lu, piv, log_value, 1.0
+    if bound:
+        return lu, piv, log_value, float(bound)
     inv = _inv_norm1(lu, piv)
     rcond = 1.0 / (anorm * inv) if 0.0 < inv < np.inf else 0.0
     return lu, piv, log_value, float(rcond)
@@ -549,8 +574,9 @@ def _inv_norm1(lu, piv):
 
 
 def _solver(a, overwrite=True):
-    """LU factors of S = ``a`` for solves; raises when S is near singular."""
-    lu, piv, _, rcond = _factor(a, overwrite)
+    """LU factors of S = ``a`` for solves; raises when S is near singular
+    (its rcond estimated only where the Neumann bound leaves it open)."""
+    lu, piv, _, rcond = _factor(a, overwrite, floor=_RCOND_MIN)
     if rcond < _RCOND_MIN:
         raise NearSingularOperatorError(
             f"operator nearly singular (rcond={rcond:.2e})")
@@ -591,10 +617,10 @@ def _schur_solve(batch, form, b):
     return x, resid
 
 
-def dets(ops):
-    """Fredholm determinants det(I - M) of ``ops``, read one at a time
-    (``_forms``), via pivoted LU of their Schur complements."""
-    _, metas, form = _forms(ops)
+def dets(op):
+    """Fredholm determinants det(I - M) of the members of the operator
+    ``op`` (``_forms``), via pivoted LU of their Schur complements."""
+    _, metas, form = _forms(op)
     out = []
     for i, (n, lead, meta) in enumerate(metas):
         a = form(i)
@@ -611,7 +637,7 @@ def dets(ops):
 
 def det(op):
     """``dets`` of the one operator ``op``."""
-    return dets([op])[0]
+    return dets(op)[0]
 
 
 def det2(op):
@@ -639,17 +665,17 @@ def solve_resolvent(op, rhs):
     """
     rhs = np.asarray(rhs, dtype=complex)
     s = np.sqrt(op.weights)[:, None]
-    batch, _, form = _forms([op])
+    batch, _, form = _forms(op)
     [x], _ = _schur_solve(batch, form, rhs.reshape(1, len(rhs), -1) * s)
     return (x / s).reshape(rhs.shape)
 
 
-def resolvent_moments(ops):
-    """(Gamma_1, Gamma_2) of each IIKS operator of ``ops``, read one at
-    a time (``_forms``), from one batch of solves: with F = (I - M)^{-1}
-    f^T in the folded generators (the resolvent image of f / (2 pi i)
-    times sqrt(w)), Gamma_k = sum over the slots of z^(k-1) F g^T."""
-    batch, _, form = _forms(ops)
+def resolvent_moments(op):
+    """(Gamma_1, Gamma_2) of each member of the IIKS operator ``op``
+    (``_forms``), from one batch of solves: with F = (I - M)^{-1} f^T in
+    the folded generators (the resolvent image of f / (2 pi i) times
+    sqrt(w)), Gamma_k = sum over the slots of z^(k-1) F g^T."""
+    batch, _, form = _forms(op)
     x, _ = _schur_solve(batch, form, np.swapaxes(batch.f, 1, 2))
     return list(zip(*(np.einsum("s,bsp,bqs->bpq", batch.geometry.nodes
                                 ** (k - 1), x, batch.g) for k in (1, 2))))

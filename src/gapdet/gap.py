@@ -78,16 +78,19 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
 
 def gap_probabilities(process, times, interval_sets, m=80):
     """IIKS gap probabilities of interval sets with one endpoint count at
-    one set of times: one batch of determinants (``fredholm.dets``) on one
-    contour system, its radii taken at the largest |endpoint| of all sets
-    (``endpoint_scale`` in each result's diagnostics)."""
+    one set of times: one stacked batch of operators and determinants
+    (``iiks_operators``, ``fredholm.dets``) on one contour system, its
+    radii taken at the largest |endpoint| of all sets (``endpoint_scale``
+    in each result's diagnostics)."""
     t = validate_times(times)
     eps = [as_endpoints(process, t, iv)[1] for iv in interval_sets]
-    scale = max((ep.max_abs_endpoint() for ep in eps), default=0.0)
+    if not eps:
+        return []
+    scale = max(ep.max_abs_endpoint() for ep in eps)
     mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=scale)
-    out = dets(mod.iiks_operator(ep, t, system) for ep in eps)
+    out = dets(mod.iiks_operators(eps, t, system))
     for res in out:
         res.diagnostics["endpoint_scale"] = scale
     return out

@@ -76,7 +76,7 @@ def gamma_moments(process, endpoints, times, m=80):
     mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=ep.max_abs_endpoint())
-    return resolvent_moments([mod.iiks_operator(ep, t, system)])[0]
+    return resolvent_moments(mod.iiks_operator(ep, t, system))[0]
 
 
 def moment_log_derivatives(process, endpoints, times, moments):
@@ -124,7 +124,8 @@ def _derivative_report(process, endpoints, times, m):
     """Central differences of log det against the moment formulas, with
     one contour system per distinct (times, largest |endpoint|), the
     builder's only inputs besides m, alive one at a time; the
-    determinants on a system form one batch (``fredholm.dets``)."""
+    determinants on a system form one stacked batch (``iiks_operators``,
+    ``fredholm.dets``)."""
     t, ep = as_endpoints(process, times, endpoints)
     mod, build = (airy, build_airy_system) if is_airy(process) \
         else (pearcey, build_pearcey_system)
@@ -142,9 +143,11 @@ def _derivative_report(process, endpoints, times, m):
         group = dict(group)
         if group.pop("moments", None):
             values["moments"] = resolvent_moments(
-                [mod.iiks_operator(ep, t, system)])[0]
-        values.update(zip(group, (r.log_value.real for r in dets(
-            mod.iiks_operator(ek, tk, system) for tk, ek in group.values()))))
+                mod.iiks_operator(ep, t, system))[0]
+        if group:
+            values.update(zip(group, (r.log_value.real for r in dets(
+                mod.iiks_operators([ek for _, ek in group.values()], tq,
+                                   system)))))
         del system
     formulas = moment_log_derivatives(process, ep, t, values["moments"])
     report = {

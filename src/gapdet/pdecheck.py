@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import AiryEndpoints, iiks_operator
+from .airy import AiryEndpoints, iiks_operators
 from .contour import build_airy_system, validate_times
 from .gap import airy_gap_probability
 from .isomono import moment_log_derivatives, resolvent_moments
@@ -54,15 +54,6 @@ def two_time_logdet(tau, e, w, m=120):
     return res.log_value.real
 
 
-def two_time_gradient(tau, e, w, m=120):
-    """(dTau G, dE G, dW G) of ``two_time_logdet`` from one solve.
-
-    The one-point case of ``build_grid``: the contour system takes its
-    radii at this point's endpoints.
-    """
-    return _stencil(tau, [(e, w)], m)[1][0]
-
-
 def build_grid(center, step=0.05, radius=2, m=120):
     """Gradients of G at 9 points around ``center``, all at its tau.
 
@@ -84,7 +75,8 @@ def _stencil(tau, points, m):
     """(system, gradients) at the (E, W) ``points``, all at time gap tau.
 
     The points share one contour system, and so its Cauchy geometry,
-    and solve as one batch (``fredholm.resolvent_moments``).  Its
+    and their operators are built and solved as one stacked batch
+    (``airy.iiks_operators``, ``fredholm.resolvent_moments``).  Its
     truncation radii are taken at the largest |endpoint| of all points;
     the truncation rule is monotone in it, so every point meets it.
     """
@@ -92,8 +84,7 @@ def _stencil(tau, points, m):
     eps = [AiryEndpoints([[e + w], [e - w]]) for e, w in points]
     system = build_airy_system(
         times, m=m, endpoint_scale=max(ep.max_abs_endpoint() for ep in eps))
-    moments = resolvent_moments(iiks_operator(ep, times, system)
-                                for ep in eps)
+    moments = resolvent_moments(iiks_operators(eps, times, system))
     return system, [_gradient(mo, ep, times) for mo, ep in zip(moments, eps)]
 
 

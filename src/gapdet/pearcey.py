@@ -54,30 +54,23 @@ class PearceyEndpoints(Endpoints):
 # integrable-kernel vector data
 # ---------------------------------------------------------------------------
 
-def exponents(z, comp_label, endpoints, times):
+def exponents(z, comp_label, ends, t):
     """Exponents of the bare columns f_b and g_b of every vector
-    component b at nodes ``z`` on the given component: two (p, n, k)
-    arrays, -inf where a column vanishes (``contour.exp_columns``)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    t = np.asarray(times, dtype=float)
-    ef = np.full((endpoints.p, endpoints.n, len(z)), -np.inf, dtype=complex)
-    eg = ef.copy()
-    every = np.arange(endpoints.n)[:, None]
+    component b at nodes ``z`` on the given component: the blocks that do
+    not vanish, yielded as ``contour.build_slots`` reads them, with
+    ``ends[i]`` the endpoints of time i of every set of a batch."""
     if comp_label in _X_LABELS:
-        half = 0.5 * phase(every, 0.0, z, t)
-        ef[0] = half
-        for b, ends in enumerate(endpoints.per_time):
-            for ell, a in enumerate(ends):
-                eg[endpoints.row_index(b, ell), b] = half[b] - a * z
-        return ef, eg
-    eg[0] = -phase(every, 0.0, z, t)
+        for b in range(len(t)):
+            half = 0.5 * phase(b, 0.0, z, t)
+            yield 0, None, b, half
+            yield 1, b, b, half - ends[b] * z
+        return
     sq = z ** 2
-    for i, ends in enumerate(endpoints.per_time):
-        heat = (t[i + 1:, None] - t[i]) * sq / 2.0  # of every later time
-        for ell, a in enumerate(ends):
-            ef[endpoints.row_index(i, ell), i] = a * z
-            eg[endpoints.row_index(i, ell), i + 1:] = -a * z + heat
-    return ef, eg
+    for b in range(len(t)):
+        yield 1, None, b, -phase(b, 0.0, z, t)
+        yield 0, b, b, ends[b] * z
+        for i in range(b):  # the heat factor of each earlier time
+            yield 1, i, b, -ends[i] * z + (t[b] - t[i]) * sq / 2.0
 
 
 def _alternating_sums(endpoints):
@@ -93,36 +86,38 @@ def _diag_limit(i, j, lam, t, coef):
     e^{dt lam^2/2} * coef[i] for tau_i < tau_j and zero otherwise, with
     coef from ``_alternating_sums`` (the sign pattern of the outer
     product, + for the first endpoint).  Broadcasts over arrays; ``t``
-    is the array of times.
+    is the array of times, and leading axes of ``coef`` (one per
+    endpoint set) lead the result.
     """
     i, j, lam = np.broadcast_arrays(i, j, lam)
     dt = t[j] - t[i]
     up = dt > 0
-    out = np.zeros(lam.shape, dtype=complex)
-    out[up] = np.exp(dt[up] * lam[up] ** 2 / 2.0) * coef[i[up]]
+    out = np.zeros(coef.shape[:-1] + lam.shape, dtype=complex)
+    out[..., up] = np.exp(dt[up] * lam[up] ** 2 / 2.0) * coef[..., i[up]]
     return out
 
 
-def iiks_slots(endpoints, times, system):
-    """Slots with bare f/g data; every component carries all n."""
-    return build_slots(system, endpoints, exponents, validate_times(times))
-
-
-def iiks_operator(endpoints, times, system):
-    """Discretized integrable Pearcey operator."""
+def iiks_operators(endpoint_sets, times, system):
+    """Discretized integrable Pearcey operators of a batch of endpoint
+    sets, one endpoint count per time: one stacked ``CauchyOperator``."""
     t = validate_times(times)
-    s = build_slots(system, endpoints, exponents, t)
-    coef = _alternating_sums(endpoints)
-    meta = {**system.meta, "process": "pearcey", "p": endpoints.p}
+    s = build_slots(system, endpoint_sets, exponents, t)
+    coef = np.array([_alternating_sums(ep) for ep in endpoint_sets])
+    meta = {**system.meta, "process": "pearcey", "p": s.f.shape[1]}
     return cauchy_operator(
         [(s.f, s.g)], s, system.geometry,
         diag=lambda i, j, lam: _diag_limit(i, j, lam, t, coef), meta=meta)
 
 
+def iiks_operator(endpoints, times, system):
+    """``iiks_operators`` of the one set ``endpoints``, unstacked."""
+    return iiks_operators([endpoints], times, system).member(0)
+
+
 def iiks_tangent_operator(endpoints, times, system, i, ell):
     """Endpoint derivative d K / d a_i^(ell) on the same slots."""
     t, geo = validate_times(times), system.geometry
-    s = build_slots(system, endpoints, exponents, t)
+    s = build_slots(system, [endpoints], exponents, t).member(0)
     terms = s.endpoint_terms(endpoints.row_index(i, ell), i, geo.lead, 0.0)
     # d/da of the L'Hopital limit e^{dt lam^2/2} sum (-1)^l a_l
     coef = np.zeros(endpoints.n)

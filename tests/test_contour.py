@@ -167,21 +167,27 @@ def test_pearcey_system_geometry():
         contour.build_pearcey_system([0.0], delta=0.0)
 
 
-def test_exp_columns_zeroes_only_the_empty_entries():
-    # -inf marks an empty entry; an exponent that overflowed or is nan
-    # must stay non-finite, so that cauchy_operator rejects it
+def test_slot_columns_zero_only_the_empty_entries():
+    # an entry no exponent is written to is an exact +0; an exponent that
+    # overflowed or is nan must stay non-finite, so that cauchy_operator
+    # rejects it; in g the second endpoint row of a time carries -1
     ep = airy.AiryEndpoints([[0.0, 1.0]])
-    ef = np.full((3, 3), -np.inf, dtype=complex)
-    eg = ef.copy()
-    ef[0] = [0.5j, 800.0, np.nan]
-    eg[2] = [0.5j, 800.0, np.nan]
+    live = np.array([0.5j, 800.0, np.nan])
+
+    def exponents(z, label, ends):
+        assert ends[0].shape == (1, 2, 1) and label == "x"
+        yield 0, None, 0, live
+        yield 1, 0, 0, np.stack([np.zeros(3), live])
     with np.errstate(over="ignore", invalid="ignore"):
-        f, g = contour.exp_columns(ef, eg, ep)
+        [f], [g] = contour._columns([ep], 3, [(np.zeros(3), "x",
+                                               [slice(0, 3)])], exponents)
     assert f[0, 0] == np.exp(0.5j) and g[2, 0] == -np.exp(0.5j)
+    assert np.all(g[1] == 1.0)
     assert np.isinf(f[0, 1]) and np.isinf(g[2, 1])
     assert np.isnan(f[0, 2]) and np.isnan(g[2, 2])
-    zeros = np.concatenate([f[1:].ravel(), g[:2].ravel()])
-    assert not np.any(zeros) and not np.any(np.signbit(zeros.real))
+    zeros = np.concatenate([f[1:].ravel(), g[:1].ravel()])
+    assert not np.any(zeros) and not np.any(np.signbit(zeros.real)) \
+        and not np.any(np.signbit(zeros.imag))
 
 
 # the nodes per panel of the contour grids (m = 80 to 200), of the
@@ -387,25 +393,95 @@ def test_every_operator_on_a_system_reads_its_one_geometry(monkeypatch,
     monkeypatch.setattr(isomono, build, lambda *a, **k: (
         built.append(getattr(contour, build)(*a, **k)), built[-1])[1])
     moments = isomono.resolvent_moments
-    monkeypatch.setattr(isomono, "resolvent_moments", lambda ops: (
-        solved.extend(ops), moments(ops))[1])
+    monkeypatch.setattr(isomono, "resolvent_moments", lambda op: (
+        solved.append(op), moments(op))[1])
     isomono.gamma_moments(process, ep, times, m=24)
     [own], [o] = built, solved
-    assert o.geometry is own.geometry
+    assert o.geometry is own.geometry and o.f.ndim == 2
     if process == "pearcey":
         return
-    # and the nine points of a PDE stencil on the system they share
+    # and the nine points of a PDE stencil, one stacked operator on the
+    # system they share
     built.clear()
     monkeypatch.setattr(pdecheck, build, lambda *a, **k: (
         built.append(contour.build_airy_system(*a, **k)), built[-1])[1])
-    monkeypatch.setattr(pdecheck, "resolvent_moments", lambda ops: (
-        solved.extend(ops), [None] * len(solved))[1])
+    monkeypatch.setattr(pdecheck, "resolvent_moments", lambda op: (
+        solved.append(op), [None] * len(op.f))[1])
     monkeypatch.setattr(pdecheck, "_gradient", lambda mo, e, t: (0.0,) * 3)
     solved.clear()
     pdecheck.build_grid((1.0, 0.2, 0.1), step=0.04, m=24)
-    [own] = built
-    assert len(solved) == 9
-    assert all(o.geometry is own.geometry for o in solved)
+    [own], [batch] = built, solved
+    assert batch.f.shape[0] == batch.g.shape[0] == batch.fill.shape[0] == 9
+    assert batch.geometry is own.geometry
+
+
+# (process, times, endpoint sets of one count per time, operator keywords)
+_BATCH_CASES = {
+    "airy-1-1": ("airy", [0.0, 1.0], [[[-1.0], [0.5]], [[0.3], [-0.7]],
+                                      [[0.0], [0.0]]], {}),
+    "airy-1-1-no-gauge": ("airy", [0.0, 1.0], [[[-1.0], [0.5]],
+                                               [[0.3], [-0.7]]],
+                          {"gauge": False}),
+    "airy-2-1": ("airy", [0.0, 1.0], [[[-1.0, 0.5], [0.2]],
+                                      [[-0.3, 0.7], [-0.4]]], {}),
+    "airy-2-1-no-gauge": ("airy", [0.0, 1.0], [[[-1.0, 0.5], [0.2]],
+                                               [[-0.3, 0.7], [-0.4]]],
+                          {"gauge": False}),
+    "airy-1-2": ("airy", [0.0, 1.0], [[[0.2], [-1.0, 0.5]],
+                                      [[-0.4], [-0.3, 0.7]]], {}),
+    "airy-3-times": ("airy", [0.0, 0.5, 1.0], [[[0.3], [0.1], [0.0]],
+                                               [[-0.2], [0.4], [-0.6]]], {}),
+    "pearcey-1": ("pearcey", [0.0], [[[-1.0, 1.0]], [[-0.5, 0.2]]], {}),
+    "pearcey-2": ("pearcey", [0.0, 1.0], [[[-1.0, 1.0], [-0.5, 0.5]],
+                                          [[-0.8, 0.2], [-1.2, 1.0]]], {}),
+    "pearcey-3": ("pearcey", [0.0, 0.5, 1.0],
+                  [[[-1.0, 1.0], [-0.5, 0.5], [-0.3, 0.3]],
+                   [[-0.8, 0.2], [0.0, 0.3], [-1.2, 1.0]]], {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BATCH_CASES))
+def test_each_stacked_operator_is_its_own_batch_of_one(case):
+    # one pass builds the columns of every set of a batch: each member's
+    # folded generators and coincident fill are bit for bit those of its
+    # set alone, signed zeros included, and so are the bare columns
+    process, times, sets, kw = _BATCH_CASES[case]
+    mod, build = (airy, contour.build_airy_system) if process == "airy" \
+        else (pearcey, contour.build_pearcey_system)
+    eps = [gap.as_endpoints(process, times, iv)[1] for iv in sets]
+    system = build(times, m=24, endpoint_scale=max(
+        ep.max_abs_endpoint() for ep in eps))
+    batch = mod.iiks_operators(eps, times, system, **kw)
+    assert batch.f.shape[0] == len(eps) and batch.geometry is system.geometry
+    # the bare columns, the gauge as the operators take it
+    args = (np.array(times),) + ((kw.get("gauge", True),)
+                                 if process == "airy" else ())
+    slots = contour.build_slots(system, eps, mod.exponents, *args)
+    for i, ep in enumerate(eps):
+        got, want = batch.member(i), mod.iiks_operator(ep, times, system,
+                                                       **kw)
+        alone = contour.build_slots(system, [ep], mod.exponents, *args)
+        for a, b in [(got.f, want.f), (got.g, want.g), (got.fill, want.fill),
+                     (slots.f[i], alone.f[0]), (slots.g[i], alone.g[0])]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # the batch reads the lead rows non-zero in any of its members
+        assert set(want.f_rows) <= set(batch.f_rows)
+        assert set(want.g_rows) <= set(batch.g_rows)
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_a_batch_needs_one_endpoint_count_per_time(process):
+    times = [0.0, 1.0]
+    if process == "airy":
+        mod, build, sets = airy, contour.build_airy_system, \
+            [[[0.1], [0.2]], [[0.1, 0.3], [0.2]]]
+    else:
+        mod, build, sets = pearcey, contour.build_pearcey_system, \
+            [[[-1.0, 1.0], [-0.5, 0.5]], [[-1.0, 1.0], [-0.5, 0.0, 0.2, 0.5]]]
+    eps = [gap.as_endpoints(process, times, iv)[1] for iv in sets]
+    system = build(times, m=16, endpoint_scale=1.0)
+    with pytest.raises(ValueError, match="one endpoint count per time"):
+        mod.iiks_operators(eps, times, system)
 
 
 @pytest.mark.parametrize("build", [contour.build_airy_system,

@@ -98,9 +98,9 @@ def _contour_arrays(op):
     geo = op.geometry
     nodes = [a for n in (geo.lead_nodes, geo.rest_nodes)
              for a in [n.values, n.ids] + [a for r in n.ranks for a in r]]
-    return [v for obj in (op, geo) for v in vars(obj).values()
+    return [v for obj in (op, geo, op.slots) for v in vars(obj).values()
             if isinstance(v, np.ndarray)] + list(geo.pairs) \
-        + list(geo.fill_at) + list(vars(op.slots).values()) + nodes
+        + list(geo.fill_at) + nodes
 
 
 def _assert_couplings(op, b, c, seed=0):
@@ -124,14 +124,14 @@ def test_assembled_operators_match_pointwise_entries(process):
         ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
         sys_ = contour.build_airy_system(times, m=8)
         op = airy.iiks_operator(ep, times, sys_, gauge=False)
-        s = airy.iiks_slots(ep, times, sys_, gauge=False)
+        s = op.slots
         kernel_entry, physical_entry = airy_kernel_entry, airy_physical_entry
         vanishes = lambda a, b: a == b  # same-component blocks
     else:
         ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
         sys_ = contour.build_pearcey_system(times, m=8)
         op = pearcey.iiks_operator(ep, times, sys_)
-        s = pearcey.iiks_slots(ep, times, sys_)
+        s = op.slots
         kernel_entry = pearcey_kernel_entry
         physical_entry = pearcey_physical_entry
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
@@ -187,7 +187,8 @@ def _iiks_case(process, tangent, n=2, m=16):
     if process == "airy":
         ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5], [0.2]][:n])
         sys_ = contour.build_airy_system(times, m=m, endpoint_scale=0.7)
-        s = airy.iiks_slots(ep, times, sys_)
+        s = contour.build_slots(sys_, [ep], airy.exponents, np.array(times),
+                                True).member(0)
         if tangent:
             op = airy.iiks_tangent_operator(ep, times, sys_, 0, 1)
             terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead,
@@ -198,7 +199,8 @@ def _iiks_case(process, tangent, n=2, m=16):
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5],
                                    [-0.3, 0.3]][:n])
     sys_ = contour.build_pearcey_system(times, m=m, endpoint_scale=1.0)
-    s = pearcey.iiks_slots(ep, times, sys_)
+    s = contour.build_slots(sys_, [ep], pearcey.exponents,
+                            np.array(times)).member(0)
     if tangent:
         op = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
         terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead, 0.0)
@@ -740,7 +742,7 @@ def test_schur_solve_checks_the_full_residual(process, n):
     a = np.eye(op.n) - _matrix(op)
     rng = np.random.default_rng(37)
     b = rng.standard_normal((op.n, 3)) + 1j * rng.standard_normal((op.n, 3))
-    batch, _, form = fredholm._forms([op])
+    batch, _, form = fredholm._forms(op)
     [x], [resid] = fredholm._schur_solve(batch, form, b[None])
     norm_b = np.linalg.norm(b)
     dense = np.linalg.norm(b - a @ x)
@@ -809,20 +811,62 @@ def test_rcond_repeats_bit_for_bit(case):
 
 def test_subnormal_entries_are_flushed_before_the_lu():
     # row 0 leads column 0, so it is the first row of U unchanged: the
-    # subnormal entry would stay in the factors unless it is flushed
+    # subnormal entry, and the one just above the subnormal range whose
+    # products in the elimination would be subnormal, would stay in the
+    # factors unless they are flushed
     rng = np.random.default_rng(41)
     a = np.asfortranarray(rng.standard_normal((40, 40)))
     a[0, 0] = 100.0
     a[0, 5] = 5e-310
+    a[0, 6] = 1e-200
     zeroed = a.copy(order="F")
-    zeroed[0, 5] = 0.0
+    zeroed[0, 5:7] = 0.0
     lu, _, log_value, rcond = fredholm._factor(a.copy(order="F"))
     ref = fredholm._factor(zeroed)
-    assert lu[0, 5] == 0.0 and np.array_equal(lu, ref[0])
+    assert lu[0, 5] == lu[0, 6] == 0.0 and np.array_equal(lu, ref[0])
     assert repr((log_value, rcond)) == repr(ref[2:])
-    # without overwrite the caller's matrix keeps its entry
+    # without overwrite the caller's matrix keeps its entries
     fredholm._factor(a, overwrite=False)
-    assert a[0, 5] == 5e-310
+    assert a[0, 5] == 5e-310 and a[0, 6] == 1e-200
+
+
+def _neumann_case(case):
+    """An operator whose factored matrix R has ||R - I||_1 < 1 (the
+    ``small`` cases) or >= 1."""
+    if case.startswith("dense"):
+        op = _random_operator(seed=17)
+        if case == "dense-large":  # I - M = -0.5 I - (a small part)
+            op = replace(op, matrix=op.matrix + 1.5 * np.eye(op.n))
+        return op
+    return _iiks_case(case.split("-")[0], False, m=48)[0]
+
+
+@pytest.mark.parametrize("case", ["dense-small", "dense-large",
+                                  "airy-small", "pearcey-large"])
+def test_solves_estimate_rcond_only_where_the_neumann_bound_leaves_it_open(
+        case, monkeypatch):
+    # ||R^{-1}||_1 <= 1 / (1 - ||R - I||_1) decides rcond >= 1e-13 for a
+    # solve without Hager's estimate; a determinant still reports it
+    op = _neumann_case(case)
+    a = op.schur()
+    dev = np.abs(a - np.eye(len(a))).sum(axis=0).max()
+    assert (dev < 1) == case.endswith("small")
+    calls = []
+    inv_norm1 = fredholm._inv_norm1
+    monkeypatch.setattr(fredholm, "_inv_norm1", lambda *args: (
+        calls.append(args), inv_norm1(*args))[1])
+    fredholm.solve_resolvent(op, np.ones(op.n))
+    fredholm.logdet_derivative(op, op)
+    assert len(calls) == (0 if dev < 1 else 2)
+    calls.clear()
+    hager = fredholm.det(op).diagnostics["rcond"]
+    assert len(calls) == 1 and hager == fredholm._factor(a.copy("F"))[3]
+    # the bound a solve reads in its place is below the estimate
+    lower = fredholm._factor(a.copy("F"), floor=fredholm._RCOND_MIN)[3]
+    if dev < 1:
+        assert 2 * fredholm._RCOND_MIN <= lower <= hager
+    else:
+        assert lower == hager
 
 
 @pytest.mark.parametrize("case", ["airy-1", "airy-2", "airy-3", "pearcey-1",

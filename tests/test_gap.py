@@ -274,24 +274,30 @@ def test_gap_probabilities_rejects_what_as_endpoints_rejects(process, bad):
 ])
 def test_batch_matches_one_by_one_calls_on_its_system(process, sets):
     # one system at the largest |endpoint| of the batch, reported in
-    # every result; determinants and moments within 1e-14 of one-by-one
-    # calls on a system built with the same endpoint_scale (the stacked
-    # products sum in another order)
+    # every result; one stacked operator whose members are bit for bit
+    # the one-by-one operators on a system built with the same
+    # endpoint_scale, and determinants and moments within 1e-14 of
+    # one-by-one calls (the stacked products sum in another order)
     times, m = [0.0, 1.0], 40
     mod, build = (airy, contour.build_airy_system) if process == "airy" \
         else (pearcey, contour.build_pearcey_system)
     batch = gap.gap_probabilities(process, times, sets, m=m)
     scale = max(abs(a) for ends in sets for e in ends for a in e)
     system = build(times, m=m, endpoint_scale=scale)
-    ops = [mod.iiks_operator(as_endpoints(process, times, iv)[1], times,
-                             system) for iv in sets]
-    for res, op in zip(batch, ops):
+    eps = [as_endpoints(process, times, iv)[1] for iv in sets]
+    stacked = mod.iiks_operators(eps, times, system)
+    ops = [mod.iiks_operator(ep, times, system) for ep in eps]
+    assert stacked.f.shape[0] == len(batch) == len(ops)
+    for i, (res, op) in enumerate(zip(batch, ops)):
+        member = stacked.member(i)
+        assert all(np.array_equal(getattr(member, a), getattr(op, a))
+                   for a in ("f", "g", "fill"))
         one = fredholm.det(op)
         assert abs(res.value - one.value) <= 1e-14 * abs(one.value)
         assert res.diagnostics["endpoint_scale"] == scale
         assert res.diagnostics["radii"] == system.meta["radii"]
-    for moments, op in zip(isomono.resolvent_moments(ops), ops):
-        for got, want in zip(moments, isomono.resolvent_moments([op])[0]):
+    for moments, op in zip(isomono.resolvent_moments(stacked), ops):
+        for got, want in zip(moments, isomono.resolvent_moments(op)[0]):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 

@@ -87,7 +87,7 @@ def test_gamma_moments_assembles_through_iiks_operator(process, monkeypatch):
     monkeypatch.setattr(mod, "iiks_operator", counting)
     isomono.gamma_moments(process, ep, t, m=24)
     assert len(ops) == 1
-    assert ops[0].slots.f.shape[1] == ops[0].n
+    assert ops[0].f.shape[1] == ops[0].n
 
 
 @pytest.mark.parametrize("process, ep, t, report", [

@@ -73,10 +73,10 @@ def test_grid_center_matches_two_time_logdet():
     ep = airy.AiryEndpoints([[0.2 + 0.1], [0.2 - 0.1]])
     times = np.array([0.0, 1.0])
     op = airy.iiks_operator(ep, times, system)
-    one = pdecheck._gradient(isomono.resolvent_moments([op])[0], ep, times)
+    one = pdecheck._gradient(isomono.resolvent_moments(op)[0], ep, times)
     assert np.all(np.abs(grad - one) <= 1e-14 * np.abs(one))
     # and close to the gradient on the center's own system
-    own = np.array(pdecheck.two_time_gradient(*center, m=120))
+    own = np.array(pdecheck._stencil(center[0], [center[1:]], 120)[1][0])
     assert np.all(np.abs(grad - own) <= 1e-7 * np.abs(own))
     for k in range(3):
         up, dn = list(center), list(center)
@@ -129,10 +129,10 @@ def _fake_gradient(calls):
 
 
 def _fake_moments(batches):
-    # records each batch of operators the stencil solves with
-    def fake(ops):
-        batches.append(list(ops))
-        return [None] * len(batches[-1])
+    # records each stacked operator the stencil solves with
+    def fake(op):
+        batches.append(op)
+        return [None] * len(op.f)
     return fake
 
 
@@ -153,13 +153,14 @@ def test_build_grid_evaluates_exactly_the_stencil_points(monkeypatch, radius):
                         _counting(systems, contour.build_airy_system))
     center, h = (1.0, 0.2, 0.1), 0.05
     g = pdecheck.build_grid(center, step=h, radius=radius, m=48)
-    # one contour system, one batch of solves on one Cauchy geometry, and
-    # one tau and m for all
-    [ops] = batches
-    assert len(systems) == 1 and len(calls) == 9 and len(ops) == 9
-    assert len({id(op.geometry) for op in ops}) == 1
+    # one contour system, one stacked operator of 9 members on its one
+    # Cauchy geometry, solved as one batch, and one tau and m for all
+    [op] = batches
+    assert len(systems) == 1 and len(calls) == 9
+    assert op.f.shape[0] == op.g.shape[0] == op.fill.shape[0] == 9
+    assert op.f.shape[-1] == op.n
     assert {c[1] for c in calls} == {(0.0, 1.0)}
-    assert {len(op.slots.nodes) // 4 for op in ops} == {48}  # 4 per node
+    assert len(op.slots.nodes) // 4 == 48  # 4 per node
     assert len({c[0] for c in calls}) == 9
     assert g.values.shape == (3, 3, 3)
     # each entry holds the gradient at its own (E, W) point
@@ -183,7 +184,7 @@ def test_rejects_nonpositive_tau():
     with pytest.raises(ValueError):
         pdecheck.two_time_logdet(0.0, 0.1, 0.1, m=48)
     with pytest.raises(ValueError):
-        pdecheck.two_time_gradient(0.0, 0.1, 0.1, m=48)
+        pdecheck.build_grid((0.0, 0.1, 0.1), m=48)
     with pytest.raises(ValueError):
         pdecheck.build_grid((-0.5, 0.1, 0.1), m=48)
 
