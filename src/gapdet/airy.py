@@ -21,6 +21,7 @@ from .contour import (
     _radius,
     _system,
     build_slots,
+    endpoint_terms,
     validate_times,
 )
 from .fredholm import (
@@ -103,11 +104,11 @@ def iiks_operators(endpoint_sets, times, system, gauge=True):
     """Discretized integrable-kernel operators of a batch of endpoint
     sets, one endpoint count per time, on the contour system: one
     stacked ``CauchyOperator``, its columns built in one pass."""
-    s = build_slots(system, endpoint_sets, exponents, validate_times(times),
-                    gauge)
+    f, g = build_slots(system, endpoint_sets, exponents,
+                       validate_times(times), gauge)
     meta = {**system.meta, "process": "airy", "gauge": gauge,
-            "p": s.f.shape[1]}
-    return cauchy_operator([(s.f, s.g)], s, system.geometry, meta=meta)
+            "p": f.shape[1]}
+    return cauchy_operator([(f, g)], system.geometry, meta=meta)
 
 
 def iiks_operator(endpoints, times, system, gauge=True):
@@ -122,9 +123,9 @@ def iiks_tangent_operator(endpoints, times, system, i, ell):
     generate is traceless and drops out of Jacobi's formula.
     """
     t, geo = validate_times(times), system.geometry
-    s = build_slots(system, [endpoints], exponents, t, True).member(0)
-    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, geo.lead, t[i])
-    return cauchy_operator(terms, s, geo, meta={"tangent": ("a", i, ell)})
+    [f], [g] = build_slots(system, [endpoints], exponents, t, True)
+    terms = endpoint_terms(f, g, geo, endpoints.row_index(i, ell), i, t[i])
+    return cauchy_operator(terms, geo, meta={"tangent": ("a", i, ell)})
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ whose complex weights include the local unit direction, so that a plain
 weighted sum realizes the oriented line integral.  Both processes also
 share the interval endpoints and the slot layout that pairs contour
 nodes with the vector components of the integrable kernel: a system
-declares which components each contour carries, and builds from that
-the one ``CauchyGeometry`` every operator on it shares.
+declares which components each contour carries, and builds from that,
+on first use, the one ``CauchyGeometry`` every operator on it shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -176,16 +177,18 @@ class NodeSet:
 class CauchyGeometry:
     """The part of a contour operator that its slot layout fixes.
 
-    The slots on the grid with nodes ``nodes[i]`` carry the vector
-    components ``carries[i]``, grid by grid, then component by
-    component; the first ``lead_grids`` grids hold the leading slots X,
-    where the kernel vanishes.  Every grid is a half and its mirror
-    image in reverse order (``build_grids``), so the mirror of a slot is
-    the one at the conjugate node of its block; ValueError unless it
-    pairs each slot with another at the exact conjugate, lead with lead.
+    The slots on the grid with nodes ``nodes[i]`` and weights
+    ``weights[i]`` carry the vector components ``carries[i]``, grid by
+    grid, then component by component; the first ``lead_grids`` grids
+    hold the leading slots X, where the kernel vanishes.  Every grid is
+    a half and its mirror image in reverse order (``build_grids``), so
+    the mirror of a slot is the one at the conjugate node of its block;
+    ValueError unless it pairs each slot with another at the exact
+    conjugate, lead with lead.
 
-    ``nodes`` and ``vec_ids`` give the node and component of each slot,
-    ``slot_mirror`` its mirror and ``lead`` the size of X.
+    ``nodes``, ``weights`` and ``vec_ids`` give the node, weight and
+    component of each slot, ``slot_mirror`` its mirror and ``lead`` the
+    size of X.
     ``lead_nodes`` and ``rest_nodes`` are the ``NodeSet`` of X and of
     the rest L, ``cauchy`` = 1 / (zeta - xi) over their nodes, ``pairs``
     the coincident rest slots (indices into L, the diagonal included),
@@ -194,16 +197,17 @@ class CauchyGeometry:
     transposed numerator of the real form.
     """
 
-    def __init__(self, nodes, carries, lead_grids):
-        self.carries = tuple(tuple(c) for c in carries)
-        counts = [len(c) for c in self.carries]
+    def __init__(self, nodes, weights, carries, lead_grids):
+        counts = [len(c) for c in carries]
         self.lead_nodes = NodeSet(nodes[:lead_grids], counts[:lead_grids])
         self.rest_nodes = NodeSet(nodes[lead_grids:], counts[lead_grids:])
         k = self.lead = len(self.lead_nodes.ids)
         self.nodes = z = np.concatenate(
             [s.values[s.ids] for s in (self.lead_nodes, self.rest_nodes)])
+        self.weights = np.concatenate([np.tile(w, c)
+                                       for w, c in zip(weights, counts)])
         self.vec_ids = np.concatenate([np.repeat(c, len(zg)) for zg, c
-                                       in zip(nodes, self.carries)])
+                                       in zip(nodes, carries)])
         ends = np.cumsum([len(zg) for zg, c in zip(nodes, counts)
                           for _ in range(c)])
         sigma = np.concatenate([np.arange(e - 1, s - 1, -1)
@@ -232,13 +236,25 @@ class CauchyGeometry:
 class ContourSystem:
     """A family of pairwise disjoint contour components with grids.
 
-    ``geometry`` is the ``CauchyGeometry`` of the slots the system
-    carries, shared by every operator on it; None when it carries none.
+    The slots on grid i carry the vector components ``carries[i]``, and
+    the first ``lead_grids`` grids form X (``CauchyGeometry``); a system
+    with no ``carries`` carries no slots.
     """
 
     grids: tuple  # of QuadratureGrid
     meta: dict = field(default_factory=dict)
-    geometry: CauchyGeometry | None = None
+    carries: tuple | None = None
+    lead_grids: int = 0
+
+    @functools.cached_property
+    def geometry(self):
+        """The ``CauchyGeometry`` of the slots, built on first read and
+        shared by every operator on the system; None with no slots."""
+        if self.carries is None:
+            return None
+        return CauchyGeometry([g.nodes for g in self.grids],
+                              [g.weights for g in self.grids], self.carries,
+                              self.lead_grids)
 
     @property
     def labels(self):
@@ -259,7 +275,7 @@ def _system(comps, m, meta, carries=None, lead_grids=0):
     whose radius is at least ``RADIUS_CAP`` (a padded radius may exceed
     it).  ``carries`` lists the vector components the slots of each
     component carry, and the first ``lead_grids`` components form X (see
-    ``CauchyGeometry``); without it the system carries no slots.
+    ``ContourSystem``).
     """
     radii = {c.label: c.truncation_radius for c in comps}
     capped = tuple(label for label, r in radii.items() if r >= RADIUS_CAP)
@@ -268,11 +284,10 @@ def _system(comps, m, meta, carries=None, lead_grids=0):
     z = np.sort(np.concatenate([g.nodes for g in grids]))
     if np.any(z[1:] == z[:-1]):
         raise ContourError("contour nodes collide")
-    geometry = None if carries is None else \
-        CauchyGeometry([g.nodes for g in grids], carries, lead_grids)
     return ContourSystem(grids=grids, meta={
         **meta, "m": m + m % 2, "eps": DEFAULT_TAIL_EPS, "radii": radii,
-        "radius_capped": capped}, geometry=geometry)
+        "radius_capped": capped}, carries=None if carries is None else
+        tuple(tuple(c) for c in carries), lead_grids=lead_grids)
 
 
 def solve_radius(exponent, target, r_max=RADIUS_CAP):
@@ -379,43 +394,24 @@ class Endpoints:
         return type(self)(pt)
 
 
-@dataclass(frozen=True)
-class Slots:
-    """Assembly slots, one per (quadrature node, carried vector component).
+def endpoint_terms(f, g, geometry, row, i, shift):
+    """(f, g) terms of dK/da for the endpoint a at ``row``, of time i,
+    from the bare columns ``f`` and ``g`` on the slots of ``geometry``.
 
-    ``f`` and ``g`` hold the bare integrable-kernel vectors, one column
-    per slot, in the slot order of the system's ``CauchyGeometry``, whose
-    ``nodes`` and ``vec_ids`` these are; ``build_slots`` stacks those of
-    a batch of endpoint sets on a leading axis.  An operator keeps its
-    slots without them (``fredholm.cauchy_operator``).
+    In both processes a enters f as e^{a lam_i} on the left contours of
+    time i, and g as e^{-a mu_i} on the right contour of time i and on
+    the left contours of later times, where lam_i = lam - shift.  The
+    leading slots lie on the right contour.
     """
-
-    f: np.ndarray
-    g: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    vec_ids: np.ndarray
-
-    def member(self, i):
-        """The slots of the i-th set of a stacked batch."""
-        return replace(self, f=self.f[i], g=self.g[i])
-
-    def endpoint_terms(self, row, i, lead, shift):
-        """(f, g) terms of dK/da for the endpoint a at ``row``, of time i.
-
-        In both processes a enters f as e^{a lam_i} on the left contours
-        of time i, and g as e^{-a mu_i} on the right contour of time i
-        and on the left contours of later times, where lam_i = lam -
-        shift.  The ``lead`` leading slots lie on the right contour.
-        """
-        d = self.nodes - shift
-        df, dg = np.zeros_like(self.f), np.zeros_like(self.g)
-        right = np.arange(len(d)) < lead
-        sel = ~right & (self.vec_ids == i)
-        df[row, sel] = d[sel] * self.f[row, sel]
-        sel = (right & (self.vec_ids == i)) | (~right & (self.vec_ids > i))
-        dg[row, sel] = -d[sel] * self.g[row, sel]
-        return [(df, self.g), (self.f, dg)]
+    d = geometry.nodes - shift
+    df, dg = np.zeros_like(f), np.zeros_like(g)
+    right = np.arange(len(d)) < geometry.lead
+    vec_ids = geometry.vec_ids
+    sel = ~right & (vec_ids == i)
+    df[row, sel] = d[sel] * f[row, sel]
+    sel = (right & (vec_ids == i)) | (~right & (vec_ids > i))
+    dg[row, sel] = -d[sel] * g[row, sel]
+    return [(df, g), (f, dg)]
 
 
 def _columns(endpoint_sets, size, blocks, exponents, *args):
@@ -455,21 +451,18 @@ def _columns(endpoint_sets, size, blocks, exponents, *args):
 
 
 def build_slots(system, endpoint_sets, exponents, *args):
-    """Slots of ``system`` for a batch of endpoint sets, in the order of
-    its ``CauchyGeometry``: the columns of every set, stacked
-    (``_columns``), each contour component's exponents built once for
-    all sets."""
-    geo, blocks, start = system.geometry, [], 0
-    for grid, comps in zip(system.grids, geo.carries):
+    """The bare columns (f, g) of ``system`` for a batch of endpoint
+    sets, in the slot order of its ``CauchyGeometry``: those of every
+    set, stacked (``_columns``), each contour component's exponents
+    built once for all sets."""
+    blocks, start = [], 0
+    for grid, comps in zip(system.grids, system.carries):
         k = len(grid)
         blocks.append((grid.nodes, grid.component.label, {
             b: slice(start + j * k, start + (j + 1) * k)
             for j, b in enumerate(comps)}))
         start += k * len(comps)
-    weights = np.concatenate([np.tile(grid.weights, len(comps)) for
-                              grid, comps in zip(system.grids, geo.carries)])
-    return Slots(*_columns(endpoint_sets, start, blocks, exponents, *args),
-                 geo.nodes, weights, geo.vec_ids)
+    return _columns(endpoint_sets, start, blocks, exponents, *args)
 
 
 def fg_matrices(exponents, lam, label, endpoints, times):
@@ -521,18 +514,6 @@ def build_pearcey_system(times, delta=0.5, m=80, endpoint_scale=0.0):
     the one-point density is positive.  Every component carries every
     time, and gamma_R and gamma_L form X.
     """
-    n, comps = _pearcey_components(times, delta, endpoint_scale)
-    return _system(comps, m, {"delta": delta}, [range(n)] * 3, 2)
-
-
-def pearcey_contours(times, delta=0.5, m=80, endpoint_scale=0.0):
-    """``build_pearcey_system`` with no slot layout and no geometry."""
-    return _system(_pearcey_components(times, delta, endpoint_scale)[1], m,
-                   {"delta": delta})
-
-
-def _pearcey_components(times, delta, endpoint_scale):
-    """(number of times, components) of ``build_pearcey_system``."""
     t = validate_times(times)
     if not delta > 0:
         raise ContourError("need delta > 0")
@@ -541,10 +522,11 @@ def _pearcey_components(times, delta, endpoint_scale):
     r_x = _radius(lambda r: r ** 4 / 8 - tmax * r ** 2 / 2, a)
     # quartic phase on iR, Gaussian heat factors across time pairs
     r_line = _radius(lambda r: r ** 4 / 4 - tmax * r ** 2 / 2, a, t)
-    return len(t), [
+    comps = [
         ContourComponent(complex(delta), (np.pi / 4, -np.pi / 4), r_x,
                          "gamma_R"),
         ContourComponent(complex(-delta), (-3 * np.pi / 4, 3 * np.pi / 4),
                          r_x, "gamma_L"),
         ContourComponent(0j, (-np.pi / 2, np.pi / 2), r_line, "iR"),
     ]
+    return _system(comps, m, {"delta": delta}, [range(len(t))] * 3, 2)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import (TWO_PI_I, CauchyGeometry, ContourError, Slots,
+from .contour import (TWO_PI_I, CauchyGeometry, ContourError,
                       gauss_legendre_panels)
 
 __all__ = [
@@ -158,11 +158,10 @@ class CauchyOperator:
     coincident rest pairs.
     ``f_rows`` and ``g_rows`` are the rows of f and g that are non-zero
     on the lead slots.  ``schur()`` is the real form R (module
-    docstring).  The ``contour.Slots`` are kept for their weights,
-    without their bare columns, which f and g hold folded.  A batch of
-    operators on one geometry is stacked: f, g and fill carry a leading
-    axis over its members, and the rows are those non-zero in some
-    member.
+    docstring).  The slot nodes and weights are the geometry's.  A batch
+    of operators on one geometry is stacked: f, g and fill carry a
+    leading axis over its members, and the rows are those non-zero in
+    some member.
     """
 
     f: np.ndarray
@@ -171,7 +170,6 @@ class CauchyOperator:
     g_rows: np.ndarray
     fill: np.ndarray
     geometry: CauchyGeometry
-    slots: Slots
     meta: dict = field(default_factory=dict)
 
     @property
@@ -180,11 +178,11 @@ class CauchyOperator:
 
     @property
     def n(self):
-        return len(self.slots.nodes)
+        return len(self.geometry.nodes)
 
     @property
     def weights(self):
-        return self.slots.weights
+        return self.geometry.weights
 
     def member(self, i):
         """The i-th operator of a stacked batch."""
@@ -281,13 +279,13 @@ def _real_form(geo, terms, fill, rec):
 
 
 def _forms(op):
-    """(batch, metas, form) of the operator ``op``: ``form(i)`` is the
-    matrix to factor of its i-th member and ``metas[i]`` its (n, lead,
-    meta).  A contour operator, stacked or one (a batch of one), is read
-    as it is into ``batch``: the real forms of its members share one pass
-    of C B (``_product``) and one Cauchy reciprocal."""
+    """(batch, size, form) of the operator ``op``: ``form(i)`` is the
+    matrix to factor of the i-th of its ``size`` members.  A contour
+    operator, stacked or one (a batch of one), is read as it is into
+    ``batch``: the real forms of its members share one pass of C B
+    (``_product``) and one Cauchy reciprocal."""
     if not isinstance(op, CauchyOperator):
-        return op, [(op.n, 0, op.meta)], lambda i: op.schur()
+        return op, 1, lambda i: op.schur()
     batch = op if op.f.ndim == 3 else replace(
         op, f=op.f[None], g=op.g[None], fill=op.fill[None])
     (terms, cb), geo, k = _product(batch, batch), batch.geometry, batch.lead
@@ -299,7 +297,7 @@ def _forms(op):
                        batch.fill[i] + cb[i], rec)
         r[np.diag_indices(len(r))] += 1.0
         return r
-    return batch, [(batch.n, k, batch.meta)] * len(batch.f), form
+    return batch, len(batch.f), form
 
 
 @dataclass(frozen=True)
@@ -340,11 +338,12 @@ def _product(a, b):
     return [(u, gb), (fa, v)], cb
 
 
-def cauchy_operator(terms, slots, geometry, diag=None, meta=None):
+def cauchy_operator(terms, geometry, diag=None, meta=None):
     """Discretize K(lam, mu) = sum f^T(lam) g(mu) / (2 pi i (lam - mu)).
 
     ``terms`` lists the (f, g) pairs of the sum, (p, N) arrays with one
-    column per slot, or (B, p, N) for a stacked batch of B operators.
+    column per slot of ``geometry``, or (B, p, N) for a stacked batch of
+    B operators.
     K vanishes between the leading slots X of the contour system's
     ``geometry`` (contours where the non-zero rows of f and g never
     meet, so f^T g = 0 there exactly); at coincident slots past them
@@ -354,35 +353,30 @@ def cauchy_operator(terms, slots, geometry, diag=None, meta=None):
     The weights live in the generators: f carries sqrt(w) / (2 pi i)
     and g carries sqrt(w), so one product per entry gives the folded
     matrix.  Only D at coincident slots is written; the node-level
-    Cauchy matrix is the geometry's.  The slots must lie on the
-    geometry's nodes, and the scaled columns must be finite and
-    mirror-symmetric (``_check_mirror``), else ValueError; an entry that
+    Cauchy matrix is the geometry's.  The scaled columns must be finite
+    and mirror-symmetric (``_check_mirror``), else ValueError; an entry that
     overflows from finite columns is caught where ``_factor`` checks S.
     A batch is checked, and its coincident values written, in one pass.
     """
-    s = np.sqrt(slots.weights)
+    s = np.sqrt(geometry.weights)
     f = np.concatenate([f for f, _ in terms], axis=-2) * (s / TWO_PI_I)
     g = np.concatenate([g for _, g in terms], axis=-2) * s
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         raise ValueError("kernel vectors contain non-finite entries")
-    if not np.array_equal(slots.nodes, geometry.nodes):
-        raise ValueError("the slots do not lie on the geometry's nodes")
-    z, k = slots.nodes, geometry.lead
+    z, k, vec_ids = geometry.nodes, geometry.lead, geometry.vec_ids
     _check_mirror(f, g, geometry.slot_mirror, k)
     rows, cols = geometry.pairs
     rk, ck = rows + k, cols + k
     if diag is None:
         fill = np.einsum("...qr,...qr->...r", f[..., rk], g[..., ck])
     else:
-        fill = diag(slots.vec_ids[rk], slots.vec_ids[ck], z[rk]) \
+        fill = diag(vec_ids[rk], vec_ids[ck], z[rk]) \
             * (s[rk] * s[ck] / TWO_PI_I)
     nonzero = lambda a: np.flatnonzero(np.any(
         a[..., :k] != 0, axis=(*range(a.ndim - 2), -1)))
     return CauchyOperator(f=f, g=g, f_rows=nonzero(f),
                           g_rows=nonzero(g), fill=fill,
-                          geometry=geometry,
-                          slots=replace(slots, f=None, g=None),
-                          meta=dict(meta or {}))
+                          geometry=geometry, meta=dict(meta or {}))
 
 
 def _check_mirror(f, g, mirror, lead):
@@ -620,9 +614,10 @@ def _schur_solve(batch, form, b):
 def dets(op):
     """Fredholm determinants det(I - M) of the members of the operator
     ``op`` (``_forms``), via pivoted LU of their Schur complements."""
-    _, metas, form = _forms(op)
+    batch, size, form = _forms(op)
+    n, lead, meta = batch.n, batch.lead, batch.meta
     out = []
-    for i, (n, lead, meta) in enumerate(metas):
+    for i in range(size):
         a = form(i)
         _, _, log_value, rcond = _factor(a)
         value = np.exp(log_value) if log_value.real < 700 else complex(np.inf)
@@ -635,8 +630,16 @@ def dets(op):
     return out
 
 
+def _one(op, batch_call):
+    """ValueError when ``op`` is a stacked batch, for ``batch_call``."""
+    if isinstance(op, CauchyOperator) and op.f.ndim == 3:
+        raise ValueError(f"a stacked operator of {len(op.f)} members: "
+                         f"use {batch_call}")
+
+
 def det(op):
-    """``dets`` of the one operator ``op``."""
+    """``dets`` of the one operator ``op``; ValueError on a batch."""
+    _one(op, "dets")
     return dets(op)[0]
 
 
@@ -661,8 +664,9 @@ def solve_resolvent(op, rhs):
     ``rhs`` holds plain kernel-side values at the slots (one column per
     right-hand side); the weight scaling is internal.  One refinement
     step on the Schur system (``_schur_solve``), then the residual must
-    be below 1e-10.
+    be below 1e-10.  ValueError on a stacked batch.
     """
+    _one(op, "resolvent_moments")
     rhs = np.asarray(rhs, dtype=complex)
     s = np.sqrt(op.weights)[:, None]
     batch, _, form = _forms(op)

@@ -10,8 +10,7 @@ computes both and the difference.
 from __future__ import annotations
 
 from . import airy, pearcey
-from .contour import (build_airy_system, build_pearcey_system,
-                      pearcey_contours, validate_times)
+from .contour import build_airy_system, build_pearcey_system, validate_times
 from .fredholm import det, dets
 
 
@@ -63,17 +62,17 @@ def pearcey_gap_probability(times, intervals, representation="iiks", m=80,
     """Gap probability of the multi-time Pearcey process.
 
     One endpoint list per time, each of even count (finite intervals).
-    The physical route builds its contours with no slot layout.
+    The physical route reads only the grids of its contour system, so it
+    builds no Cauchy geometry.
     """
     t, ep = as_endpoints("pearcey", times, intervals)
-    kw = {"delta": delta, "m": m, "endpoint_scale": ep.max_abs_endpoint()}
-    if representation == "iiks":
-        op = pearcey.iiks_operator(ep, t, build_pearcey_system(t, **kw))
-    elif representation == "physical":
-        op = pearcey.physical_operator(ep, t, pearcey_contours(t, **kw))
-    else:
+    if representation not in ("iiks", "physical"):
         raise ValueError(f"unknown representation {representation!r}")
-    return det(op)
+    system = build_pearcey_system(t, delta=delta, m=m,
+                                  endpoint_scale=ep.max_abs_endpoint())
+    op = pearcey.iiks_operator if representation == "iiks" \
+        else pearcey.physical_operator
+    return det(op(ep, t, system))
 
 
 def gap_probabilities(process, times, interval_sets, m=80):
@@ -83,12 +82,12 @@ def gap_probabilities(process, times, interval_sets, m=80):
     radii taken at the largest |endpoint| of all sets (``endpoint_scale``
     in each result's diagnostics)."""
     t = validate_times(times)
+    mod, build = (airy, build_airy_system) if is_airy(process) \
+        else (pearcey, build_pearcey_system)
     eps = [as_endpoints(process, t, iv)[1] for iv in interval_sets]
     if not eps:
         return []
     scale = max(ep.max_abs_endpoint() for ep in eps)
-    mod, build = (airy, build_airy_system) if is_airy(process) \
-        else (pearcey, build_pearcey_system)
     system = build(t, m=m, endpoint_scale=scale)
     out = dets(mod.iiks_operators(eps, t, system))
     for res in out:

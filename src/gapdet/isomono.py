@@ -6,6 +6,8 @@ conjugating by the diagonal exponent matrix T(lam) reduces it to a
 constant sign pattern per contour component.  The resolvent supplies
 the expansion moments Gamma_1, Gamma_2 of the RH solution, which give
 log-derivatives of the determinant in every endpoint and every time.
+Every function takes the ``endpoints`` of a gap question as an endpoint
+object or as one endpoint list per time (``gap.as_endpoints``).
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ import itertools
 import numpy as np
 
 from . import airy, pearcey
-from .contour import (build_airy_system, build_pearcey_system, fg_matrices,
-                      validate_times)
+from .contour import build_airy_system, build_pearcey_system, fg_matrices
 from .fredholm import dets, resolvent_moments
 from .gap import as_endpoints, is_airy
+
+
+def _module(process, times, endpoints):
+    """(module, times, endpoints) of one gap question (``as_endpoints``)."""
+    t, ep = as_endpoints(process, times, endpoints)
+    return (airy if is_airy(process) else pearcey), t, ep
 
 
 def jump_matrix(process, lam, comp_label, endpoints, times):
@@ -27,9 +34,8 @@ def jump_matrix(process, lam, comp_label, endpoints, times):
     The Riemann-Hilbert jump is I minus this matrix (the 1/(2 pi i)
     normalization of f cancels the 2 pi i of the jump formula).
     """
-    mod = airy if is_airy(process) else pearcey
-    f, g = fg_matrices(mod.exponents, lam, comp_label, endpoints,
-                       validate_times(times))
+    mod, t, ep = _module(process, times, endpoints)
+    f, g = fg_matrices(mod.exponents, lam, comp_label, ep, t)
     return f @ g.T
 
 
@@ -39,12 +45,11 @@ def exponent_diagonal(process, lam, endpoints, times):
     Row 0 holds the mean of all phase values; block row (i, ell) holds
     the mean minus its own phase, so the trace vanishes identically.
     """
-    mod = airy if is_airy(process) else pearcey
-    t = validate_times(times)
+    mod, t, ep = _module(process, times, endpoints)
     phases = [mod.phase(i, a, lam, t)
-              for i, ends in enumerate(endpoints.per_time) for a in ends]
-    mean = sum(phases) / endpoints.p if phases else 0.0
-    diag = np.empty(endpoints.p, dtype=complex)
+              for i, ends in enumerate(ep.per_time) for a in ends]
+    mean = sum(phases) / ep.p if phases else 0.0
+    diag = np.empty(ep.p, dtype=complex)
     diag[0] = mean
     for r, ph in enumerate(phases, start=1):
         diag[r] = mean - ph
@@ -70,11 +75,9 @@ def gamma_moments(process, endpoints, times, m=80):
 
     Gamma_k = int_gamma F(mu) g^T(mu) mu^{k-1} d mu with F the resolvent
     image of f; the diagonal gauge drops out of the product F g^T.
-    ``endpoints`` is an endpoint object or one endpoint list per time.
     """
-    t, ep = as_endpoints(process, times, endpoints)
-    mod, build = (airy, build_airy_system) if is_airy(process) \
-        else (pearcey, build_pearcey_system)
+    mod, t, ep = _module(process, times, endpoints)
+    build = build_airy_system if mod is airy else build_pearcey_system
     system = build(t, m=m, endpoint_scale=ep.max_abs_endpoint())
     return resolvent_moments(mod.iiks_operator(ep, t, system))[0]
 
@@ -88,15 +91,15 @@ def moment_log_derivatives(process, endpoints, times, moments):
     (Gamma_1^2 - 2 Gamma_2) / 2 (Pearcey).  Returns
     {"a": {(i, ell): value}, "tau": {i: value}}.
     """
-    t = validate_times(times)
+    mod, t, ep = _module(process, times, endpoints)
     g1, g2 = moments
     g1sq = g1 @ g1
     out = {"a": {}, "tau": {}}
-    for i, ends in enumerate(endpoints.per_time):
-        qs = [endpoints.row_index(i, ell) for ell in range(len(ends))]
+    for i, ends in enumerate(ep.per_time):
+        qs = [ep.row_index(i, ell) for ell in range(len(ends))]
         for ell, q in enumerate(qs):
             out["a"][i, ell] = -g1[q, q].real
-        if is_airy(process):
+        if mod is airy:
             out["tau"][i] = sum((2.0 * t[i] * g1 + g1sq - 2.0 * g2)[q, q].real
                                 for q in qs)
         else:
@@ -126,9 +129,8 @@ def _derivative_report(process, endpoints, times, m):
     builder's only inputs besides m, alive one at a time; the
     determinants on a system form one stacked batch (``iiks_operators``,
     ``fredholm.dets``)."""
-    t, ep = as_endpoints(process, times, endpoints)
-    mod, build = (airy, build_airy_system) if is_airy(process) \
-        else (pearcey, build_pearcey_system)
+    mod, t, ep = _module(process, times, endpoints)
+    build = build_airy_system if mod is airy else build_pearcey_system
     steps = {"moments": (t, ep)}
     for h, (i, ends) in itertools.product((_FD_STEP, -_FD_STEP),
                                           enumerate(ep.per_time)):
@@ -163,16 +165,10 @@ def _derivative_report(process, endpoints, times, m):
 
 
 def airy_derivative_report(endpoints, times, m=80):
-    """Finite differences of log det against the Airy moment formulas.
-
-    ``endpoints`` is an endpoint object or one endpoint list per time.
-    """
+    """Finite differences of log det against the Airy moment formulas."""
     return _derivative_report("airy", endpoints, times, m)
 
 
 def pearcey_derivative_report(endpoints, times, m=80):
-    """Finite differences against the Pearcey moment formulas.
-
-    ``endpoints`` is an endpoint object or one endpoint list per time.
-    """
+    """Finite differences against the Pearcey moment formulas."""
     return _derivative_report("pearcey", endpoints, times, m)

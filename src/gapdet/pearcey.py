@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contour import Endpoints, build_slots, validate_times
+from .contour import Endpoints, build_slots, endpoint_terms, validate_times
 from .fredholm import (cauchy_operator, double_contour_factors,
                        interval_grids, interval_operator)
 
@@ -101,11 +101,11 @@ def iiks_operators(endpoint_sets, times, system):
     """Discretized integrable Pearcey operators of a batch of endpoint
     sets, one endpoint count per time: one stacked ``CauchyOperator``."""
     t = validate_times(times)
-    s = build_slots(system, endpoint_sets, exponents, t)
+    f, g = build_slots(system, endpoint_sets, exponents, t)
     coef = np.array([_alternating_sums(ep) for ep in endpoint_sets])
-    meta = {**system.meta, "process": "pearcey", "p": s.f.shape[1]}
+    meta = {**system.meta, "process": "pearcey", "p": f.shape[1]}
     return cauchy_operator(
-        [(s.f, s.g)], s, system.geometry,
+        [(f, g)], system.geometry,
         diag=lambda i, j, lam: _diag_limit(i, j, lam, t, coef), meta=meta)
 
 
@@ -117,13 +117,13 @@ def iiks_operator(endpoints, times, system):
 def iiks_tangent_operator(endpoints, times, system, i, ell):
     """Endpoint derivative d K / d a_i^(ell) on the same slots."""
     t, geo = validate_times(times), system.geometry
-    s = build_slots(system, [endpoints], exponents, t).member(0)
-    terms = s.endpoint_terms(endpoints.row_index(i, ell), i, geo.lead, 0.0)
+    [f], [g] = build_slots(system, [endpoints], exponents, t)
+    terms = endpoint_terms(f, g, geo, endpoints.row_index(i, ell), i, 0.0)
     # d/da of the L'Hopital limit e^{dt lam^2/2} sum (-1)^l a_l
     coef = np.zeros(endpoints.n)
     coef[i] = (-1.0) ** ell
     return cauchy_operator(
-        terms, s, geo,
+        terms, geo,
         diag=lambda vi, vj, lam: _diag_limit(vi, vj, lam, t, coef),
         meta={"tangent": ("a", i, ell)})
 

@@ -70,7 +70,7 @@ def _unfolded(m, weights):
 def _matrix(op):
     """The full M a contour operator defines: the zero lead block, B, C
     and D from its generators and its coincident fill."""
-    k, z = op.lead, op.slots.nodes
+    k, z = op.lead, op.geometry.nodes
     den = z[:, None] - z[None, :]
     m = op.f.T @ op.g / np.where(den == 0, 1.0, den)
     m[:k, :k] = 0.0
@@ -93,12 +93,12 @@ def _real_form(op, a, absolute=False):
 
 
 def _contour_arrays(op):
-    """Every array a contour operator stores, its geometry's, slots' and
-    node sets' included."""
+    """Every array a contour operator stores, its geometry's and node
+    sets' included."""
     geo = op.geometry
     nodes = [a for n in (geo.lead_nodes, geo.rest_nodes)
              for a in [n.values, n.ids] + [a for r in n.ranks for a in r]]
-    return [v for obj in (op, geo, op.slots) for v in vars(obj).values()
+    return [v for obj in (op, geo) for v in vars(obj).values()
             if isinstance(v, np.ndarray)] + list(geo.pairs) \
         + list(geo.fill_at) + nodes
 
@@ -124,18 +124,18 @@ def test_assembled_operators_match_pointwise_entries(process):
         ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5]])
         sys_ = contour.build_airy_system(times, m=8)
         op = airy.iiks_operator(ep, times, sys_, gauge=False)
-        s = op.slots
+        s = op.geometry
         kernel_entry, physical_entry = airy_kernel_entry, airy_physical_entry
         vanishes = lambda a, b: a == b  # same-component blocks
     else:
         ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5]])
         sys_ = contour.build_pearcey_system(times, m=8)
         op = pearcey.iiks_operator(ep, times, sys_)
-        s = op.slots
+        s = op.geometry
         kernel_entry = pearcey_kernel_entry
         physical_entry = pearcey_physical_entry
         vanishes = lambda a, b: "iR" not in (a, b)  # the X x X block
-    assert np.array_equal(op.weights, s.weights)
+    assert op.weights is s.weights
     # the component of each slot, from the grid holding its node (the
     # grids of a system never share a node)
     label_at = {z: g.component.label for g in sys_.grids for z in g.nodes}
@@ -182,51 +182,54 @@ def test_assembled_operators_match_pointwise_entries(process):
 
 
 def _iiks_case(process, tangent, n=2, m=16):
-    """(operator, its (f, g) terms, slots, diag) at n times, small m."""
+    """(operator, its (f, g) terms, the bare columns (f, g), diag) at n
+    times, small m."""
     times = [0.0, 1.0] if n == 2 else [0.0, 0.5, 1.0]
     if process == "airy":
         ep = airy.AiryEndpoints([[-0.5, 0.7], [0.5], [0.2]][:n])
         sys_ = contour.build_airy_system(times, m=m, endpoint_scale=0.7)
-        s = contour.build_slots(sys_, [ep], airy.exponents, np.array(times),
-                                True).member(0)
+        [f], [g] = contour.build_slots(sys_, [ep], airy.exponents,
+                                       np.array(times), True)
         if tangent:
             op = airy.iiks_tangent_operator(ep, times, sys_, 0, 1)
-            terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead,
-                                     times[0])
+            terms = contour.endpoint_terms(f, g, op.geometry,
+                                           ep.row_index(0, 1), 0, times[0])
         else:
-            op, terms = airy.iiks_operator(ep, times, sys_), [(s.f, s.g)]
-        return op, terms, s, None
+            op, terms = airy.iiks_operator(ep, times, sys_), [(f, g)]
+        return op, terms, (f, g), None
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-0.5, 0.5],
                                    [-0.3, 0.3]][:n])
     sys_ = contour.build_pearcey_system(times, m=m, endpoint_scale=1.0)
-    s = contour.build_slots(sys_, [ep], pearcey.exponents,
-                            np.array(times)).member(0)
+    [f], [g] = contour.build_slots(sys_, [ep], pearcey.exponents,
+                                   np.array(times))
     if tangent:
         op = pearcey.iiks_tangent_operator(ep, times, sys_, 0, 1)
-        terms = s.endpoint_terms(ep.row_index(0, 1), 0, op.lead, 0.0)
+        terms = contour.endpoint_terms(f, g, op.geometry, ep.row_index(0, 1),
+                                       0, 0.0)
         coef = np.zeros(n)
         coef[0] = -1.0
     else:
-        op, terms = pearcey.iiks_operator(ep, times, sys_), [(s.f, s.g)]
+        op, terms = pearcey.iiks_operator(ep, times, sys_), [(f, g)]
         coef = pearcey._alternating_sums(ep)
-    return op, terms, s, \
+    return op, terms, (f, g), \
         lambda i, j, lam: pearcey._diag_limit(i, j, lam, np.array(times),
                                              coef)
 
 
-def _dense_reference(terms, slots, lead, diag):
-    """Every entry of sum f^T g / (2 pi i (lam - mu)), weights folded after."""
+def _dense_reference(terms, geo, diag):
+    """Every entry of sum f^T g / (2 pi i (lam - mu)) on the slots of
+    ``geo``, weights folded after."""
     kmat = sum(f.T @ g for f, g in terms)
-    den = slots.nodes[:, None] - slots.nodes[None, :]
+    den = geo.nodes[:, None] - geo.nodes[None, :]
     coincident = den == 0
     den[coincident] = 1.0
     kmat = kmat / den / contour.TWO_PI_I
     if diag is not None:
-        coincident[:lead] = False
+        coincident[:geo.lead] = False
         rows, cols = np.nonzero(coincident)
-        kmat[rows, cols] = diag(slots.vec_ids[rows], slots.vec_ids[cols],
-                                slots.nodes[rows]) / contour.TWO_PI_I
-    s = np.sqrt(slots.weights)
+        kmat[rows, cols] = diag(geo.vec_ids[rows], geo.vec_ids[cols],
+                                geo.nodes[rows]) / contour.TWO_PI_I
+    s = np.sqrt(geo.weights)
     return s[:, None] * kmat * s[None, :]
 
 
@@ -236,15 +239,16 @@ def _dense_reference(terms, slots, lead, diag):
 def test_cauchy_assembly_matches_dense_reference(process, tangent):
     process, n = (process.split("-") + ["2"])[:2]
     n = int(n)
-    op, terms, s, diag = _iiks_case(process, tangent, n)
-    ref = _dense_reference(terms, s, op.lead, diag)
+    op, terms, _, diag = _iiks_case(process, tangent, n)
+    geo = op.geometry
+    ref = _dense_reference(terms, geo, diag)
     k = op.lead
     assert k > 0 and not np.any(ref[:k, :k])
     b, c, d = ref[:k, k:], ref[k:, :k], ref[k:, k:]
     _assert_couplings(op, b, c)
     # the coincident rest pairs, in the order of a full comparison
     rows, cols = op.geometry.pairs
-    want = np.nonzero(s.nodes[k:, None] == s.nodes[None, k:])
+    want = np.nonzero(geo.nodes[k:, None] == geo.nodes[None, k:])
     assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
     assert np.all(np.abs(op.fill - d[rows, cols])
                   <= 1e-13 * np.abs(d[rows, cols]) + 1e-300)
@@ -261,7 +265,7 @@ def test_cauchy_assembly_matches_dense_reference(process, tangent):
         got, want = op.schur(), np.eye(op.n - k) - d - c @ b
     else:
         base, base_terms, _, base_diag = _iiks_case(process, False, n)
-        base_ref = _dense_reference(base_terms, s, k, base_diag)
+        base_ref = _dense_reference(base_terms, geo, base_diag)
         got = base.schur_tangent(op)
         want = -(d + c @ base_ref[:k, k:] + base_ref[k:, :k] @ b)
     want = _real_form(op, want)
@@ -286,35 +290,32 @@ def test_schur_product_identity_on_random_generators():
     rest[1::4] = rest[::4] + 1e-6 * np.exp(2j * np.pi * rng.random(7))
     halves = [4.0 + cplx(15), rest[np.r_[8, 9, 14:28]], rest[:8], rest[10:14]]
     carries = [(0,), (0,), (0, 1), (0, 1, 2)]
-    geo = contour.CauchyGeometry([_mirrored(h) for h in halves], carries, 1)
+    # weights with w[sigma] = -conj(w), one per node; rest weights in the
+    # upper half plane, so that the fold gives f[:, sigma] = -i conj(f)
+    # there, lead weights of any phase
+    phases = [np.exp(2j * np.pi * rng.random(15))] \
+        + [np.exp(1j * rng.random(len(h))) for h in halves[1:]]
+    weights = [_mirrored(ph, -1) * 0.1 * (_mirrored(rng.random(len(ph)))
+                                          + 0.5) for ph in phases]
+    geo = contour.CauchyGeometry([_mirrored(h) for h in halves], weights,
+                                 carries, 1)
     k, p = geo.lead, 3
     n = len(geo.nodes)
     assert (k, n) == (30, 118)
-    # bare columns with f(conj z) = conj f(z) and weights with w[sigma] =
-    # -conj(w), one weight per node; rest weights in the upper half plane,
-    # so that the fold gives f[:, sigma] = -i conj(f) there, lead weights
-    # of any phase
-    phases = [np.exp(2j * np.pi * rng.random(15))] \
-        + [np.exp(1j * rng.random(len(h))) for h in halves[1:]]
-    weights = np.concatenate([
-        np.tile(_mirrored(ph, -1) * 0.1 * (_mirrored(rng.random(len(ph)))
-                                           + 0.5), len(c))
-        for ph, c in zip(phases, carries)])
+    # bare columns with f(conj z) = conj f(z)
     gens = lambda: np.concatenate([_mirrored(cplx(p, len(h)))
                                    for h, c in zip(halves, carries)
                                    for _ in c], axis=-1)
-    slots = contour.Slots(f=gens(), g=gens(), nodes=geo.nodes,
-                          weights=weights, vec_ids=geo.vec_ids)
-    terms, dterms = [(slots.f, slots.g)], [(gens(), gens())]
-    op = fredholm.cauchy_operator(terms, slots, geo)
-    dop = fredholm.cauchy_operator(dterms, slots, geo)
+    terms, dterms = [(gens(), gens())], [(gens(), gens())]
+    op = fredholm.cauchy_operator(terms, geo)
+    dop = fredholm.cauchy_operator(dterms, geo)
     assert len(op.geometry.pairs[0]) == 2 * (16 + 8 * 2 ** 2 + 4 * 3 ** 2)
     want = np.nonzero(geo.nodes[k:, None] == geo.nodes[None, k:])
     for got in op.geometry.pairs, dop.geometry.pairs:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # dense references: every entry of M and dM, the products as GEMMs
-    m = _dense_reference(terms, slots, k, None)
-    dm = _dense_reference(dterms, slots, k, None)
+    m = _dense_reference(terms, geo, None)
+    dm = _dense_reference(dterms, geo, None)
     m[:k, :k] = dm[:k, :k] = 0.0
     for got, want in (_matrix(op), m), (_matrix(dop), dm):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
@@ -342,7 +343,7 @@ def test_schur_cancellation_at_close_rest_nodes_stays_bounded():
     sys_ = contour.build_airy_system([0.0], m=80,
                                      endpoint_scale=ep.max_abs_endpoint())
     op = airy.iiks_operator(ep, [0.0], sys_)
-    k, z = op.lead, op.slots.nodes.astype(np.clongdouble)
+    k, z = op.lead, op.geometry.nodes.astype(np.clongdouble)
     f, g = op.f.astype(np.clongdouble), op.g.astype(np.clongdouble)
     den = z[:, None] - z[None, :]
     den[den == 0] = 1.0
@@ -360,7 +361,7 @@ def test_schur_cancellation_at_close_rest_nodes_stays_bounded():
 def test_contour_operator_stores_no_order_n_square_array(process, tangent):
     op, _, _, _ = _iiks_case(process, tangent, 3, m=48)
     sizes = [a.size for a in _contour_arrays(op)]
-    assert op.n == len(op.slots.nodes) and op.lead > 0
+    assert op.n == len(op.geometry.nodes) and op.lead > 0
     # all of them together hold fewer entries than the block B alone
     assert sum(sizes) < op.lead * (op.n - op.lead)
 
@@ -369,20 +370,11 @@ def test_contour_operator_stores_no_order_n_square_array(process, tangent):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("slot", [0, -1], ids=["lead-slot", "last-slot"])
 def test_cauchy_operator_rejects_non_finite_columns(side, bad, slot):
-    op, terms, s, _ = _iiks_case("airy", False)
-    cols = getattr(s, side).copy()
-    cols[:, slot] = bad
-    s = replace(s, **{side: cols})
+    op, _, fg, _ = _iiks_case("airy", False)
+    f, g = (a.copy() for a in fg)
+    {"f": f, "g": g}[side][:, slot] = bad
     with pytest.raises(ValueError):
-        fredholm.cauchy_operator([(s.f, s.g)], s, op.geometry)
-
-
-def test_cauchy_operator_rejects_a_rest_node_off_its_mirror():
-    op, terms, s, _ = _iiks_case("airy", False)
-    nodes = s.nodes.copy()
-    nodes[op.lead + 3] += 1e-9
-    with pytest.raises(ValueError):
-        fredholm.cauchy_operator(terms, replace(s, nodes=nodes), op.geometry)
+        fredholm.cauchy_operator([(f, g)], op.geometry)
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
@@ -390,15 +382,14 @@ def test_cauchy_operator_rejects_a_rest_node_off_its_mirror():
 @pytest.mark.parametrize("block", ["lead", "rest"])
 def test_cauchy_operator_rejects_a_scaled_generator_column(process, side,
                                                            block):
-    op, terms, s, diag = _iiks_case(process, False)
+    op, _, fg, diag = _iiks_case(process, False)
     # the column of the block with the largest folded entry
     lo, hi = (0, op.lead) if block == "lead" else (op.lead, op.n)
     slot = lo + np.argmax(np.abs(getattr(op, side)[:, lo:hi]).max(axis=0))
-    cols = getattr(s, side).copy()
-    cols[:, slot] *= 1.5
-    s = replace(s, **{side: cols})
+    f, g = (a.copy() for a in fg)
+    {"f": f, "g": g}[side][:, slot] *= 1.5
     with pytest.raises(ValueError):
-        fredholm.cauchy_operator([(s.f, s.g)], s, op.geometry, diag=diag)
+        fredholm.cauchy_operator([(f, g)], op.geometry, diag=diag)
 
 
 @pytest.mark.parametrize("case", ["airy-odd-m", "airy-no-gauge",
@@ -426,7 +417,8 @@ def test_slot_mirror_is_exact_for_both_processes(case):
                for g in sys_.grids)
     assert np.all(np.sort(sigma) == np.arange(op.n))
     assert np.all(sigma != np.arange(op.n))
-    assert np.array_equal(op.slots.nodes[sigma], op.slots.nodes.conj())
+    z = op.geometry.nodes
+    assert np.array_equal(z[sigma], z.conj())
     assert np.array_equal(op.f[:, sigma][:, k:], -1j * op.f.conj()[:, k:])
     assert np.array_equal(op.g[:, sigma][:, k:], 1j * op.g.conj()[:, k:])
     h, t = np.split(op.geometry.mirror, 2)
@@ -441,11 +433,11 @@ def test_slot_mirror_is_exact_for_both_processes(case):
 ], ids=["det", "solve_resolvent", "logdet_derivative"])
 def test_overflowing_cauchy_entries_are_rejected(process, call):
     # finite columns, but f^T g / (lam - mu) exceeds the double range
-    op, _, s, diag = _iiks_case(process, False)
-    assert np.all(np.isfinite(s.f)) and np.all(np.isfinite(s.g))
+    op, _, (f, g), diag = _iiks_case(process, False)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
     with np.errstate(over="ignore", invalid="ignore"):
-        op = fredholm.cauchy_operator([(1e160 * s.f, 1e160 * s.g)], s,
-                                      op.geometry, diag=diag)
+        op = fredholm.cauchy_operator([(1e160 * f, 1e160 * g)], op.geometry,
+                                      diag=diag)
         before = [a.copy() for a in _contour_arrays(op)]
         with pytest.raises(ValueError):
             call(op)
@@ -696,6 +688,28 @@ def test_one_lu_per_call_and_matrix_untouched(call, monkeypatch):
     assert calls == [((op.n - op.lead, op.n - op.lead), np.float64)]
     assert all(np.array_equal(a, b)
                for a, b in zip(_contour_arrays(op), before))
+
+
+@pytest.mark.parametrize("call, batch_call", [
+    (fredholm.det, "dets"),
+    (fredholm.det2, "dets"),
+    (lambda op: fredholm.solve_resolvent(op, np.ones(op.n)),
+     "resolvent_moments"),
+], ids=["det", "det2", "solve_resolvent"])
+def test_single_operator_calls_refuse_a_stacked_batch(call, batch_call,
+                                                      monkeypatch):
+    # a stack of three must not come back as its member 0: ValueError
+    # naming the batch call, before any LU
+    times = [0.0, 1.0]
+    eps = [airy.AiryEndpoints(e) for e in ([[-1.0], [0.5]], [[0.3], [-0.7]],
+                                           [[0.0], [0.0]])]
+    system = contour.build_airy_system(times, m=16, endpoint_scale=1.0)
+    batch = airy.iiks_operators(eps, times, system)
+    calls = []
+    monkeypatch.setattr(sla, "lu_factor", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=batch_call):
+        call(batch)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -55,10 +55,27 @@ _MISMATCHED = [
     lambda: isomono.airy_derivative_report([[0.0]], [0.0, 1.0], m=24),
     lambda: isomono.pearcey_derivative_report([[-1.0, 1.0]] * 2, [0.0],
                                               m=24),
+    lambda: isomono.jump_matrix("airy", 0.5j, "line_1", [[0.0]], [0.0, 1.0]),
+    lambda: isomono.jump_matrix("pearcey", 0.5j, "iR",
+                                pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2),
+                                [0.0]),
+    lambda: isomono.exponent_diagonal("airy", 0.5j, [[0.0]], [0.0, 1.0]),
+    lambda: isomono.exponent_diagonal("pearcey", 0.5j, [[-1.0, 1.0]] * 2,
+                                      [0.0]),
+    lambda: isomono.conjugated_jump("airy", 0.5j, "line_1",
+                                    airy.AiryEndpoints([[0.0]]), [0.0, 1.0]),
+    lambda: isomono.moment_log_derivatives(
+        "airy", [[0.0]], [0.0, 1.0], (np.zeros((2, 2)),) * 2),
+    lambda: isomono.moment_log_derivatives(
+        "pearcey", pearcey.PearceyEndpoints([[-1.0, 1.0]] * 2), [0.0],
+        (np.zeros((5, 5)),) * 2),
 ], ids=[f"{fn.__name__.split('_')[0]}-{len(t)}-{len(iv)}-{rep}"
         for fn, t, iv in _MISMATCHED for rep in ("iiks", "physical")]
     + ["moments-airy-2-1", "moments-pearcey-1-2", "moments-list-airy-2-1",
-       "report-list-airy-2-1", "report-list-pearcey-1-2"])
+       "report-list-airy-2-1", "report-list-pearcey-1-2",
+       "jump-list-airy-2-1", "jump-pearcey-1-2", "diagonal-list-airy-2-1",
+       "diagonal-list-pearcey-1-2", "conjugated-airy-2-1",
+       "log-derivatives-list-airy-2-1", "log-derivatives-pearcey-1-2"])
 def test_times_and_intervals_counts_must_match(call):
     # a one-time answer to a two-time question must not come back
     with pytest.raises(ValueError, match="one endpoint list per time"):
@@ -80,10 +97,11 @@ _PEARCEY_EP = pearcey.PearceyEndpoints([[-1.0, 1.0]])
     lambda: isomono._derivative_report("Airy", [[-1.0, 1.0]], [0.0], 20),
     lambda: as_endpoints("Airy", [0.0], [[-1.0, 1.0]]),
     lambda: gap.gap_probabilities("Airy", [0.0], [[[-1.0, 1.0]]], m=20),
+    lambda: gap.gap_probabilities("foo", [0.0], []),
 ], ids=["equivalence_report", "jump_matrix", "exponent_diagonal",
         "gamma_moments", "moment_log_derivatives", "derivative_report",
         "gamma_moments-list", "derivative_report-list", "as_endpoints",
-        "gap_probabilities"])
+        "gap_probabilities", "gap_probabilities-empty"])
 def test_unknown_process_raises(call):
     # a misspelt process must not run the Pearcey kernel
     with pytest.raises(ValueError, match="process"):

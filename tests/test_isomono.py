@@ -62,6 +62,22 @@ def test_conjugated_jump_is_constant_with_integer_entries(process):
 
 
 @pytest.mark.parametrize("process", ["airy", "pearcey"])
+def test_jump_data_takes_interval_lists(process):
+    # one endpoint list per time gives what the endpoint object gives
+    ep, t = (AIRY_EP, AIRY_T) if process == "airy" else (PEARCEY_EP, PEARCEY_T)
+    lam, label = 0.3 + 0.5j, "line_1" if process == "airy" else "iR"
+    for fn in isomono.jump_matrix, isomono.conjugated_jump:
+        want = fn(process, lam, label, ep, t)
+        assert np.array_equal(fn(process, lam, label, ep.per_time, t), want)
+    want = isomono.exponent_diagonal(process, lam, ep, t)
+    assert np.array_equal(
+        isomono.exponent_diagonal(process, lam, ep.per_time, t), want)
+    g1 = np.arange(ep.p ** 2, dtype=float).reshape(ep.p, ep.p)
+    assert isomono.moment_log_derivatives(process, ep.per_time, t, (g1, g1)) \
+        == isomono.moment_log_derivatives(process, ep, t, (g1, g1))
+
+
+@pytest.mark.parametrize("process", ["airy", "pearcey"])
 def test_exponent_matrix_traceless(process):
     ep = AIRY_EP if process == "airy" else PEARCEY_EP
     t = AIRY_T if process == "airy" else PEARCEY_T

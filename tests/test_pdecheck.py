@@ -160,7 +160,7 @@ def test_build_grid_evaluates_exactly_the_stencil_points(monkeypatch, radius):
     assert op.f.shape[0] == op.g.shape[0] == op.fill.shape[0] == 9
     assert op.f.shape[-1] == op.n
     assert {c[1] for c in calls} == {(0.0, 1.0)}
-    assert len(op.slots.nodes) // 4 == 48  # 4 per node
+    assert len(op.geometry.nodes) // 4 == 48  # 4 per node
     assert len({c[0] for c in calls}) == 9
     assert g.values.shape == (3, 3, 3)
     # each entry holds the gradient at its own (E, W) point
