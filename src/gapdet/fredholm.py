@@ -189,7 +189,9 @@ class CauchyOperator:
         return replace(self, f=self.f[i], g=self.g[i], fill=self.fill[i])
 
     def schur(self):
-        """R = Q (I - D - C B) Q^H, real, in a fresh Fortran-ordered array."""
+        """R = Q (I - D - C B) Q^H, real, in a fresh Fortran-ordered array;
+        ValueError on a stacked batch."""
+        _one(self, "member(i)")
         return _forms(self)[2](0)
 
     def schur_tangent(self, dop):
@@ -231,6 +233,7 @@ class CauchyOperator:
 
     def trace(self):
         """tr M: the lead block is zero and the diagonal is coincident."""
+        _one(self, "member(i)")
         rows, cols = self.geometry.pairs
         return complex(np.sum(self.fill[rows == cols]))
 
@@ -691,7 +694,8 @@ def logdet_derivative(op, dop):
     ``dop`` samples dM like ``op`` samples M: a dense sampler for a
     dense operator, or a contour tangent on the same slots and weights
     (and with the same vanishing lead block) for a contour operator;
-    ``op.schur_tangent`` assembles dS from both.
+    ``op.schur_tangent`` assembles dS from both.  ValueError on a
+    stacked batch (``op.schur()``).
     """
     if type(dop) is not type(op) or dop.n != op.n or dop.lead != op.lead:
         raise ValueError("operator and derivative sampler are incompatible")

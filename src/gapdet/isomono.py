@@ -18,8 +18,8 @@ import numpy as np
 
 from . import airy, pearcey
 from .contour import build_airy_system, build_pearcey_system, fg_matrices
-from .fredholm import dets, resolvent_moments
-from .gap import as_endpoints, is_airy
+from .fredholm import resolvent_moments
+from .gap import as_endpoints, gap_probabilities, is_airy
 
 
 def _module(process, times, endpoints):
@@ -125,40 +125,28 @@ _FD_STEP = 1e-3
 
 def _derivative_report(process, endpoints, times, m):
     """Central differences of log det against the moment formulas, with
-    one contour system per distinct (times, largest |endpoint|), the
-    builder's only inputs besides m, alive one at a time; the
-    determinants on a system form one stacked batch (``iiks_operators``,
-    ``fredholm.dets``)."""
-    mod, t, ep = _module(process, times, endpoints)
-    build = build_airy_system if mod is airy else build_pearcey_system
-    steps = {"moments": (t, ep)}
+    one ``gap.gap_probabilities`` call (one contour system, one stacked
+    batch) per set of times: the endpoint steps share one system like
+    the PDE stencil, and each time step has its own."""
+    t, ep = as_endpoints(process, times, endpoints)
+    groups = {}  # the steps by their times
     for h, (i, ends) in itertools.product((_FD_STEP, -_FD_STEP),
                                           enumerate(ep.per_time)):
-        steps.update({("a", i, ell, h): (t, ep.shifted(i, ell, h))
-                      for ell in range(len(ends))})
-        steps["tau", i, h] = (t + h * (np.arange(len(t)) == i), ep)
-    disc = lambda step: (tuple(step[1][0]), step[1][1].max_abs_endpoint())
+        groups.setdefault(tuple(t), {}).update(
+            {("a", (i, ell), h): ep.shifted(i, ell, h)
+             for ell in range(len(ends))})
+        groups.setdefault(tuple(t + h * (np.arange(len(t)) == i)), {})[
+            "tau", i, h] = ep
     values = {}
-    for (tq, scale), group in itertools.groupby(
-            sorted(steps.items(), key=disc), disc):
-        system = build(tq, m=m, endpoint_scale=scale)
-        group = dict(group)
-        if group.pop("moments", None):
-            values["moments"] = resolvent_moments(
-                mod.iiks_operator(ep, t, system))[0]
-        if group:
-            values.update(zip(group, (r.log_value.real for r in dets(
-                mod.iiks_operators([ek for _, ek in group.values()], tq,
-                                   system)))))
-        del system
-    formulas = moment_log_derivatives(process, ep, t, values["moments"])
-    report = {
-        "a": {(i, ell): _entry(_central(lambda h: values["a", i, ell, h],
-                                        _FD_STEP), f)
-              for (i, ell), f in formulas["a"].items()},
-        "tau": {i: _entry(_central(lambda h: values["tau", i, h],
-                                   _FD_STEP), f)
-                for i, f in formulas["tau"].items()}}
+    for tq, group in groups.items():
+        values.update(zip(group, (r.log_value.real for r in gap_probabilities(
+            process, tq, group.values(), m))))
+    formulas = moment_log_derivatives(process, ep, t,
+                                      gamma_moments(process, ep, t, m))
+    report = {part: {key: _entry(_central(lambda h: values[part, key, h],
+                                          _FD_STEP), f)
+                     for key, f in fs.items()}
+              for part, fs in formulas.items()}
     report["max_rel_mismatch"] = max(
         v["rel_mismatch"] for part in report.values() for v in part.values())
     return report

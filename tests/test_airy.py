@@ -39,6 +39,8 @@ def test_endpoints_validation_and_layout():
     assert ep.row_index(1, 0) == 4
     with pytest.raises(ValueError):
         airy.AiryEndpoints([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="at least one time entry"):
+        airy.AiryEndpoints([])
 
 
 def test_physical_entry_matches_classical_airy_kernel():

@@ -130,6 +130,9 @@ def test_physical_contours_meta_is_the_system_meta_plus_apex():
 def test_airy_system_rejects_bad_parameters():
     with pytest.raises(contour.ContourError):
         contour.build_airy_system([0.0, 0.0])
+    for build in (contour.build_airy_system, contour.build_pearcey_system):
+        with pytest.raises(contour.ContourError, match="m >= 4"):
+            build([0.0], m=3)
 
 
 @pytest.mark.parametrize("angles, collide", [

@@ -1,5 +1,6 @@
 """Determinant engine tests on small synthetic kernels."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -537,6 +538,14 @@ def test_from_kernel_matrix_keeps_a_real_sample_real():
         assert op.matrix.dtype == np.complex128
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_kernel_matrix_rejects_a_non_finite_sample(bad):
+    k = np.ones((4, 4))
+    k[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fredholm.DiscreteOperator.from_kernel_matrix(k, np.ones(4))
+
+
 def test_physical_operator_builds_each_gauss_legendre_rule_once(monkeypatch):
     # three intervals over two times, each of 16 nodes on one panel
     calls = []
@@ -695,11 +704,15 @@ def test_one_lu_per_call_and_matrix_untouched(call, monkeypatch):
     (fredholm.det2, "dets"),
     (lambda op: fredholm.solve_resolvent(op, np.ones(op.n)),
      "resolvent_moments"),
-], ids=["det", "det2", "solve_resolvent"])
+    (lambda op: op.schur(), "member(i)"),
+    (lambda op: op.trace(), "member(i)"),
+    (lambda op: fredholm.logdet_derivative(op, op), "member(i)"),
+], ids=["det", "det2", "solve_resolvent", "schur", "trace",
+        "logdet_derivative"])
 def test_single_operator_calls_refuse_a_stacked_batch(call, batch_call,
                                                       monkeypatch):
     # a stack of three must not come back as its member 0: ValueError
-    # naming the batch call, before any LU
+    # naming the batch call, before any real form or LU
     times = [0.0, 1.0]
     eps = [airy.AiryEndpoints(e) for e in ([[-1.0], [0.5]], [[0.3], [-0.7]],
                                            [[0.0], [0.0]])]
@@ -707,7 +720,9 @@ def test_single_operator_calls_refuse_a_stacked_batch(call, batch_call,
     batch = airy.iiks_operators(eps, times, system)
     calls = []
     monkeypatch.setattr(sla, "lu_factor", lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError, match=batch_call):
+    monkeypatch.setattr(fredholm, "_forms", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="stacked operator .*: use "
+                       + re.escape(batch_call)):
         call(batch)
     assert calls == []
 

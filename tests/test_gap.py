@@ -18,6 +18,17 @@ def test_empty_intervals_give_unit_determinant():
     assert res.value == pytest.approx(1.0, abs=1e-14)
     resp = pearcey_gap_probability([0.0], [[]], m=40)
     assert resp.value == pytest.approx(1.0, abs=1e-14)
+    assert gap.gap_probabilities("airy", [0.0], []) == []
+
+
+@pytest.mark.parametrize("fn, intervals", [
+    (airy_gap_probability, [[0.0]]),
+    (pearcey_gap_probability, [[-1.0, 1.0]]),
+])
+def test_unknown_representation_raises(fn, intervals):
+    # the names are case-sensitive: "IIKS" runs neither route
+    with pytest.raises(ValueError, match="unknown representation 'IIKS'"):
+        fn([0.0], intervals, representation="IIKS", m=16)
 
 
 @pytest.mark.parametrize("representation", ["iiks", "physical"])

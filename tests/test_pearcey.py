@@ -40,6 +40,8 @@ def test_heat_kernel_values_and_contour_form():
 def test_endpoints_require_even_counts():
     with pytest.raises(ValueError):
         pearcey.PearceyEndpoints([[-1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="sorted"):
+        pearcey.PearceyEndpoints([[1.0, -1.0]])
     ep = pearcey.PearceyEndpoints([[-1.0, 1.0], [-2.0, -1.0, 1.0, 2.0]])
     assert ep.p == 7
     assert ep.offsets == (1, 3)
